@@ -33,15 +33,7 @@ from .graphkit import (
     max_flow_min_cut,
     min_k_cut,
 )
-from .power import (
-    LoadMap,
-    NetworkEnergy,
-    PowerParams,
-    network_energy,
-    optimal_rate,
-    power_rate,
-    switch_power,
-)
+from .power import PowerParams, optimal_rate, power_rate, switch_power
 from .routing import (
     ActiveSet,
     RoutingPlan,

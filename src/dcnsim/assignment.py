@@ -78,14 +78,6 @@ class Assignment:
                     f"{tree.server_capacity}"
                 )
 
-    def rows(self, tree: FatTree) -> list[tuple[int, int, int, int, int]]:
-        """Export rows (job, vm, server, pod, rack) in VM order."""
-        out = []
-        for (job_id, vm), server in sorted(self.placements.items()):
-            pod, rack = tree.locate(server)
-            out.append((job_id, vm, server, pod, rack))
-        return out
-
 
 @dataclass
 class PodClusters:
@@ -175,18 +167,14 @@ def cluster_jobs(
     pod_slot_capacity: int,
     horizon: int,
     seed=None,
-    membership: str = "dissimilar",
 ) -> PodClusters:
     """Group jobs into per-pod clusters by traffic-pattern distance.
 
     Cluster seeds come from k-means++ on the pattern vectors; remaining
     jobs (largest demand first) join the feasible cluster whose center
-    pattern differs most from theirs (membership="dissimilar", the
-    default) or least ("similar").  Centers are running means of member
-    vectors.  Jobs that fit nowhere land in the overflow group.
+    pattern differs most from theirs.  Centers are running means of
+    member vectors.  Jobs that fit nowhere land in the overflow group.
     """
-    if membership not in ("dissimilar", "similar"):
-        raise DomainError(f"unknown membership rule {membership!r}")
     if not jobs:
         return PodClusters(clusters=[[] for _ in range(n_pods)], overflow=[])
     if n_pods < 1:
@@ -211,11 +199,7 @@ def cluster_jobs(
         if not feasible:
             overflow.append(job.id)
             continue
-        scores = [(job_distance(vectors[i], centers[c]), c) for c in feasible]
-        if membership == "dissimilar":
-            _, best = min(scores)
-        else:
-            best = min(scores, key=lambda sc: (-sc[0], sc[1]))[1]
+        _, best = min((job_distance(vectors[i], centers[c]), c) for c in feasible)
         clusters[best].append(job.id)
         member_vecs[best].append(vectors[i])
         loads[best] += job.slots
@@ -395,22 +379,20 @@ def opt_greedy_assign(jobs: Sequence[Job], tree: FatTree) -> Assignment:
 
 
 def eea_assign(
-    jobs: Sequence[Job], tree: FatTree, seed=None, horizon=None,
-    membership: str = "dissimilar",
+    jobs: Sequence[Job], tree: FatTree, seed=None, horizon=None
 ) -> Assignment:
     """The pod/rack pipeline applied to raw VMs (no super-VM merge)."""
-    return _pipeline_assign(jobs, tree, seed, horizon, membership, shrink=False)
+    return _pipeline_assign(jobs, tree, seed, horizon, shrink=False)
 
 
 def opt_eea(
-    jobs: Sequence[Job], tree: FatTree, seed=None, horizon=None,
-    membership: str = "dissimilar",
+    jobs: Sequence[Job], tree: FatTree, seed=None, horizon=None
 ) -> Assignment:
     """The full pipeline: shrink, cluster into pods, min-cut racks, pack."""
-    return _pipeline_assign(jobs, tree, seed, horizon, membership, shrink=True)
+    return _pipeline_assign(jobs, tree, seed, horizon, shrink=True)
 
 
-def _pipeline_assign(jobs, tree, seed, horizon, membership, shrink) -> Assignment:
+def _pipeline_assign(jobs, tree, seed, horizon, shrink) -> Assignment:
     _check_total_demand(jobs, tree)
     if horizon is None:
         horizon = max(
@@ -438,10 +420,7 @@ def _pipeline_assign(jobs, tree, seed, horizon, membership, shrink) -> Assignmen
     n_pods = estimate_pod_count(normal, tree.pod_slot_capacity)
     if n_pods == 0:
         return Assignment(placements)
-    clusters = cluster_jobs(
-        normal, n_pods, tree.pod_slot_capacity, horizon, seed=seed,
-        membership=membership,
-    )
+    clusters = cluster_jobs(normal, n_pods, tree.pod_slot_capacity, horizon, seed=seed)
 
     # Prefer untouched pods for the clusters, emptiest first.
     def pod_used(p: int) -> int:
@@ -504,17 +483,16 @@ def _check_total_demand(jobs: Sequence[Job], tree: FatTree) -> None:
         )
 
 
-STRATEGIES = ("greedy", "opt_greedy", "eea", "opt_eea")
+STRATEGIES = {
+    "greedy": lambda jobs, tree, seed, horizon: greedy_assign(jobs, tree),
+    "opt_greedy": lambda jobs, tree, seed, horizon: opt_greedy_assign(jobs, tree),
+    "eea": eea_assign,
+    "opt_eea": opt_eea,
+}
 
 
 def assign(name: str, jobs: Sequence[Job], tree: FatTree, seed=None, horizon=None):
     """Dispatch by strategy name; seed only matters for the pipelines."""
-    if name == "greedy":
-        return greedy_assign(jobs, tree)
-    if name == "opt_greedy":
-        return opt_greedy_assign(jobs, tree)
-    if name == "eea":
-        return eea_assign(jobs, tree, seed=seed, horizon=horizon)
-    if name == "opt_eea":
-        return opt_eea(jobs, tree, seed=seed, horizon=horizon)
-    raise DomainError(f"unknown assignment strategy {name!r}")
+    if name not in STRATEGIES:
+        raise DomainError(f"unknown assignment strategy {name!r}")
+    return STRATEGIES[name](jobs, tree, seed, horizon)

@@ -13,18 +13,20 @@ import json
 import os
 import sys
 
+from .assignment import STRATEGIES
 from .errors import CapacityError, ConfigError, InfeasibleError, SimulationError
 from .power import PowerParams
+from .routing import ROUTERS
 from .simengine import (
     Scenario,
-    compare,
     load_report,
     run_scenario,
     save_report,
     sweep,
+    table_row,
     write_table,
 )
-from .workload import WorkloadConfig, generate_workload, save_workload
+from .workload import WorkloadConfig, generate_workload, load_workload, save_workload
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -103,18 +105,20 @@ def cmd_run(args) -> int:
         raise ConfigError("run needs --k")
     workload_path = _option(args, cfg, "workload", str)
     utilization = _option(args, cfg, "utilization", float)
-    workload_seed = None
+    horizon = _option(args, cfg, "horizon", int)
+    jobs = workload_seed = None
     if workload_path:
-        # Label the report with the file's provenance so comparison
-        # tables carry the utilization and generating seed.
         try:
-            with open(workload_path) as fh:
-                doc = json.load(fh)
+            jobs, meta = load_workload(workload_path)
         except OSError as exc:
             raise ConfigError(f"cannot read workload {workload_path}: {exc}") from exc
-        workload_seed = doc.get("seed")
+        # Label the report with the file's provenance so comparison
+        # tables carry the utilization and generating seed.
+        workload_seed = meta["seed"]
         if utilization is None:
-            utilization = (doc.get("config") or {}).get("utilization")
+            utilization = (meta["config"] or {}).get("utilization")
+        if horizon is None:
+            horizon = meta["horizon"]
     scenario = Scenario(
         k=k,
         assign_strategy=_option(args, cfg, "assign", str, "greedy"),
@@ -123,7 +127,7 @@ def cmd_run(args) -> int:
         utilization=utilization,
         workload_seed=workload_seed,
         workload_path=workload_path,
-        horizon=_option(args, cfg, "horizon", int, 100),
+        horizon=100 if horizon is None else horizon,
         server_capacity=_option(args, cfg, "server_capacity", int, 2),
         timeslot_seconds=_option(args, cfg, "timeslot_seconds", float, 60.0),
         power=_power_from(args, cfg),
@@ -140,7 +144,7 @@ def cmd_run(args) -> int:
                 writer.writerow([t, src, dst, rate, " ".join(map(str, path))])
 
     try:
-        report = run_scenario(scenario, on_plan=route_writer)
+        report = run_scenario(scenario, jobs=jobs, on_plan=route_writer)
     finally:
         if route_fh:
             route_fh.close()
@@ -162,20 +166,7 @@ def cmd_compare(args) -> int:
     base = baseline.total_energy_wt
     if base <= 0:
         raise ConfigError("baseline report has zero energy; ratios are undefined")
-    rows = []
-    for report in reports:
-        sc = report.scenario
-        rows.append(
-            {
-                "scenario": sc["label"],
-                "utilization": sc.get("utilization"),
-                "seed": sc.get("workload_seed") or sc.get("seed"),
-                "total_energy_wt": report.total_energy_wt,
-                "ratio_to_baseline": report.total_energy_wt / base,
-                "runtime_ms": report.runtime_ms,
-                "violations": len(report.violations),
-            }
-        )
+    rows = [table_row(report, base) for report in reports]
     write_table(rows, args.out)
     for row in rows:
         print(
@@ -241,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one scenario and write its report")
     run.add_argument("--workload", help="workload file (else --utilization generates)")
-    run.add_argument("--assign", choices=["greedy", "opt_greedy", "eea", "opt_eea"])
-    run.add_argument("--route", choices=["sp", "ecmp", "eer"])
+    run.add_argument("--assign", choices=STRATEGIES)
+    run.add_argument("--route", choices=ROUTERS)
     run.add_argument("--k", type=int)
     run.add_argument("--seed", type=int)
     run.add_argument("--utilization", type=float)

@@ -238,20 +238,19 @@ def _euclidean(a, b) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
 
 
-def kmeans_pp_seed(vectors, k: int, distance_fn=None, seed=None) -> list[int]:
+def kmeans_pp_seed(vectors, k: int, seed=None) -> list[int]:
     """k-means++ seeding: D^2-weighted sampling of k center indices.
 
     The first center is uniform; each next one is drawn with probability
-    proportional to the squared dissimilarity to its nearest chosen
+    proportional to the squared Euclidean distance to its nearest chosen
     center.  Deterministic given the seed.
     """
     n = len(vectors)
     if not (1 <= k <= n):
         raise DomainError(f"k must be within [1, {n}], got {k}")
-    dist = distance_fn or _euclidean
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]
-    best = [dist(vectors[i], vectors[chosen[0]]) for i in range(n)]
+    best = [_euclidean(vectors[i], vectors[chosen[0]]) for i in range(n)]
     while len(chosen) < k:
         weights = np.array(
             [0.0 if i in chosen else best[i] ** 2 for i in range(n)], dtype=float
@@ -266,7 +265,7 @@ def kmeans_pp_seed(vectors, k: int, distance_fn=None, seed=None) -> list[int]:
             pick = int(remaining[rng.integers(len(remaining))])
         chosen.append(pick)
         for i in range(n):
-            d = dist(vectors[i], vectors[pick])
+            d = _euclidean(vectors[i], vectors[pick])
             if d < best[i]:
                 best[i] = d
     return chosen

@@ -1,16 +1,15 @@
-"""Switch power model and network energy accounting.
+"""Switch power model.
 
 A switch that carries no load costs nothing (it can sleep); an active
 switch pays a fixed startup cost plus a superadditive load-dependent
-term.  All loads are fluid values in Gbps; energy is accounted in
-watt-timeslots (one timeslot of horizon = one unit of time), with the
-conversion to joules left to presentation code.
+term.  All loads are fluid values in Gbps.  The scenario engine sums
+this power into watt-timeslots (one timeslot of horizon = one unit of
+time), with the conversion to joules left to presentation code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
 
 from .errors import CapacityError, ConfigError, DomainError
 
@@ -32,7 +31,6 @@ class PowerParams:
     mu: float = 1e-4
     alpha: float = 2.0
     capacity: float = 1000.0
-    high_startup: bool = field(init=False)
 
     def __post_init__(self):
         if self.sigma < 0:
@@ -43,35 +41,9 @@ class PowerParams:
             raise ConfigError(f"alpha must be > 1, got {self.alpha}")
         if self.capacity <= 0:
             raise ConfigError(f"capacity must be > 0, got {self.capacity}")
-        # High-startup regime: sleeping whole switches beats balancing
-        # below capacity, since the idle draw dominates the curve.
-        high = self.sigma > self.mu * (self.alpha - 1.0) * self.capacity**self.alpha
-        object.__setattr__(self, "high_startup", high)
 
     def max_load(self) -> float:
         return self.capacity * (1.0 + CAPACITY_RTOL)
-
-
-@dataclass(frozen=True)
-class LoadMap:
-    """Per-switch loads (Gbps) for one timeslot; absent switches are asleep."""
-
-    timeslot: int
-    loads: Mapping[int, float]
-
-    def validate(self, params: PowerParams) -> None:
-        for switch, load in self.loads.items():
-            if load < 0:
-                raise DomainError(
-                    f"negative load {load} on switch {switch} at t={self.timeslot}"
-                )
-            if load > params.max_load():
-                raise CapacityError(
-                    f"switch {switch} carries {load} Gbps > capacity "
-                    f"{params.capacity} at t={self.timeslot}",
-                    switches=[switch],
-                    timeslot=self.timeslot,
-                )
 
 
 def switch_power(load: float, params: PowerParams, check: bool = True) -> float:
@@ -104,32 +76,3 @@ def optimal_rate(params: PowerParams) -> tuple[float, bool]:
     """
     r_star = (params.sigma / (params.mu * (params.alpha - 1.0))) ** (1.0 / params.alpha)
     return r_star, r_star > params.capacity
-
-
-@dataclass(frozen=True)
-class NetworkEnergy:
-    """Energy total (watt-timeslots) with the per-timeslot power breakdown."""
-
-    total: float
-    per_timeslot: tuple[float, ...]
-
-
-def network_energy(
-    loads: Iterable[LoadMap], params: PowerParams, check: bool = True
-) -> NetworkEnergy:
-    """Sum switch power over switches and timeslots.
-
-    Switches absent from a LoadMap are asleep and contribute nothing.
-    With check=True a capacity violation raises, naming the timeslot and
-    switch; check=False keeps accounting going for baselines that are
-    allowed to overload (the violation is recorded elsewhere).
-    """
-    per_slot = []
-    for load_map in loads:
-        if check:
-            load_map.validate(params)
-        watts = 0.0
-        for load in load_map.loads.values():
-            watts += switch_power(load, params, check=False)
-        per_slot.append(watts)
-    return NetworkEnergy(total=float(sum(per_slot)), per_timeslot=tuple(per_slot))

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import CapacityError, InfeasibleError
 from .graphkit import ffd_pack
 from .power import PowerParams
-from .topology import FatTree
+from .topology import TOR, FatTree
 
 MBPS_PER_GBPS = 1000.0
 
@@ -50,9 +50,6 @@ class ActiveSet:
         return {
             tree.agg_id(pod, j) for pod, js in self.positions.items() for j in js
         }
-
-    def switch_count(self, tree: FatTree) -> int:
-        return len(self.agg_ids(tree)) + len(self.cores) + len(self.tors)
 
     def cores_by_group(self, tree: FatTree) -> dict[int, list[int]]:
         by_group: dict[int, list[int]] = {}
@@ -333,14 +330,21 @@ def eer(
 
     If the balanced pass still overloads a switch (the feasibility pass
     is a heuristic), the active set is re-estimated once with one more
-    switch per layer before the error propagates.
+    switch per layer before the error propagates.  An overloaded ToR
+    fails at once: its load is fixed by the placement, not the routing.
     """
     active = estimate_active_set(demands, tree, params, occupied_racks)
     try:
         plan = balanced_route(
             demands, tree, active, params=params, timeslot=timeslot, strict=True
         )
-    except CapacityError:
+    except CapacityError as exc:
+        tors = [sw for sw in exc.switches if tree.layer(sw) == TOR]
+        if tors:
+            raise InfeasibleError(
+                f"placement overloads ToR switches {tors} at t={timeslot}; "
+                f"no routing can relieve them"
+            ) from exc
         active = estimate_active_set(
             demands, tree, params, occupied_racks, extra=1
         )
@@ -348,42 +352,6 @@ def eer(
             demands, tree, active, params=params, timeslot=timeslot, strict=True
         )
     return active, plan
-
-
-# --- bookkeeping cross-checks ---------------------------------------------
-
-
-def link_loads(plan: RoutingPlan, tree: FatTree) -> dict[frozenset, float]:
-    """Per-link loads (Gbps) implied by the plan, server links included."""
-    loads: dict[frozenset, float] = {}
-
-    def bump(a, b, gbps):
-        key = frozenset((a, b))
-        loads[key] = loads.get(key, 0.0) + gbps
-
-    for src, dst, rate, path in plan.routes:
-        gbps = rate / MBPS_PER_GBPS
-        bump(("host", src), ("switch", path[0]), gbps)
-        for a, b in zip(path, path[1:]):
-            bump(("switch", a), ("switch", b), gbps)
-        bump(("switch", path[-1]), ("host", dst), gbps)
-    return loads
-
-
-def loads_from_links(plan: RoutingPlan, tree: FatTree) -> dict[int, float]:
-    """Recompute switch loads as half the sum of incident link loads.
-
-    Every flow both enters and leaves a switch, so halving the incident
-    sum recovers the traversal-count load; this cross-checks the two
-    bookkeeping schemes.
-    """
-    per_link = link_loads(plan, tree)
-    loads: dict[int, float] = {}
-    for key, value in per_link.items():
-        for node in key:
-            if node[0] == "switch":
-                loads[node[1]] = loads.get(node[1], 0.0) + value
-    return {sw: v / 2.0 for sw, v in loads.items()}
 
 
 ROUTERS = ("sp", "ecmp", "eer")

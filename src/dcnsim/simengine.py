@@ -68,7 +68,7 @@ class Scenario:
     def __post_init__(self):
         if self.assign_strategy not in STRATEGIES:
             raise ConfigError(
-                f"assign strategy must be one of {STRATEGIES}, "
+                f"assign strategy must be one of {tuple(STRATEGIES)}, "
                 f"got {self.assign_strategy!r}"
             )
         if self.route_strategy not in ROUTERS:
@@ -258,13 +258,34 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
 # --- comparisons -----------------------------------------------------------
 
 
+def _workload_seed(scenario: dict):
+    """Seed that generated the workload: the workload seed, else the scenario seed."""
+    seed = scenario.get("workload_seed")
+    return seed if seed is not None else scenario.get("seed")
+
+
 def _workload_identity(scenario: dict):
     return (
         scenario.get("workload_path"),
         scenario.get("utilization"),
-        scenario.get("workload_seed") if scenario.get("workload_seed") is not None
-        else scenario.get("seed"),
+        _workload_seed(scenario),
     )
+
+
+def table_row(report: EnergyReport, baseline_wt: float) -> dict:
+    """One comparison-table row: the report against a baseline energy."""
+    sc = report.scenario
+    return {
+        "scenario": sc["label"],
+        "utilization": sc.get("utilization"),
+        "seed": _workload_seed(sc),
+        "total_energy_wt": report.total_energy_wt,
+        "ratio_to_baseline": (
+            report.total_energy_wt / baseline_wt if baseline_wt > 0 else 1.0
+        ),
+        "runtime_ms": report.runtime_ms,
+        "violations": len(report.violations),
+    }
 
 
 def compare(reports: Sequence[EnergyReport]) -> dict:
@@ -291,21 +312,10 @@ def compare(reports: Sequence[EnergyReport]) -> dict:
                 f"no greedy-sp baseline for workload {identity} "
                 f"(scenario {sc['label']})"
             )
-        base = baselines[identity]
-        ratio = report.total_energy_wt / base if base > 0 else 1.0
-        rows.append(
-            {
-                "scenario": sc["label"],
-                "utilization": sc.get("utilization"),
-                "seed": sc.get("workload_seed") or sc.get("seed"),
-                "total_energy_wt": report.total_energy_wt,
-                "ratio_to_baseline": ratio,
-                "runtime_ms": report.runtime_ms,
-                "violations": len(report.violations),
-            }
-        )
+        row = table_row(report, baselines[identity])
+        rows.append(row)
         key = (sc["label"], sc.get("utilization"))
-        grouped.setdefault(key, []).append(ratio)
+        grouped.setdefault(key, []).append(row["ratio_to_baseline"])
         energies.setdefault(key, []).append(report.total_energy_wt)
 
     summary = []

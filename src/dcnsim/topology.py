@@ -72,9 +72,6 @@ class FatTree:
     def server_rack(self, server: int) -> int:
         return (server % self.servers_per_pod) // self.servers_per_rack
 
-    def server_slot(self, server: int) -> int:
-        return server % self.servers_per_rack
-
     def server_id(self, pod: int, rack: int, slot: int) -> int:
         return pod * self.servers_per_pod + rack * self.servers_per_rack + slot
 
@@ -162,20 +159,6 @@ class FatTree:
         """(pod, rack) coordinates of a server id."""
         self.check_server(server)
         return self.server_pod(server), self.server_rack(server)
-
-    def summary(self) -> str:
-        """Human-readable structure overview for debugging."""
-        lines = [
-            f"fat-tree k={self.k}",
-            f"pods: {self.num_pods} ({self.racks_per_pod} racks x "
-            f"{self.servers_per_rack} servers each)",
-            f"servers: {self.num_servers} ({self.server_capacity} VM slots each)",
-            f"switches: {self.num_switches} "
-            f"(tor {self.num_tors}, agg {self.num_aggs}, core {self.num_cores})",
-            f"tor ids 0..{self.agg_base - 1}, agg ids {self.agg_base}.."
-            f"{self.core_base - 1}, core ids {self.core_base}..{self.num_switches - 1}",
-        ]
-        return "\n".join(lines)
 
 
 def build_fat_tree(k: int, server_capacity: int = 2) -> FatTree:

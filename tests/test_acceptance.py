@@ -13,10 +13,11 @@ import numpy as np
 from dcnsim.assignment import assign
 from dcnsim.graphkit import WeightedGraph, ffd_pack, gomory_hu_tree, max_flow_min_cut, min_k_cut
 from dcnsim.power import PowerParams, switch_power
-from dcnsim.routing import ecmp_route, eer, loads_from_links, sp_route
+from dcnsim.routing import ecmp_route, eer, sp_route
 from dcnsim.simengine import Scenario, run_scenario, sweep
 from dcnsim.topology import build_fat_tree
 from dcnsim.workload import WorkloadConfig, demands_at, generate_workload
+from linkcheck import loads_from_links
 
 BENCH = PowerParams(sigma=200.0, mu=1e-4, alpha=2.0, capacity=1000.0)
 
@@ -251,7 +252,7 @@ def test_criterion_07_structural_validation():
             checked_plans += 1
             if plan.violations:
                 ok = False
-            recomputed = loads_from_links(plan, tree)
+            recomputed = loads_from_links(plan)
             for sw, load in plan.loads.items():
                 if load > BENCH.max_load():
                     ok = False

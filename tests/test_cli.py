@@ -96,3 +96,41 @@ def test_infeasible_exit_code(tmp_path):
     assert main(["run", "--workload", str(wl), "--assign", "greedy",
                  "--route", "sp", "--k", "4", "--seed", "1", "--horizon", "6",
                  "--out", str(out)]) == 3
+
+
+def test_run_takes_the_workload_files_horizon(tmp_path):
+    wl = tmp_path / "wl.json"
+    assert main(["gen", "--k", "4", "--utilization", "0.3", "--seed", "2",
+                 "--horizon", "10", "--out", str(wl)]) == 0
+    out = tmp_path / "r.json"
+    assert main(["run", "--workload", str(wl), "--k", "4", "--out", str(out)]) == 0
+    report = load_report(out)
+    assert report.scenario["horizon"] == 10
+    assert len(report.per_timeslot_watts) == 10
+
+
+def test_compare_labels_rows_with_the_workload_seed(tmp_path):
+    wl = tmp_path / "wl.json"
+    assert main(["gen", "--k", "4", "--utilization", "0.3", "--seed", "0",
+                 "--horizon", "6", "--out", str(wl)]) == 0
+    base = tmp_path / "base.json"
+    assert main(["run", "--workload", str(wl), "--k", "4", "--seed", "7",
+                 "--out", str(base)]) == 0
+    table = tmp_path / "cmp.csv"
+    assert main(["compare", "--reports", str(base), "--baseline", str(base),
+                 "--out", str(table)]) == 0
+    with open(table) as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["seed"] == "0"
+
+
+def test_eer_tor_overload_exit_code(tmp_path, capsys):
+    wl = tmp_path / "wl.json"
+    assert main(["gen", "--k", "4", "--utilization", "0.5", "--seed", "3",
+                 "--horizon", "8", "--out", str(wl)]) == 0
+    out = tmp_path / "r.json"
+    # 0.3 Gbps fits every single demand but not the placement's ToR load
+    assert main(["run", "--workload", str(wl), "--k", "4", "--assign", "greedy",
+                 "--route", "eer", "--sigma", "0.01", "--mu", "1",
+                 "--capacity-gbps", "0.3", "--out", str(out)]) == 3
+    assert "ToR switches [0] at t=1" in capsys.readouterr().err

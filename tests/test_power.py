@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 
 from dcnsim.errors import CapacityError, ConfigError, DomainError
-from dcnsim.power import (
-    LoadMap,
-    PowerParams,
-    network_energy,
-    optimal_rate,
-    power_rate,
-    switch_power,
-)
+from dcnsim.power import PowerParams, optimal_rate, power_rate, switch_power
 
 BENCH = PowerParams(sigma=200.0, mu=1e-4, alpha=2.0, capacity=1000.0)
 
@@ -148,28 +141,7 @@ def test_params_validation_and_regime_flag():
         PowerParams(alpha=1.0)
     with pytest.raises(ConfigError):
         PowerParams(capacity=0)
-    assert BENCH.high_startup  # 200 > 1e-4 * 1 * 1000**2 = 100
+    # high-startup regime: 200 > 1e-4 * 1 * 1000**2 = 100, so r* > capacity
+    assert optimal_rate(BENCH)[1]
     low = PowerParams(sigma=50.0, mu=1e-4, alpha=2.0, capacity=1000.0)
-    assert not low.high_startup
-
-
-def test_network_energy_accounting():
-    idle = [LoadMap(0, {1: 0.0, 2: 0.0})]
-    assert network_energy(idle, BENCH).total == 0.0
-
-    single = [LoadMap(0, {5: 1000.0})]
-    assert math.isclose(network_energy(single, BENCH).total, 300.0, rel_tol=1e-9)
-
-    two = [LoadMap(0, {5: 500.0}), LoadMap(1, {5: 500.0})]
-    report = network_energy(two, BENCH)
-    assert math.isclose(report.total, 450.0, rel_tol=1e-9)
-    assert len(report.per_timeslot) == 2
-    assert math.isclose(report.total, sum(report.per_timeslot), rel_tol=1e-12)
-
-
-def test_network_energy_names_violation():
-    bad = [LoadMap(0, {1: 10.0}), LoadMap(1, {9: 2000.0})]
-    with pytest.raises(CapacityError) as err:
-        network_energy(bad, BENCH)
-    assert err.value.timeslot == 1
-    assert 9 in err.value.switches
+    assert not optimal_rate(low)[1]

@@ -13,12 +13,11 @@ from dcnsim.routing import (
     ecmp_route,
     eer,
     estimate_active_set,
-    link_loads,
-    loads_from_links,
     sp_route,
 )
 from dcnsim.topology import AGG, TOR, build_fat_tree
 from dcnsim.workload import WorkloadConfig, demands_at, generate_workload
+from linkcheck import link_loads, loads_from_links
 
 PARAMS = PowerParams()  # sigma 200, mu 1e-4, alpha 2, capacity 1000 Gbps
 
@@ -113,8 +112,9 @@ def test_sp_reports_capacity_violations():
     plan = sp_route([(0, 1, over)], tree, params=PARAMS, strict=False)
     assert plan.violations == (tree.tor_id(0, 0),)
     with pytest.raises(CapacityError) as err:
-        sp_route([(0, 1, over)], tree, params=PARAMS, strict=True)
+        sp_route([(0, 1, over)], tree, params=PARAMS, timeslot=4, strict=True)
     assert tree.tor_id(0, 0) in err.value.switches
+    assert err.value.timeslot == 4
 
 
 # --- ECMP ---------------------------------------------------------------------
@@ -338,6 +338,25 @@ def test_eer_escalates_once_when_coupling_bites():
     assert len(active.positions[0]) == 3  # widened by the retry
 
 
+def test_eer_fails_early_on_an_overloaded_tor(monkeypatch):
+    # ToR load is fixed by the placement, so EER must not retry wider
+    import dcnsim.routing as routing
+
+    calls = []
+    estimate = routing.estimate_active_set
+    monkeypatch.setattr(
+        routing, "estimate_active_set",
+        lambda *args, **kw: calls.append(kw) or estimate(*args, **kw),
+    )
+    tree = build_fat_tree(4)
+    flows = [(0, 2, 600_000.0), (1, 3, 600_000.0)]
+    with pytest.raises(InfeasibleError) as err:
+        eer(flows, tree, PARAMS, timeslot=5)
+    assert "ToR switches [0, 1]" in str(err.value)
+    assert "t=5" in str(err.value)
+    assert len(calls) == 1
+
+
 def test_eer_monotone_in_demands():
     rng = np.random.default_rng(3)
     tree = build_fat_tree(4)
@@ -349,9 +368,14 @@ def test_eer_monotone_in_demands():
             flows.append((int(src), int(dst), float(rng.uniform(10, 5000))))
         extra_src, extra_dst = rng.choice(tree.num_servers, size=2, replace=False)
         extra = (int(extra_src), int(extra_dst), float(rng.uniform(10, 5000)))
-        base = estimate_active_set(flows, tree, PARAMS)
-        more = estimate_active_set(flows + [extra], tree, PARAMS)
-        assert more.switch_count(tree) >= base.switch_count(tree)
+        counts = [
+            len(active.agg_ids(tree)) + len(active.cores) + len(active.tors)
+            for active in (
+                estimate_active_set(flows, tree, PARAMS),
+                estimate_active_set(flows + [extra], tree, PARAMS),
+            )
+        ]
+        assert counts[1] >= counts[0]
 
 
 def test_sleeping_switches_carry_no_load():
@@ -372,7 +396,7 @@ def test_half_sum_link_identity_for_all_routers():
             eer(flows, tree, PARAMS)[1],
         ]
         for plan in plans:
-            recomputed = loads_from_links(plan, tree)
+            recomputed = loads_from_links(plan)
             assert set(recomputed) == set(plan.loads)
             for sw, load in plan.loads.items():
                 assert math.isclose(recomputed[sw], load, rel_tol=1e-9, abs_tol=1e-12)
@@ -422,7 +446,7 @@ def test_route_rows_export():
 def test_link_loads_include_server_links():
     tree = build_fat_tree(4)
     plan = sp_route([(0, 1, 100.0)], tree, params=PARAMS)
-    per_link = link_loads(plan, tree)
+    per_link = link_loads(plan)
     tor = tree.tor_id(0, 0)
     assert per_link[frozenset((("host", 0), ("switch", tor)))] == 0.1
     assert per_link[frozenset((("switch", tor), ("host", 1)))] == 0.1

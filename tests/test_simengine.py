@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dcnsim.errors import ConfigError
-from dcnsim.power import PowerParams
+from dcnsim.power import PowerParams, switch_power
 from dcnsim.simengine import (
     STRATEGY_GRID,
     EnergyReport,
@@ -110,17 +110,17 @@ def test_report_roundtrip(tmp_path):
 
 
 def test_report_total_matches_recomputation_from_load_maps():
-    # round-trip accounting: the engine's total equals the power module
-    # applied to the raw per-timeslot LoadMaps
-    from dcnsim.power import LoadMap, network_energy
-
+    # round-trip accounting: the engine's total equals the power curve
+    # applied to the raw per-timeslot switch loads
     plans = []
     sc = _scenario(assign_strategy="opt_eea", route_strategy="eer", utilization=0.6)
     report = run_scenario(sc, on_plan=plans.append)
-    maps = [LoadMap(p.timeslot, p.loads) for p in plans]
-    recomputed = network_energy(maps, PowerParams())
-    assert math.isclose(recomputed.total, report.total_energy_wt, rel_tol=1e-12)
-    assert np.allclose(recomputed.per_timeslot, report.per_timeslot_watts)
+    per_slot = [
+        sum(switch_power(load, PowerParams()) for load in plan.loads.values())
+        for plan in plans
+    ]
+    assert math.isclose(sum(per_slot), report.total_energy_wt, rel_tol=1e-12)
+    assert np.allclose(per_slot, report.per_timeslot_watts)
 
 
 def test_compare_baseline_against_itself():
@@ -128,6 +128,11 @@ def test_compare_baseline_against_itself():
     table = compare([report])
     assert table["rows"][0]["ratio_to_baseline"] == 1.0
     assert table["summary"][0]["mean_ratio"] == 1.0
+
+
+def test_compare_labels_rows_with_a_zero_workload_seed():
+    report = run_scenario(_scenario(seed=7, workload_seed=0))
+    assert compare([report])["rows"][0]["seed"] == 0
 
 
 def test_compare_requires_baseline():

@@ -159,8 +159,3 @@ def test_deterministic_candidate_order():
         tree.agg_id(3, 0),
         tree.tor_id(3, 1),
     )
-
-
-def test_summary_mentions_counts():
-    text = build_fat_tree(4).summary()
-    assert "20" in text and "16" in text
