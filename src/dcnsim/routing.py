@@ -155,12 +155,33 @@ def ecmp_route(
     demands, tree: FatTree, seed=None, params: PowerParams = None,
     timeslot: int = 0, strict: bool = False,
 ) -> RoutingPlan:
-    """Equal-cost multipath: seeded uniform path choice per flow."""
+    """Equal-cost multipath: seeded uniform path choice per flow.
+
+    Each flow draws one index into `FatTree.candidate_paths`' order
+    (position-major, then core index) and only the drawn path is built.
+    A same-rack flow has one candidate and draws nothing, as
+    `integers(1)` would leave the generator unchanged.
+    """
     rng = np.random.default_rng(seed)
+    half = tree.half
     routes, loads = [], {}
     for src, dst, rate in demands:
-        paths = tree.candidate_paths(src, dst)
-        path = paths[int(rng.integers(len(paths)))].switches
+        src_tor, dst_tor = tree.tor_of_server(src), tree.tor_of_server(dst)
+        src_pod, dst_pod = tree.server_pod(src), tree.server_pod(dst)
+        if src_tor == dst_tor:
+            path = (src_tor,)
+        elif src_pod == dst_pod:
+            position = int(rng.integers(half))
+            path = (src_tor, tree.agg_id(src_pod, position), dst_tor)
+        else:
+            position, index = divmod(int(rng.integers(half * half)), half)
+            path = (
+                src_tor,
+                tree.agg_id(src_pod, position),
+                tree.core_id(position, index),
+                tree.agg_id(dst_pod, position),
+                dst_tor,
+            )
         routes.append((src, dst, rate, path))
         _add_path(loads, path, rate / MBPS_PER_GBPS)
     return _finish_plan(timeslot, routes, loads, params, strict)

@@ -194,9 +194,21 @@ def _resolve_workload(scenario: Scenario, jobs=None):
     return generate_workload(cfg, workload_seed)
 
 
+def _check_windows(jobs, horizon: int) -> None:
+    """Reject a transfer window that ends past the last timeslot."""
+    for job in jobs:
+        for tr in job.transfers:
+            if tr.end >= horizon:
+                raise ConfigError(
+                    f"job {job.id}: transfer window [{tr.start}, {tr.end}] ends "
+                    f"past the horizon of {horizon} timeslots"
+                )
+
+
 def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
     """Assign VMs once, then route and meter every timeslot.
 
+    A transfer window that ends past the horizon is a ConfigError.
     Baseline routers may overload switches at extreme load; those
     timeslots are flagged in the report instead of aborting the run.
     The energy-efficient router controls its own active set, so a
@@ -206,6 +218,7 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
     started = time.perf_counter()
     tree = build_fat_tree(scenario.k, server_capacity=scenario.server_capacity)
     jobs = _resolve_workload(scenario, jobs)
+    _check_windows(jobs, scenario.horizon)
     params = scenario.power
 
     placement = assign(
@@ -220,8 +233,7 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
     violations: dict[int, tuple[int, ...]] = {}
     layer_totals = {TOR: 0.0, AGG: 0.0, CORE: 0.0}
     for t in range(scenario.horizon):
-        demand_set = demands_at(jobs, placement, t)
-        flows = demand_set.flows
+        flows = demands_at(jobs, placement, t).flows
         if scenario.route_strategy == "sp":
             plan = sp_route(flows, tree, params=params, timeslot=t, strict=False)
         elif scenario.route_strategy == "ecmp":
@@ -230,7 +242,7 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
                 timeslot=t, strict=False,
             )
         else:
-            _, plan = eer(flows, tree, params, occupied_racks=occupied, timeslot=t)
+            plan = eer(flows, tree, params, occupied_racks=occupied, timeslot=t)[1]
         if plan.violations:
             violations[t] = plan.violations
         if on_plan is not None:
@@ -242,6 +254,8 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
             layer_totals[tree.layer(sw)] += p
         per_slot_watts.append(watts)
         active_counts.append(sum(1 for load in plan.loads.values() if load > 0))
+        # Free this slot's demands and routes before the next slot builds its own.
+        del flows, plan
 
     runtime_ms = (time.perf_counter() - started) * 1000.0
     return EnergyReport(

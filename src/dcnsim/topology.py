@@ -85,7 +85,8 @@ class FatTree:
         return self.core_base + group * self.half + index
 
     def tor_of_server(self, server: int) -> int:
-        return self.tor_id(self.server_pod(server), self.server_rack(server))
+        # Racks are numbered pod-major like servers, k/2 servers each.
+        return server // self.servers_per_rack
 
     def layer(self, switch: int) -> str:
         if 0 <= switch < self.agg_base:

@@ -225,22 +225,27 @@ def demands_at(
     VM pairs co-hosted on one server emit nothing (their traffic never
     reaches a NIC); multiple VM-pair flows between the same server pair
     aggregate into one demand.
+
+    The order of the float additions is part of the result: a server
+    pair's rate sums its VM-pair rates job by job in the order of `jobs`,
+    and within a job in row-major (source VM, destination VM) order of
+    the summed traffic matrix, starting from 0.0.  Another order may
+    change the last bits of the rates and so of every energy total.
     """
     flows: dict[tuple[int, int], float] = {}
     for job in jobs:
         matrix = job.traffic_at(t)
         if matrix is None:
             continue
-        hosts = []
-        for m in range(job.vm_count):
-            key = (job.id, m)
-            if key not in assignment:
-                raise DomainError(f"job {job.id} VM {m} has no assigned server")
-            hosts.append(assignment[key])
-        for m1, m2 in np.argwhere(matrix > 0):
-            src, dst = hosts[m1], hosts[m2]
-            if src != dst:
-                flows[(src, dst)] = flows.get((src, dst), 0.0) + float(matrix[m1, m2])
+        try:
+            hosts = np.array([assignment[(job.id, m)] for m in range(job.vm_count)])
+        except KeyError:
+            m = next(m for m in range(job.vm_count) if (job.id, m) not in assignment)
+            raise DomainError(f"job {job.id} VM {m} has no assigned server") from None
+        rows, cols = np.nonzero((matrix > 0) & (hosts[:, None] != hosts[None, :]))
+        pairs = zip(hosts[rows].tolist(), hosts[cols].tolist())
+        for pair, rate in zip(pairs, matrix[rows, cols].tolist()):
+            flows[pair] = flows.get(pair, 0.0) + rate
     ordered = tuple((s, d, r) for (s, d), r in sorted(flows.items()))
     return DemandSet(timeslot=t, flows=ordered)
 
@@ -279,24 +284,38 @@ def save_workload(path, jobs: Sequence[Job], horizon: int, seed=None, config=Non
 
 
 def load_workload(path):
-    """Read a workload file; returns (jobs, metadata dict)."""
+    """Read a workload file; returns (jobs, metadata dict).
+
+    A file that is not JSON, lacks the jobs list or a job's keys, or
+    holds values of the wrong type, raises ConfigError naming the file.
+    """
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"workload file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"workload file {path} does not hold a JSON object")
     if doc.get("version") != WORKLOAD_FORMAT_VERSION:
         raise ConfigError(
             f"unsupported workload file version {doc.get('version')!r} in {path}"
         )
-    jobs = [
-        Job(
-            id=entry["id"],
-            vm_count=entry["vm_count"],
-            vm_resource=entry.get("vm_resource", 1),
-            transfers=tuple(
-                Transfer(tr["start"], tr["end"], np.array(tr["matrix"], dtype=float))
-                for tr in entry["transfers"]
-            ),
-        )
-        for entry in doc["jobs"]
-    ]
+    try:
+        jobs = [
+            Job(
+                id=entry["id"],
+                vm_count=entry["vm_count"],
+                vm_resource=entry.get("vm_resource", 1),
+                transfers=tuple(
+                    Transfer(tr["start"], tr["end"], np.array(tr["matrix"], dtype=float))
+                    for tr in entry["transfers"]
+                ),
+            )
+            for entry in doc["jobs"]
+        ]
+    except KeyError as exc:
+        raise ConfigError(f"workload file {path} lacks the key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"workload file {path} is malformed: {exc}") from exc
     meta = {k: doc.get(k) for k in ("horizon", "seed", "config")}
     return jobs, meta

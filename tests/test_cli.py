@@ -3,6 +3,8 @@
 import csv
 import json
 
+import pytest
+
 from dcnsim.cli import main
 from dcnsim.simengine import TABLE_COLUMNS, load_report
 from dcnsim.workload import load_workload
@@ -85,6 +87,30 @@ def test_config_error_exit_code(tmp_path):
     assert main(["gen", "--k", "4", "--utilization", "1.5", "--out", str(out)]) == 2
     assert main(["gen", "--k", "5", "--utilization", "0.5", "--out", str(out)]) == 2
     assert main(["run", "--route", "sp", "--assign", "greedy", "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("text, cause", [
+    ("{not json", "not valid JSON"),
+    ('{"version": 1, "horizon": 10}', "lacks the key 'jobs'"),
+    ('{"version": 1, "horizon": 10, "jobs": [1]}', "is malformed"),
+])
+def test_bad_workload_file_is_a_config_error(tmp_path, capsys, text, cause):
+    wl = tmp_path / "bad.json"
+    wl.write_text(text)
+    assert main(["run", "--workload", str(wl), "--k", "4",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(wl) in err and cause in err
+
+
+def test_windows_past_the_horizon_are_a_config_error(tmp_path, capsys):
+    wl = tmp_path / "wl.json"
+    assert main(["gen", "--k", "4", "--utilization", "0.3", "--seed", "2",
+                 "--horizon", "10", "--out", str(wl)]) == 0
+    assert main(["run", "--workload", str(wl), "--k", "4", "--horizon", "5",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: job " in err and "past the horizon of 5 timeslots" in err
 
 
 def test_infeasible_exit_code(tmp_path):
