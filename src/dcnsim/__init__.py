@@ -35,6 +35,7 @@ from .graphkit import (
 )
 from .power import PowerParams, optimal_rate, power_rate, switch_power
 from .routing import (
+    ROUTERS,
     ActiveSet,
     RoutingPlan,
     balanced_route,
@@ -50,7 +51,7 @@ from .simengine import (
     run_scenario,
     sweep,
 )
-from .topology import FatTree, Path, build_fat_tree
+from .topology import FatTree, build_fat_tree
 from .workload import (
     DemandSet,
     Job,

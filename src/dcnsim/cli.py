@@ -1,8 +1,8 @@
 """Command line interface: gen / run / compare / sweep.
 
 A plain key=value config file can pre-fill any option; explicit flags
-win.  Exit codes: 0 success, 2 configuration error, 3 infeasible
-placement or routing.
+win.  Exit codes: 0 success, 2 configuration error or unreadable file,
+3 infeasible placement or routing.
 """
 
 from __future__ import annotations
@@ -36,18 +36,15 @@ EXIT_INFEASIBLE = 3
 def parse_config_file(path) -> dict:
     """Read `key = value` lines; '#' starts a comment."""
     values = {}
-    try:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, _, value = line.partition("=")
-                values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key = value")
+            key, _, value = line.partition("=")
+            values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
@@ -108,10 +105,7 @@ def cmd_run(args) -> int:
     horizon = _option(args, cfg, "horizon", int)
     jobs = workload_seed = None
     if workload_path:
-        try:
-            jobs, meta = load_workload(workload_path)
-        except OSError as exc:
-            raise ConfigError(f"cannot read workload {workload_path}: {exc}") from exc
+        jobs, meta = load_workload(workload_path)
         # Label the report with the file's provenance so comparison
         # tables carry the utilization and generating seed.
         workload_seed = meta["seed"]
@@ -183,7 +177,10 @@ def cmd_sweep(args) -> int:
     if k is None:
         raise ConfigError("sweep needs --k")
     levels = _option(args, cfg, "utilizations", str, args.utilizations)
-    utilizations = [float(u) for u in levels.split(",") if u.strip()]
+    try:
+        utilizations = [float(u) for u in levels.split(",") if u.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"utilizations {levels!r}: {exc}") from exc
     if not utilizations:
         raise ConfigError("sweep needs a non-empty --utilizations list")
     os.makedirs(args.out, exist_ok=True)
@@ -281,7 +278,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (InfeasibleError, CapacityError) as exc:

@@ -1,6 +1,7 @@
 """Per-timeslot routing over the Fat-Tree.
 
-Three routers share one plan format:
+Three routers share one plan format and one family of equal-cost
+up-down paths:
 
 * sp_route    - deterministic shortest paths; among the equal-cost
   candidates a fixed symmetric mix of the endpoint ids selects the agg
@@ -11,16 +12,16 @@ Three routers share one plan format:
   spread whole demands over it greedily, largest first, always taking
   the path that keeps the maximum traversed load lowest.
 
-Demand rates arrive in Mbps; switch loads are kept in Gbps.  Baseline
-routers record capacity violations in the plan (the harness decides
-what to do); the energy-efficient router treats them as errors since it
+sp and ecmp share one per-demand loop and differ only in its choice.
+Demand rates arrive in Mbps; switch loads are kept in Gbps.  Every plan
+lists its switches over capacity; eer treats them as errors since it
 controls its own active set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -43,7 +44,6 @@ class ActiveSet:
 
     positions: Mapping[int, tuple[int, ...]]  # pod -> agg positions
     cores: tuple[int, ...]
-    tors: frozenset[int]
     cross_pods: frozenset[int]
 
     def agg_ids(self, tree: FatTree) -> set[int]:
@@ -76,23 +76,13 @@ class RoutingPlan:
         ]
 
 
-def _finish_plan(timeslot, routes, loads, params, strict):
-    violations = ()
-    if params is not None:
-        violations = tuple(
-            sorted(sw for sw, load in loads.items() if load > params.max_load())
-        )
-        if violations and strict:
-            raise CapacityError(
-                f"switches over capacity: {list(violations)}",
-                switches=violations,
-                timeslot=timeslot,
-            )
+def _finish_plan(timeslot, routes, loads, params):
+    cap = params.max_load()
     return RoutingPlan(
         timeslot=timeslot,
         routes=tuple(routes),
         loads=loads,
-        violations=violations,
+        violations=tuple(sorted(sw for sw, load in loads.items() if load > cap)),
     )
 
 
@@ -101,9 +91,36 @@ def _add_path(loads, path, gbps):
         loads[sw] = loads.get(sw, 0.0) + gbps
 
 
+def _route_each(demands, tree: FatTree, params, timeslot, choose) -> RoutingPlan:
+    """Route every demand, in order, on the up-down path `choose` picks.
+
+    `choose(src, dst, same_pod)` returns the agg position and the core
+    index (ignored within a pod) of an inter-rack demand; a same-rack
+    demand rides its ToR alone and is not offered to `choose`.
+    """
+    half = tree.half
+    routes, loads = [], {}
+    for src, dst, rate in demands:
+        src_tor, dst_tor = tree.tor_of_server(src), tree.tor_of_server(dst)
+        if src_tor == dst_tor:
+            path = (src_tor,)
+        else:
+            # ToRs are numbered pod-major, k/2 per pod.
+            src_pod, dst_pod = src_tor // half, dst_tor // half
+            position, index = choose(src, dst, src_pod == dst_pod)
+            up = tree.agg_id(src_pod, position)
+            if src_pod == dst_pod:
+                path = (src_tor, up, dst_tor)
+            else:
+                core = tree.core_id(position, index)
+                path = (src_tor, up, core, tree.agg_id(dst_pod, position), dst_tor)
+        routes.append((src, dst, rate, path))
+        _add_path(loads, path, rate / MBPS_PER_GBPS)
+    return _finish_plan(timeslot, routes, loads, params)
+
+
 def sp_route(
-    demands, tree: FatTree, params: PowerParams = None,
-    timeslot: int = 0, strict: bool = False,
+    demands, tree: FatTree, params: PowerParams, timeslot: int = 0
 ) -> RoutingPlan:
     """Deterministic shortest-path routing (static forwarding tables).
 
@@ -114,12 +131,13 @@ def sp_route(
     directions of a flow pair always ride the same switches, while
     different pairs fan out across positions.
     """
-    routes, loads = [], {}
-    for src, dst, rate in demands:
-        path = _sp_path(tree, src, dst)
-        routes.append((src, dst, rate, path))
-        _add_path(loads, path, rate / MBPS_PER_GBPS)
-    return _finish_plan(timeslot, routes, loads, params, strict)
+    half = tree.half
+
+    def choose(src, dst, same_pod):
+        key = _pair_key(src, dst)
+        return key % half, (key >> 8) % half
+
+    return _route_each(demands, tree, params, timeslot, choose)
 
 
 def _pair_key(a: int, b: int) -> int:
@@ -132,67 +150,32 @@ def _pair_key(a: int, b: int) -> int:
     return x
 
 
-def _sp_path(tree: FatTree, src: int, dst: int) -> tuple[int, ...]:
-    src_tor, dst_tor = tree.tor_of_server(src), tree.tor_of_server(dst)
-    if src_tor == dst_tor:
-        return (src_tor,)
-    key = _pair_key(src, dst)
-    position = key % tree.half
-    src_pod, dst_pod = tree.server_pod(src), tree.server_pod(dst)
-    if src_pod == dst_pod:
-        return (src_tor, tree.agg_id(src_pod, position), dst_tor)
-    core = tree.core_id(position, (key >> 8) % tree.half)
-    return (
-        src_tor,
-        tree.agg_id(src_pod, position),
-        core,
-        tree.agg_id(dst_pod, position),
-        dst_tor,
-    )
-
-
 def ecmp_route(
-    demands, tree: FatTree, seed=None, params: PowerParams = None,
-    timeslot: int = 0, strict: bool = False,
+    demands, tree: FatTree, seed, params: PowerParams, timeslot: int = 0
 ) -> RoutingPlan:
     """Equal-cost multipath: seeded uniform path choice per flow.
 
-    Each flow draws one index into `FatTree.candidate_paths`' order
-    (position-major, then core index) and only the drawn path is built.
-    A same-rack flow has one candidate and draws nothing, as
-    `integers(1)` would leave the generator unchanged.
+    Each inter-rack flow draws one index into `FatTree.candidate_paths`'
+    order (position-major, then core index).  A same-rack flow has one
+    candidate and draws nothing, as `integers(1)` would leave the
+    generator unchanged.
     """
     rng = np.random.default_rng(seed)
     half = tree.half
-    routes, loads = [], {}
-    for src, dst, rate in demands:
-        src_tor, dst_tor = tree.tor_of_server(src), tree.tor_of_server(dst)
-        src_pod, dst_pod = tree.server_pod(src), tree.server_pod(dst)
-        if src_tor == dst_tor:
-            path = (src_tor,)
-        elif src_pod == dst_pod:
-            position = int(rng.integers(half))
-            path = (src_tor, tree.agg_id(src_pod, position), dst_tor)
-        else:
-            position, index = divmod(int(rng.integers(half * half)), half)
-            path = (
-                src_tor,
-                tree.agg_id(src_pod, position),
-                tree.core_id(position, index),
-                tree.agg_id(dst_pod, position),
-                dst_tor,
-            )
-        routes.append((src, dst, rate, path))
-        _add_path(loads, path, rate / MBPS_PER_GBPS)
-    return _finish_plan(timeslot, routes, loads, params, strict)
+
+    def choose(src, dst, same_pod):
+        if same_pod:
+            return int(rng.integers(half)), 0
+        return divmod(int(rng.integers(half * half)), half)
+
+    return _route_each(demands, tree, params, timeslot, choose)
 
 
 # --- energy-efficient routing -------------------------------------------
 
 
 def estimate_active_set(
-    demands, tree: FatTree, params: PowerParams,
-    occupied_racks: Iterable[tuple[int, int]] = None, extra: int = 0,
+    demands, tree: FatTree, params: PowerParams, extra: int = 0
 ) -> ActiveSet:
     """Phase one: how many switches must stay awake, and which.
 
@@ -207,18 +190,15 @@ def estimate_active_set(
     pod_items: dict[int, list[float]] = {}
     core_items: list[float] = []
     cross_pods: set[int] = set()
-    tors: set[int] = set()
     for src, dst, rate in demands:
-        tors.add(tree.tor_of_server(src))
-        tors.add(tree.tor_of_server(dst))
-        src_pod, dst_pod = tree.server_pod(src), tree.server_pod(dst)
-        gbps = rate / MBPS_PER_GBPS
         if tree.tor_of_server(src) == tree.tor_of_server(dst):
             continue
+        gbps = rate / MBPS_PER_GBPS
         if gbps > cap:
             raise InfeasibleError(
                 f"demand {src}->{dst} of {gbps} Gbps exceeds switch capacity {cap}"
             )
+        src_pod, dst_pod = tree.server_pod(src), tree.server_pod(dst)
         pod_items.setdefault(src_pod, []).append(gbps)
         if src_pod != dst_pod:
             pod_items.setdefault(dst_pod, []).append(gbps)
@@ -266,19 +246,16 @@ def estimate_active_set(
                 f"{groups} agg positions"
             )
 
-    if occupied_racks is not None:
-        tors = {tree.tor_id(p, r) for p, r in occupied_racks}
     return ActiveSet(
         positions=positions,
         cores=tuple(cores),
-        tors=frozenset(tors),
         cross_pods=frozenset(cross_pods),
     )
 
 
 def balanced_route(
     demands, tree: FatTree, active_set: ActiveSet,
-    params: PowerParams = None, timeslot: int = 0, strict: bool = True,
+    params: PowerParams, timeslot: int = 0,
 ) -> RoutingPlan:
     """Phase two: spread whole demands evenly over the active switches.
 
@@ -300,7 +277,7 @@ def balanced_route(
         routes.append((src, dst, rate, best))
         _add_path(loads, best, gbps)
     routes.sort(key=lambda r: (r[0], r[1]))
-    return _finish_plan(timeslot, routes, loads, params, strict)
+    return _finish_plan(timeslot, routes, loads, params)
 
 
 def _allowed_paths(tree, active_set, cores_by_group, src, dst):
@@ -308,71 +285,62 @@ def _allowed_paths(tree, active_set, cores_by_group, src, dst):
     if src_tor == dst_tor:
         return [(src_tor,)]
     src_pod, dst_pod = tree.server_pod(src), tree.server_pod(dst)
+    positions = active_set.positions.get(src_pod, ())
     if src_pod == dst_pod:
-        positions = active_set.positions.get(src_pod, ())
+        paths = [(src_tor, tree.agg_id(src_pod, j), dst_tor) for j in positions]
+    else:
+        shared = sorted(set(positions) & set(active_set.positions.get(dst_pod, ())))
         paths = [
-            (src_tor, tree.agg_id(src_pod, j), dst_tor) for j in positions
+            (src_tor, tree.agg_id(src_pod, j), core, tree.agg_id(dst_pod, j), dst_tor)
+            for j in shared
+            for core in cores_by_group.get(j, ())
         ]
-        if not paths:
-            raise InfeasibleError(
-                f"no active aggregation switch in pod {src_pod} for "
-                f"demand {src}->{dst}"
-            )
-        return paths
-    shared = sorted(
-        set(active_set.positions.get(src_pod, ()))
-        & set(active_set.positions.get(dst_pod, ()))
-    )
-    paths = []
-    for j in shared:
-        for core in cores_by_group.get(j, ()):
-            paths.append(
-                (
-                    src_tor,
-                    tree.agg_id(src_pod, j),
-                    core,
-                    tree.agg_id(dst_pod, j),
-                    dst_tor,
-                )
-            )
     if not paths:
         raise InfeasibleError(
-            f"no active agg/core combination between pods {src_pod} and "
-            f"{dst_pod} for demand {src}->{dst}"
+            f"no active path through the aggregation layer from pod {src_pod} "
+            f"to pod {dst_pod} for demand {src}->{dst}"
         )
     return paths
 
 
 def eer(
-    demands, tree: FatTree, params: PowerParams,
-    occupied_racks: Iterable[tuple[int, int]] = None, timeslot: int = 0,
+    demands, tree: FatTree, params: PowerParams, timeslot: int = 0
 ) -> tuple[ActiveSet, RoutingPlan]:
     """Active-switch selection followed by balanced multipath routing.
 
     If the balanced pass still overloads a switch (the feasibility pass
     is a heuristic), the active set is re-estimated once with one more
-    switch per layer before the error propagates.  An overloaded ToR
-    fails at once: its load is fixed by the placement, not the routing.
+    switch per layer; a plan still over capacity is a CapacityError.  An
+    overloaded ToR fails at once: its load is fixed by the placement,
+    not the routing.
     """
-    active = estimate_active_set(demands, tree, params, occupied_racks)
-    try:
-        plan = balanced_route(
-            demands, tree, active, params=params, timeslot=timeslot, strict=True
+    active = estimate_active_set(demands, tree, params)
+    plan = balanced_route(demands, tree, active, params, timeslot)
+    tors = [sw for sw in plan.violations if tree.layer(sw) == TOR]
+    if tors:
+        raise InfeasibleError(
+            f"placement overloads ToR switches {tors} at t={timeslot}; "
+            f"no routing can relieve them"
         )
-    except CapacityError as exc:
-        tors = [sw for sw in exc.switches if tree.layer(sw) == TOR]
-        if tors:
-            raise InfeasibleError(
-                f"placement overloads ToR switches {tors} at t={timeslot}; "
-                f"no routing can relieve them"
-            ) from exc
-        active = estimate_active_set(
-            demands, tree, params, occupied_racks, extra=1
-        )
-        plan = balanced_route(
-            demands, tree, active, params=params, timeslot=timeslot, strict=True
-        )
+    if plan.violations:
+        active = estimate_active_set(demands, tree, params, extra=1)
+        plan = balanced_route(demands, tree, active, params, timeslot)
+        if plan.violations:
+            raise CapacityError(
+                f"switches over capacity at t={timeslot}: {list(plan.violations)}",
+                switches=plan.violations,
+                timeslot=timeslot,
+            )
     return active, plan
 
 
-ROUTERS = ("sp", "ecmp", "eer")
+# Router name -> plan of one timeslot t, called (flows, tree, params, t, run
+# seed).  Each entry looks its router up here when called, like
+# assignment.STRATEGIES, so a replaced `sp_route` is the one that runs.
+ROUTERS = {
+    "sp": lambda flows, tree, params, t, seed: sp_route(flows, tree, params, t),
+    "ecmp": lambda flows, tree, params, t, seed: ecmp_route(
+        flows, tree, [seed, t], params, t
+    ),
+    "eer": lambda flows, tree, params, t, seed: eer(flows, tree, params, t)[1],
+}

@@ -19,12 +19,13 @@ import numpy as np
 from .assignment import STRATEGIES, assign
 from .errors import ConfigError
 from .power import PowerParams, switch_power
-from .routing import ROUTERS, ecmp_route, eer, sp_route
+from .routing import ROUTERS
 from .topology import AGG, CORE, TOR, build_fat_tree
 from .workload import (
     WorkloadConfig,
     demands_at,
     generate_workload,
+    load_document,
     load_workload,
 )
 
@@ -73,7 +74,8 @@ class Scenario:
             )
         if self.route_strategy not in ROUTERS:
             raise ConfigError(
-                f"route strategy must be one of {ROUTERS}, got {self.route_strategy!r}"
+                f"route strategy must be one of {tuple(ROUTERS)}, "
+                f"got {self.route_strategy!r}"
             )
         if self.stochastic and self.seed is None:
             raise ConfigError(
@@ -157,10 +159,11 @@ def save_report(report: EnergyReport, path) -> None:
 
 
 def load_report(path) -> EnergyReport:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("version") != REPORT_FORMAT_VERSION:
-        raise ConfigError(f"unsupported report version {doc.get('version')!r} in {path}")
+    """Read a report file (see `load_document`)."""
+    return load_document(path, "report", REPORT_FORMAT_VERSION, _report_of)
+
+
+def _report_of(doc) -> EnergyReport:
     return EnergyReport(
         scenario=doc["scenario"],
         total_energy_wt=doc["total_energy_wt"],
@@ -226,7 +229,7 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
         seed=scenario.seed, horizon=scenario.horizon,
     )
     placement.validate(jobs, tree)
-    occupied = sorted({tree.locate(s) for s in placement.placements.values()})
+    route = ROUTERS[scenario.route_strategy]
 
     per_slot_watts: list[float] = []
     active_counts: list[int] = []
@@ -234,15 +237,7 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
     layer_totals = {TOR: 0.0, AGG: 0.0, CORE: 0.0}
     for t in range(scenario.horizon):
         flows = demands_at(jobs, placement, t).flows
-        if scenario.route_strategy == "sp":
-            plan = sp_route(flows, tree, params=params, timeslot=t, strict=False)
-        elif scenario.route_strategy == "ecmp":
-            plan = ecmp_route(
-                flows, tree, seed=[scenario.seed, t], params=params,
-                timeslot=t, strict=False,
-            )
-        else:
-            plan = eer(flows, tree, params, occupied_racks=occupied, timeslot=t)[1]
+        plan = route(flows, tree, params, t, scenario.seed)
         if plan.violations:
             violations[t] = plan.violations
         if on_plan is not None:

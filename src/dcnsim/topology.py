@@ -15,23 +15,11 @@ modeled; the per-switch capacity is the binding constraint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ConfigError, DomainError
 
 TOR = "tor"
 AGG = "agg"
 CORE = "core"
-
-
-@dataclass(frozen=True)
-class Path:
-    """Switch path from source ToR to destination ToR (1, 3 or 5 switches)."""
-
-    switches: tuple[int, ...]
-
-    def __len__(self):
-        return len(self.switches)
 
 
 class FatTree:
@@ -68,9 +56,6 @@ class FatTree:
 
     def server_pod(self, server: int) -> int:
         return server // self.servers_per_pod
-
-    def server_rack(self, server: int) -> int:
-        return (server % self.servers_per_pod) // self.servers_per_rack
 
     def server_id(self, pod: int, rack: int, slot: int) -> int:
         return pod * self.servers_per_pod + rack * self.servers_per_rack + slot
@@ -123,12 +108,9 @@ class FatTree:
         group = local // self.half
         return [self.agg_id(pod, group) for pod in range(self.num_pods)]
 
-    def adjacent(self, a: int, b: int) -> bool:
-        return b in self.switch_neighbors(a)
-
     # --- path enumeration ----------------------------------------------
 
-    def candidate_paths(self, src_server: int, dst_server: int) -> list[Path]:
+    def candidate_paths(self, src_server: int, dst_server: int) -> list[tuple[int, ...]]:
         """All equal-cost up-down paths between two distinct servers.
 
         Same rack -> one ToR-only path; same pod -> one path per agg
@@ -142,10 +124,10 @@ class FatTree:
         src_pod, dst_pod = self.server_pod(src_server), self.server_pod(dst_server)
         src_tor, dst_tor = self.tor_of_server(src_server), self.tor_of_server(dst_server)
         if src_tor == dst_tor:
-            return [Path((src_tor,))]
+            return [(src_tor,)]
         if src_pod == dst_pod:
             return [
-                Path((src_tor, self.agg_id(src_pod, j), dst_tor))
+                (src_tor, self.agg_id(src_pod, j), dst_tor)
                 for j in range(self.half)
             ]
         paths = []
@@ -153,13 +135,8 @@ class FatTree:
             up = self.agg_id(src_pod, j)
             down = self.agg_id(dst_pod, j)
             for i in range(self.half):
-                paths.append(Path((src_tor, up, self.core_id(j, i), down, dst_tor)))
+                paths.append((src_tor, up, self.core_id(j, i), down, dst_tor))
         return paths
-
-    def locate(self, server: int) -> tuple[int, int]:
-        """(pod, rack) coordinates of a server id."""
-        self.check_server(server)
-        return self.server_pod(server), self.server_rack(server)
 
 
 def build_fat_tree(k: int, server_capacity: int = 2) -> FatTree:

@@ -104,9 +104,10 @@ class WorkloadConfig:
     Job VM counts are drawn from N(vm_mean, vm_std) with vm_mean
     defaulting to the servers-per-rack count (k/2) and vm_std to half of
     it; draws rounding below 2 are redrawn, and counts are clamped so a
-    job always fits one pod.  Window length is a uniform fraction of the
-    horizon (profiled jobs are network-intensive for 30..60% of their
-    run); the window is truncated at the horizon end.
+    job always fits one pod and the whole VMs still free in the
+    datacenter.  Window length is a uniform fraction of the horizon
+    (profiled jobs are network-intensive for 30..60% of their run); the
+    window is truncated at the horizon end.
     """
 
     k: int
@@ -155,12 +156,12 @@ def generate_workload(cfg: WorkloadConfig, seed: int) -> list[Job]:
 
     jobs: list[Job] = []
     requested = 0
-    while requested < target:
+    while requested < target and total_slots - requested >= cfg.vm_resource:
         while True:
             n = int(round(rng.normal(vm_mean, vm_std)))
             if n >= 2:
                 break
-        n = min(n, max_vms)
+        n = min(n, max_vms, (total_slots - requested) // cfg.vm_resource)
         start = int(rng.integers(0, cfg.horizon))
         frac = rng.uniform(cfg.window_frac_min, cfg.window_frac_max)
         length = max(1, int(round(frac * cfg.horizon)))
@@ -283,39 +284,48 @@ def save_workload(path, jobs: Sequence[Job], horizon: int, seed=None, config=Non
         json.dump(doc, fh)
 
 
-def load_workload(path):
-    """Read a workload file; returns (jobs, metadata dict).
+def load_document(path, kind: str, version: int, build):
+    """Read a versioned JSON file and return `build(document)`.
 
-    A file that is not JSON, lacks the jobs list or a job's keys, or
-    holds values of the wrong type, raises ConfigError naming the file.
+    A file that is not JSON, holds no JSON object or another version, or
+    whose document lacks a key or holds a value of the wrong type, raises
+    ConfigError naming the file.
     """
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"workload file {path} is not valid JSON: {exc}") from exc
+            raise ConfigError(f"{kind} file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError(f"workload file {path} does not hold a JSON object")
-    if doc.get("version") != WORKLOAD_FORMAT_VERSION:
+        raise ConfigError(f"{kind} file {path} does not hold a JSON object")
+    if doc.get("version") != version:
         raise ConfigError(
-            f"unsupported workload file version {doc.get('version')!r} in {path}"
+            f"unsupported {kind} file version {doc.get('version')!r} in {path}"
         )
     try:
-        jobs = [
-            Job(
-                id=entry["id"],
-                vm_count=entry["vm_count"],
-                vm_resource=entry.get("vm_resource", 1),
-                transfers=tuple(
-                    Transfer(tr["start"], tr["end"], np.array(tr["matrix"], dtype=float))
-                    for tr in entry["transfers"]
-                ),
-            )
-            for entry in doc["jobs"]
-        ]
+        return build(doc)
     except KeyError as exc:
-        raise ConfigError(f"workload file {path} lacks the key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"workload file {path} is malformed: {exc}") from exc
-    meta = {k: doc.get(k) for k in ("horizon", "seed", "config")}
-    return jobs, meta
+        raise ConfigError(f"{kind} file {path} lacks the key {exc.args[0]!r}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{kind} file {path} is malformed: {exc}") from exc
+
+
+def load_workload(path):
+    """Read a workload file (see `load_document`); returns (jobs, metadata)."""
+    return load_document(path, "workload", WORKLOAD_FORMAT_VERSION, _workload_of)
+
+
+def _workload_of(doc):
+    jobs = [
+        Job(
+            id=entry["id"],
+            vm_count=entry["vm_count"],
+            vm_resource=entry.get("vm_resource", 1),
+            transfers=tuple(
+                Transfer(tr["start"], tr["end"], np.array(tr["matrix"], dtype=float))
+                for tr in entry["transfers"]
+            ),
+        )
+        for entry in doc["jobs"]
+    ]
+    return jobs, {k: doc.get(k) for k in ("horizon", "seed", "config")}

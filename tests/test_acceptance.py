@@ -237,7 +237,8 @@ def test_criterion_07_structural_validation():
         router = routers[trial % 3]
         placement = assign(strategy, jobs, tree, seed=trial, horizon=horizon)
         placement.validate(jobs, tree)  # capacity, totality, uniqueness
-        occupied = sorted({tree.locate(s) for s in placement.placements.values()})
+        # EER may only wake the ToRs of racks that host a VM
+        occupied_tors = {tree.tor_of_server(s) for s in placement.placements.values()}
         for t in range(horizon):
             flows = demands_at(jobs, placement, t).flows
             if router == "sp":
@@ -247,8 +248,8 @@ def test_criterion_07_structural_validation():
                 plan = ecmp_route(flows, tree, seed=[trial, t], params=BENCH, timeslot=t)
                 allowed = None
             else:
-                active, plan = eer(flows, tree, BENCH, occupied_racks=occupied, timeslot=t)
-                allowed = active.agg_ids(tree) | set(active.cores) | set(active.tors)
+                active, plan = eer(flows, tree, BENCH, timeslot=t)
+                allowed = active.agg_ids(tree) | set(active.cores) | occupied_tors
             checked_plans += 1
             if plan.violations:
                 ok = False

@@ -103,6 +103,36 @@ def test_bad_workload_file_is_a_config_error(tmp_path, capsys, text, cause):
     assert err.startswith("config error: ") and str(wl) in err and cause in err
 
 
+@pytest.mark.parametrize("text, cause", [
+    (None, "No such file"),
+    ("{not json", "not valid JSON"),
+    ('{"version": 1}', "lacks the key 'scenario'"),
+])
+def test_bad_report_file_is_a_config_error(tmp_path, capsys, text, cause):
+    report = tmp_path / "bad.json"
+    if text is not None:
+        report.write_text(text)
+    assert main(["compare", "--reports", str(report), "--baseline", str(report),
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(report) in err and cause in err
+
+
+def test_bad_utilizations_are_a_config_error(tmp_path, capsys):
+    assert main(["sweep", "--k", "4", "--utilizations", "a,b",
+                 "--out", str(tmp_path / "sw")]) == 2
+    assert capsys.readouterr().err.startswith("config error: utilizations 'a,b'")
+    assert not (tmp_path / "sw").exists()
+
+
+def test_unwritable_report_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "nodir" / "r.json"
+    assert main(["run", "--k", "4", "--utilization", "0.3", "--horizon", "4",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(out) in err
+
+
 def test_windows_past_the_horizon_are_a_config_error(tmp_path, capsys):
     wl = tmp_path / "wl.json"
     assert main(["gen", "--k", "4", "--utilization", "0.3", "--seed", "2",

@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcnsim.power import PowerParams
 from dcnsim.routing import MBPS_PER_GBPS, ecmp_route
 from dcnsim.topology import build_fat_tree
 from dcnsim.workload import Job, Transfer, demands_at
@@ -38,7 +39,7 @@ def ecmp_reference(demands, tree, seed):
     routes, loads = [], {}
     for src, dst, rate in demands:
         paths = tree.candidate_paths(src, dst)
-        path = paths[int(rng.integers(len(paths)))].switches
+        path = paths[int(rng.integers(len(paths)))]
         routes.append((src, dst, rate, path))
         for sw in path:
             loads[sw] = loads.get(sw, 0.0) + rate / MBPS_PER_GBPS
@@ -123,7 +124,7 @@ def flows_of_every_kind(draw):
 @given(flows_of_every_kind(), st.integers(0, 2**32 - 1), st.integers(0, 99))
 def test_ecmp_matches_the_candidate_path_reference(case, seed, t):
     tree, demands = case
-    plan = ecmp_route(demands, tree, seed=[seed, t])
+    plan = ecmp_route(demands, tree, seed=[seed, t], params=PowerParams())
     routes, loads = ecmp_reference(demands, tree, [seed, t])
     assert plan.routes == routes
     assert list(plan.loads.items()) == list(loads.items())

@@ -30,7 +30,6 @@ def _full_active_set(tree):
     return ActiveSet(
         positions={p: tuple(range(tree.half)) for p in range(tree.num_pods)},
         cores=tuple(range(tree.core_base, tree.num_switches)),
-        tors=frozenset(range(tree.num_tors)),
         cross_pods=frozenset(range(tree.num_pods)),
     )
 
@@ -65,9 +64,9 @@ def test_sp_empty_demands():
 def test_sp_is_deterministic_and_symmetric_per_pair():
     tree = build_fat_tree(8)
     a, b = 3, 250
-    p1 = sp_route([(a, b, 10.0)], tree).routes[0][3]
-    p2 = sp_route([(a, b, 10.0)], tree).routes[0][3]
-    back = sp_route([(b, a, 10.0)], tree).routes[0][3]
+    p1 = sp_route([(a, b, 10.0)], tree, params=PARAMS).routes[0][3]
+    p2 = sp_route([(a, b, 10.0)], tree, params=PARAMS).routes[0][3]
+    back = sp_route([(b, a, 10.0)], tree, params=PARAMS).routes[0][3]
     assert p1 == p2
     assert back == tuple(reversed(p1))
 
@@ -77,9 +76,9 @@ def test_sp_paths_are_valid_shortest_paths():
     rng = np.random.default_rng(2)
     for _ in range(100):
         src, dst = rng.choice(tree.num_servers, size=2, replace=False)
-        (route,) = sp_route([(int(src), int(dst), 5.0)], tree).routes
+        (route,) = sp_route([(int(src), int(dst), 5.0)], tree, params=PARAMS).routes
         path = route[3]
-        candidates = {p.switches for p in tree.candidate_paths(int(src), int(dst))}
+        candidates = set(tree.candidate_paths(int(src), int(dst)))
         assert path in candidates
         shortest = min(len(p) for p in candidates)
         assert len(path) == shortest
@@ -100,7 +99,7 @@ def test_sp_equal_demands_from_one_rack_share_lowest_path():
         if len(found) >= 2:
             break
     assert len(found) >= 2
-    plan = sp_route(found[:2], tree)
+    plan = sp_route(found[:2], tree, params=PARAMS)
     for src, dst, _, path in plan.routes:
         assert path[1] == tree.agg_id(tree.server_pod(src), 0)
         assert path[2] == tree.core_id(0, 0)
@@ -109,12 +108,9 @@ def test_sp_equal_demands_from_one_rack_share_lowest_path():
 def test_sp_reports_capacity_violations():
     tree = build_fat_tree(4)
     over = 1.2e6  # 1200 Gbps on a 1000 Gbps switch
-    plan = sp_route([(0, 1, over)], tree, params=PARAMS, strict=False)
+    plan = sp_route([(0, 1, over)], tree, params=PARAMS, timeslot=4)
     assert plan.violations == (tree.tor_id(0, 0),)
-    with pytest.raises(CapacityError) as err:
-        sp_route([(0, 1, over)], tree, params=PARAMS, timeslot=4, strict=True)
-    assert tree.tor_id(0, 0) in err.value.switches
-    assert err.value.timeslot == 4
+    assert plan.timeslot == 4
 
 
 # --- ECMP ---------------------------------------------------------------------
@@ -123,18 +119,18 @@ def test_sp_reports_capacity_violations():
 def test_ecmp_single_path_demand_ignores_seed():
     tree = build_fat_tree(4)
     for seed in range(5):
-        plan = ecmp_route([(0, 1, 10.0)], tree, seed=seed)
+        plan = ecmp_route([(0, 1, 10.0)], tree, seed=seed, params=PARAMS)
         assert plan.routes[0][3] == (tree.tor_id(0, 0),)
 
 
 def test_ecmp_uniform_over_candidate_paths():
     tree = build_fat_tree(4)
     src, dst = 0, 15
-    paths = [p.switches for p in tree.candidate_paths(src, dst)]
+    paths = tree.candidate_paths(src, dst)
     counts = {p: 0 for p in paths}
     trials = 10_000
     for seed in range(trials):
-        plan = ecmp_route([(src, dst, 10.0)], tree, seed=seed)
+        plan = ecmp_route([(src, dst, 10.0)], tree, seed=seed, params=PARAMS)
         counts[plan.routes[0][3]] += 1
     p = 1 / len(paths)
     sigma = math.sqrt(p * (1 - p) / trials)
@@ -164,7 +160,6 @@ def test_estimate_no_inter_rack_traffic_keeps_aggs_asleep():
     active = estimate_active_set([(0, 1, 500.0)], tree, PARAMS)
     assert active.positions == {}
     assert active.cores == ()
-    assert active.tors == frozenset({tree.tor_id(0, 0)})
 
 
 def test_estimate_agg_count_from_ceiling():
@@ -249,7 +244,6 @@ def test_balanced_spreads_equal_demands_over_positions():
     active = ActiveSet(
         positions={0: (0, 1), 1: (0, 1)},
         cores=(tree.core_id(0, 0), tree.core_id(1, 0)),
-        tors=frozenset(range(tree.num_tors)),
         cross_pods=frozenset({0, 1}),
     )
     plan = balanced_route(
@@ -265,7 +259,7 @@ def test_balanced_single_demand_takes_first_candidate():
     tree = build_fat_tree(4)
     active = _full_active_set(tree)
     plan = balanced_route([(0, 15, 100.0)], tree, active, params=PARAMS)
-    assert plan.routes[0][3] == tree.candidate_paths(0, 15)[0].switches
+    assert plan.routes[0][3] == tree.candidate_paths(0, 15)[0]
 
 
 def test_balanced_beats_ecmp_max_load():
@@ -277,7 +271,7 @@ def test_balanced_beats_ecmp_max_load():
             trials -= 1
             continue
         active = _full_active_set(tree)
-        bal = balanced_route(flows, tree, active, params=PARAMS, strict=False)
+        bal = balanced_route(flows, tree, active, params=PARAMS)
         ecm = ecmp_route(flows, tree, seed=seed, params=PARAMS)
         if max(bal.loads.values()) <= max(ecm.loads.values()) + 1e-12:
             beaten += 1
@@ -287,7 +281,7 @@ def test_balanced_beats_ecmp_max_load():
 def test_balanced_is_unsplittable():
     tree, flows = _workload_demands(4, util=0.5, seed=1, t=2)
     active = _full_active_set(tree)
-    plan = balanced_route(flows, tree, active, params=PARAMS, strict=False)
+    plan = balanced_route(flows, tree, active, params=PARAMS)
     assert len(plan.routes) == len(flows)
     routed = sorted((s, d, r) for s, d, r, _ in plan.routes)
     assert routed == sorted(flows)
@@ -357,6 +351,31 @@ def test_eer_fails_early_on_an_overloaded_tor(monkeypatch):
     assert len(calls) == 1
 
 
+def test_eer_names_the_switches_a_failed_retry_leaves_over_capacity(monkeypatch):
+    # with a retry that does not widen, the coupling case above stays
+    # jammed and the error names the overloaded switches and the slot
+    import dcnsim.routing as routing
+
+    estimate = routing.estimate_active_set
+    monkeypatch.setattr(
+        routing, "estimate_active_set",
+        lambda demands, tree, params, extra=0: estimate(demands, tree, params),
+    )
+    tree = build_fat_tree(8)
+    flows = [
+        (tree.server_id(0, 0, 0), tree.server_id(1, 0, 0), 600_000.0),
+        (tree.server_id(0, 1, 0), tree.server_id(2, 0, 0), 600_000.0),
+        (tree.server_id(1, 1, 0), tree.server_id(2, 1, 0), 600_000.0),
+    ]
+    active = estimate(flows, tree, PARAMS)
+    jammed = balanced_route(flows, tree, active, params=PARAMS).violations
+    assert jammed and all(tree.layer(sw) != TOR for sw in jammed)
+    with pytest.raises(CapacityError) as err:
+        eer(flows, tree, PARAMS, timeslot=9)
+    assert err.value.switches == jammed
+    assert err.value.timeslot == 9
+
+
 def test_eer_monotone_in_demands():
     rng = np.random.default_rng(3)
     tree = build_fat_tree(4)
@@ -369,7 +388,7 @@ def test_eer_monotone_in_demands():
         extra_src, extra_dst = rng.choice(tree.num_servers, size=2, replace=False)
         extra = (int(extra_src), int(extra_dst), float(rng.uniform(10, 5000)))
         counts = [
-            len(active.agg_ids(tree)) + len(active.cores) + len(active.tors)
+            len(active.agg_ids(tree)) + len(active.cores)
             for active in (
                 estimate_active_set(flows, tree, PARAMS),
                 estimate_active_set(flows + [extra], tree, PARAMS),
@@ -381,7 +400,8 @@ def test_eer_monotone_in_demands():
 def test_sleeping_switches_carry_no_load():
     tree, flows = _workload_demands(4, util=0.5, seed=2, t=1)
     active, plan = eer(flows, tree, PARAMS)
-    allowed = active.agg_ids(tree) | set(active.cores) | set(active.tors)
+    endpoints = {tree.tor_of_server(s) for flow in flows for s in flow[:2]}
+    allowed = active.agg_ids(tree) | set(active.cores) | endpoints
     for sw, load in plan.loads.items():
         assert sw in allowed
         assert load > 0
@@ -412,7 +432,7 @@ def test_flow_conservation_paths_connect_endpoints():
             assert path[0] == tree.tor_of_server(src)
             assert path[-1] == tree.tor_of_server(dst)
             for a, b in zip(path, path[1:]):
-                assert tree.adjacent(a, b)
+                assert b in tree.switch_neighbors(a)
 
 
 def test_balanced_agg_loads_obey_fewer_is_better():

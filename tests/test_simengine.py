@@ -184,7 +184,7 @@ def test_sweep_energy_grows_with_utilization():
 def test_scenario_validation():
     with pytest.raises(ConfigError):
         Scenario(k=4, assign_strategy="nope", route_strategy="sp")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"\('sp', 'ecmp', 'eer'\)"):
         Scenario(k=4, assign_strategy="greedy", route_strategy="nope")
     with pytest.raises(ConfigError):
         run_scenario(Scenario(k=4, assign_strategy="greedy", route_strategy="sp"))

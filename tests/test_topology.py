@@ -34,16 +34,16 @@ def test_build_rejects_bad_k():
             build_fat_tree(bad)
 
 
-def test_locate():
+def test_server_coordinates():
     tree = build_fat_tree(4)
-    assert tree.locate(0) == (0, 0)
-    assert tree.locate(15) == (3, 1)
+    assert (tree.server_pod(0), tree.tor_of_server(0)) == (0, tree.tor_id(0, 0))
+    assert (tree.server_pod(15), tree.tor_of_server(15)) == (3, tree.tor_id(3, 1))
     big = build_fat_tree(16)
-    assert big.locate(1023) == (15, 7)
+    assert (big.server_pod(1023), big.tor_of_server(1023)) == (15, big.tor_id(15, 7))
     with pytest.raises(DomainError):
-        tree.locate(16)
+        tree.check_server(16)
     with pytest.raises(DomainError):
-        tree.locate(-1)
+        tree.check_server(-1)
 
 
 def test_candidate_path_counts_k4():
@@ -91,7 +91,7 @@ def test_candidate_paths_match_exhaustive_walk(k):
     for src, dst in probes:
         if src == dst:
             continue
-        got = {p.switches for p in tree.candidate_paths(src, dst)}
+        got = set(tree.candidate_paths(src, dst))
         assert got == _exhaustive_paths(tree, src, dst)
 
 
@@ -101,11 +101,10 @@ def test_paths_are_layer_valid_and_adjacent(k):
     expected_layers = {1: [TOR], 3: [TOR, AGG, TOR], 5: [TOR, AGG, CORE, AGG, TOR]}
     pairs = [(0, 1), (0, tree.servers_per_rack), (0, tree.num_servers - 1)]
     for src, dst in pairs:
-        for path in tree.candidate_paths(src, dst):
-            sw = path.switches
+        for sw in tree.candidate_paths(src, dst):
             assert [tree.layer(s) for s in sw] == expected_layers[len(sw)]
             for a, b in zip(sw, sw[1:]):
-                assert tree.adjacent(a, b)
+                assert b in tree.switch_neighbors(a)
             assert sw[0] == tree.tor_of_server(src)
             assert sw[-1] == tree.tor_of_server(dst)
 
@@ -149,7 +148,7 @@ def test_graph_is_connected():
 
 def test_deterministic_candidate_order():
     tree = build_fat_tree(4)
-    first = tree.candidate_paths(0, 15)[0].switches
+    first = tree.candidate_paths(0, 15)[0]
     # position-major, core-index-minor: the first path uses position 0
     # aggs and the first core of group 0
     assert first == (

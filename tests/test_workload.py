@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dcnsim.errors import ConfigError, DomainError
+from dcnsim.simengine import Scenario, run_scenario
 from dcnsim.workload import (
     DIST_MAX,
     Job,
@@ -39,6 +40,19 @@ def test_stopping_rule_half_utilization():
     jobs = generate_workload(cfg, seed=7)
     total = sum(j.slots for j in jobs)
     assert 16 <= total < 16 + 8
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 11])
+def test_full_utilization_fits_and_runs(seed):
+    # the last job takes only the VMs still free: unclamped, seeds 1, 2
+    # and 11 asked for 259, 261 and 257 of the 256 slots of k=8
+    cfg = WorkloadConfig(k=8, target_utilization=1.0, horizon=10)
+    assert sum(j.slots for j in generate_workload(cfg, seed)) == 256
+    report = run_scenario(Scenario(
+        k=8, assign_strategy="greedy", route_strategy="sp", seed=seed,
+        utilization=1.0, horizon=10,
+    ))
+    assert report.total_energy_wt > 0
 
 
 def test_utilization_bounds_checked():
