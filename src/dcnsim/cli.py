@@ -32,6 +32,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
+SWEEP_UTILIZATIONS = ",".join(f"{u / 100:.2f}" for u in range(5, 96, 10))
+SWEEP_REPEATS = 5
+
 
 def parse_config_file(path) -> dict:
     """Read `key = value` lines; '#' starts a comment."""
@@ -59,6 +62,15 @@ def _option(args, cfg, name, cast, default=None):
         except ValueError as exc:
             raise ConfigError(f"config value {name}={cfg[name]!r}: {exc}") from exc
     return default
+
+
+def _check_writable(path) -> None:
+    """Raise the OSError that writing `path` would raise, leaving it as it was."""
+    existed = os.path.exists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def _power_from(args, cfg) -> PowerParams:
@@ -126,6 +138,7 @@ def cmd_run(args) -> int:
         timeslot_seconds=_option(args, cfg, "timeslot_seconds", float, 60.0),
         power=_power_from(args, cfg),
     )
+    _check_writable(args.out)  # before the run, not after it
     route_writer = None
     route_fh = None
     if args.dump_routes:
@@ -176,7 +189,7 @@ def cmd_sweep(args) -> int:
     k = _option(args, cfg, "k", int)
     if k is None:
         raise ConfigError("sweep needs --k")
-    levels = _option(args, cfg, "utilizations", str, args.utilizations)
+    levels = _option(args, cfg, "utilizations", str, SWEEP_UTILIZATIONS)
     try:
         utilizations = [float(u) for u in levels.split(",") if u.strip()]
     except ValueError as exc:
@@ -187,7 +200,7 @@ def cmd_sweep(args) -> int:
     reports, tables = sweep(
         k=k,
         utilizations=utilizations,
-        repeats=_option(args, cfg, "repeats", int, args.repeats),
+        repeats=_option(args, cfg, "repeats", int, SWEEP_REPEATS),
         base_seed=_option(args, cfg, "seed", int, 0),
         horizon=_option(args, cfg, "horizon", int, 100),
         server_capacity=_option(args, cfg, "server_capacity", int, 2),
@@ -255,11 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="strategy grid over utilization levels")
     sw.add_argument("--k", type=int)
     sw.add_argument(
-        "--utilizations",
-        default=",".join(f"{u / 100:.2f}" for u in range(5, 96, 10)),
-        help="comma separated; default 0.05..0.95 step 0.10",
+        "--utilizations", help="comma separated; default 0.05..0.95 step 0.10"
     )
-    sw.add_argument("--repeats", type=int, default=5)
+    sw.add_argument("--repeats", type=int, help=f"default {SWEEP_REPEATS}")
     sw.add_argument("--seed", type=int)
     sw.add_argument("--horizon", type=int)
     sw.add_argument("--server-capacity", dest="server_capacity", type=int)

@@ -12,10 +12,15 @@ up-down paths:
   spread whole demands over it greedily, largest first, always taking
   the path that keeps the maximum traversed load lowest.
 
-sp and ecmp share one per-demand loop and differ only in its choice.
-Demand rates arrive in Mbps; switch loads are kept in Gbps.  Every plan
-lists its switches over capacity; eer treats them as errors since it
-controls its own active set.
+Every router takes a slot's DemandSet and works on whole arrays.  A
+same-rack demand rides its ToR alone, so only inter-rack demands reach
+a path choice: sp's pair hash and ecmp's draws are array operations,
+and eer's greedy loop visits only them.  sp and ecmp share one routing
+core and differ only in its choice.  Switch loads come from one ordered
+bincount over every path's switches.  Demand rates arrive in Mbps;
+switch loads are kept in Gbps.  Every plan lists its switches over
+capacity; eer treats them as errors since it controls its own active
+set.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .errors import CapacityError, InfeasibleError
 from .graphkit import ffd_pack
 from .power import PowerParams
 from .topology import TOR, FatTree
+from .workload import DemandSet, pair_order
 
 MBPS_PER_GBPS = 1000.0
 
@@ -59,14 +65,41 @@ class ActiveSet:
         return by_group
 
 
-@dataclass(frozen=True)
 class RoutingPlan:
-    """Routes plus the resulting per-switch loads for one timeslot."""
+    """Per-switch loads of one timeslot and the route of every demand.
 
-    timeslot: int
-    routes: tuple[tuple[int, int, float, tuple[int, ...]], ...]  # src, dst, Mbps, path
-    loads: Mapping[int, float]  # switch -> Gbps
-    violations: tuple[int, ...] = ()
+    `loads` lists each switch in the order it first carries load.  A
+    router keeps its path choices as arrays, `paths` = (demands in
+    routing order, hops, by_pair): row i of `hops` holds demand i's
+    source ToR, up agg, core, down agg and destination ToR, -1 where its
+    path has none, and the routes list the demands in routing order, or
+    stably sorted by (src, dst) if `by_pair`.  `routes`, one (src, dst,
+    rate Mbps, switch path) tuple per demand, is built from them when
+    first read; a plan built by hand passes its routes instead.
+    """
+
+    def __init__(self, timeslot: int, loads: Mapping[int, float],
+                 violations: tuple[int, ...] = (), routes=None, paths=None):
+        self.timeslot = timeslot
+        self.loads = loads  # switch -> Gbps
+        self.violations = violations
+        self._routes = routes
+        self._paths = paths
+
+    @property
+    def routes(self) -> tuple[tuple[int, int, float, tuple[int, ...]], ...]:
+        if self._routes is None:
+            demands, hops, by_pair = self._paths
+            src, dst = demands.src.tolist(), demands.dst.tolist()
+            rate, hops = demands.rate.tolist(), hops.tolist()
+            rows = range(len(src))
+            if by_pair:
+                rows = sorted(rows, key=lambda i: (src[i], dst[i]))
+            self._routes = tuple(
+                (src[i], dst[i], rate[i], tuple(sw for sw in hops[i] if sw >= 0))
+                for i in rows
+            )
+        return self._routes
 
     def rows(self) -> list[tuple[int, int, int, float, list[int]]]:
         """Flat export: (timeslot, src, dst, rate Mbps, switch path)."""
@@ -76,51 +109,66 @@ class RoutingPlan:
         ]
 
 
-def _finish_plan(timeslot, routes, loads, params):
-    cap = params.max_load()
+def _demand_set(demands, timeslot: int) -> DemandSet:
+    """A DemandSet as given, or one of hand-built (src, dst, rate) tuples."""
+    if isinstance(demands, DemandSet):
+        return demands
+    return DemandSet.of(demands, timeslot)
+
+
+def _paths(tree: FatTree, src_tor, dst_tor, position, index):
+    """Every demand's up-down path as one row of five switches, -1 for none.
+
+    A same-rack demand's path is its ToR alone.  An inter-rack demand
+    goes up through agg position `position` of its pod and, across pods,
+    through core `index` of that position's group.
+    """
+    half = tree.half
+    pods = np.array((src_tor, dst_tor)) // half
+    up, down = pods * half + (position + tree.agg_base)
+    core = position * half + index + tree.core_base
+    hops = np.array((src_tor, up, core, down, dst_tor))
+    hops[1:, src_tor == dst_tor] = -1
+    hops[2:4, pods[0] == pods[1]] = -1
+    return hops.T
+
+
+def _finish_plan(timeslot, demands, hops, params, by_pair=False):
+    """Loads from one ordered bincount over every path's switches.
+
+    `bincount` adds in input order from 0.0, so each switch's load sums
+    its demands' rates in routing order, as adding them one by one would.
+    """
+    on_path = hops >= 0
+    switches = hops[on_path]  # row by row: in routing order
+    gbps = np.repeat(demands.rate / MBPS_PER_GBPS, on_path.sum(axis=1))
+    sums = np.bincount(switches, weights=gbps)
+    seen = list(dict.fromkeys(switches.tolist()))  # in order of first load
     return RoutingPlan(
-        timeslot=timeslot,
-        routes=tuple(routes),
-        loads=loads,
-        violations=tuple(sorted(sw for sw, load in loads.items() if load > cap)),
+        timeslot,
+        loads=dict(zip(seen, sums[seen].tolist())),
+        violations=tuple((sums > params.max_load()).nonzero()[0].tolist()),
+        paths=(demands, hops, by_pair),
     )
 
 
-def _add_path(loads, path, gbps):
-    for sw in path:
-        loads[sw] = loads.get(sw, 0.0) + gbps
-
-
-def _route_each(demands, tree: FatTree, params, timeslot, choose) -> RoutingPlan:
+def _route(demands, tree: FatTree, params, timeslot, choose) -> RoutingPlan:
     """Route every demand, in order, on the up-down path `choose` picks.
 
-    `choose(src, dst, same_pod)` returns the agg position and the core
-    index (ignored within a pod) of an inter-rack demand; a same-rack
-    demand rides its ToR alone and is not offered to `choose`.
+    `choose(src, dst, src_tor, dst_tor)` returns every demand's agg
+    position and core index, which a same-rack demand (it rides its ToR
+    alone) and, for the core, a same-pod demand ignore.
     """
-    half = tree.half
-    routes, loads = [], {}
-    for src, dst, rate in demands:
-        src_tor, dst_tor = tree.tor_of_server(src), tree.tor_of_server(dst)
-        if src_tor == dst_tor:
-            path = (src_tor,)
-        else:
-            # ToRs are numbered pod-major, k/2 per pod.
-            src_pod, dst_pod = src_tor // half, dst_tor // half
-            position, index = choose(src, dst, src_pod == dst_pod)
-            up = tree.agg_id(src_pod, position)
-            if src_pod == dst_pod:
-                path = (src_tor, up, dst_tor)
-            else:
-                core = tree.core_id(position, index)
-                path = (src_tor, up, core, tree.agg_id(dst_pod, position), dst_tor)
-        routes.append((src, dst, rate, path))
-        _add_path(loads, path, rate / MBPS_PER_GBPS)
-    return _finish_plan(timeslot, routes, loads, params)
+    demands = _demand_set(demands, timeslot)
+    spr = tree.servers_per_rack
+    src_tor, dst_tor = demands.src // spr, demands.dst // spr
+    position, index = choose(demands.src, demands.dst, src_tor, dst_tor)
+    hops = _paths(tree, src_tor, dst_tor, position, index)
+    return _finish_plan(timeslot, demands, hops, params)
 
 
 def sp_route(
-    demands, tree: FatTree, params: PowerParams, timeslot: int = 0
+    demands: DemandSet, tree: FatTree, params: PowerParams, timeslot: int = 0
 ) -> RoutingPlan:
     """Deterministic shortest-path routing (static forwarding tables).
 
@@ -133,49 +181,60 @@ def sp_route(
     """
     half = tree.half
 
-    def choose(src, dst, same_pod):
+    def choose(src, dst, src_tor, dst_tor):
         key = _pair_key(src, dst)
         return key % half, (key >> 8) % half
 
-    return _route_each(demands, tree, params, timeslot, choose)
+    return _route(demands, tree, params, timeslot, choose)
 
 
-def _pair_key(a: int, b: int) -> int:
-    """Stable symmetric mix of an unordered server pair."""
-    lo, hi = (a, b) if a <= b else (b, a)
-    x = (lo * 0x9E3779B1 + hi * 0x85EBCA77) & 0xFFFFFFFF
+def _pair_key(a, b):
+    """Stable symmetric mix of unordered server pairs (ints or arrays).
+
+    Server ids stay below 2**15, so no product overflows int64.
+    """
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    x, hi = np.minimum(a, b), np.maximum(a, b)
+    x *= 0x9E3779B1
+    hi *= 0x85EBCA77
+    x += hi
+    x &= 0xFFFFFFFF
     x ^= x >> 16
-    x = (x * 0x045D9F3B) & 0xFFFFFFFF
+    x *= 0x045D9F3B
+    x &= 0xFFFFFFFF
     x ^= x >> 13
     return x
 
 
 def ecmp_route(
-    demands, tree: FatTree, seed, params: PowerParams, timeslot: int = 0
+    demands: DemandSet, tree: FatTree, seed, params: PowerParams, timeslot: int = 0
 ) -> RoutingPlan:
     """Equal-cost multipath: seeded uniform path choice per flow.
 
     Each inter-rack flow draws one index into `FatTree.candidate_paths`'
-    order (position-major, then core index).  A same-rack flow has one
-    candidate and draws nothing, as `integers(1)` would leave the
-    generator unchanged.
+    order (position-major, then core index), in demand order, from one
+    `integers` call; it draws the same values as one call per flow.  A
+    same-rack flow has one candidate and draws nothing, as `integers(1)`
+    would leave the generator unchanged.
     """
     rng = np.random.default_rng(seed)
     half = tree.half
 
-    def choose(src, dst, same_pod):
-        if same_pod:
-            return int(rng.integers(half)), 0
-        return divmod(int(rng.integers(half * half)), half)
+    def choose(src, dst, src_tor, dst_tor):
+        same_pod = src_tor // half == dst_tor // half
+        inter = src_tor != dst_tor
+        draw = np.zeros(len(src), dtype=np.int64)
+        draw[inter] = rng.integers(0, np.where(same_pod, half, half * half)[inter])
+        return np.where(same_pod, draw, draw // half), draw % half
 
-    return _route_each(demands, tree, params, timeslot, choose)
+    return _route(demands, tree, params, timeslot, choose)
 
 
 # --- energy-efficient routing -------------------------------------------
 
 
 def estimate_active_set(
-    demands, tree: FatTree, params: PowerParams, extra: int = 0
+    demands: DemandSet, tree: FatTree, params: PowerParams, extra: int = 0
 ) -> ActiveSet:
     """Phase one: how many switches must stay awake, and which.
 
@@ -184,25 +243,29 @@ def estimate_active_set(
     flows; same for the core count over the cross-pod traffic.  Pods
     with cross-pod traffic all use the same agg positions 0..n-1 so the
     selected cores connect them; cores are taken round-robin across the
-    reachable groups.  `extra` widens every count (escalation retry).
+    reachable groups.  Same-rack demands need neither.  `extra` widens
+    every count (escalation retry).
     """
     cap = params.capacity
+    demands = _demand_set(demands, 0)
+    spr, spp = tree.servers_per_rack, tree.servers_per_pod
+    keep = demands.src // spr != demands.dst // spr
+    gbps = demands.rate[keep] / MBPS_PER_GBPS
     pod_items: dict[int, list[float]] = {}
     core_items: list[float] = []
     cross_pods: set[int] = set()
-    for src, dst, rate in demands:
-        if tree.tor_of_server(src) == tree.tor_of_server(dst):
-            continue
-        gbps = rate / MBPS_PER_GBPS
-        if gbps > cap:
+    for src, dst, g in zip(
+        demands.src[keep].tolist(), demands.dst[keep].tolist(), gbps.tolist()
+    ):
+        if g > cap:
             raise InfeasibleError(
-                f"demand {src}->{dst} of {gbps} Gbps exceeds switch capacity {cap}"
+                f"demand {src}->{dst} of {g} Gbps exceeds switch capacity {cap}"
             )
-        src_pod, dst_pod = tree.server_pod(src), tree.server_pod(dst)
-        pod_items.setdefault(src_pod, []).append(gbps)
+        src_pod, dst_pod = src // spp, dst // spp
+        pod_items.setdefault(src_pod, []).append(g)
         if src_pod != dst_pod:
-            pod_items.setdefault(dst_pod, []).append(gbps)
-            core_items.append(gbps)
+            pod_items.setdefault(dst_pod, []).append(g)
+            core_items.append(g)
             cross_pods.update((src_pod, dst_pod))
 
     agg_need: dict[int, int] = {}
@@ -254,57 +317,120 @@ def estimate_active_set(
 
 
 def balanced_route(
-    demands, tree: FatTree, active_set: ActiveSet,
+    demands: DemandSet, tree: FatTree, active_set: ActiveSet,
     params: PowerParams, timeslot: int = 0,
 ) -> RoutingPlan:
     """Phase two: spread whole demands evenly over the active switches.
 
-    Demands go largest first; each takes the allowed candidate path that
-    minimizes the resulting maximum load among its own switches (ties:
-    first candidate, position-major).  Endpoint ToRs are always allowed.
+    Demands go largest first (then by src, dst); each inter-rack one
+    takes the allowed candidate path that minimizes the resulting maximum
+    load among its own switches (ties: first candidate, position-major).
+    Endpoint ToRs are always allowed; a same-rack demand rides its ToR.
     """
+    demands = _demand_set(demands, timeslot)
+    by_size = pair_order(demands.src, demands.dst)
+    by_size = by_size[(-demands.rate[by_size]).argsort(kind="stable")]
+    ordered = DemandSet(
+        demands.timeslot,
+        demands.src[by_size], demands.dst[by_size], demands.rate[by_size],
+    )
+    spr, half = tree.servers_per_rack, tree.half
+    src_tor, dst_tor = ordered.src // spr, ordered.dst // spr
+    inter = (src_tor != dst_tor).nonzero()[0]
+    gbps = ordered.rate / MBPS_PER_GBPS
+    tor_peaks = _tor_loads_before(src_tor, dst_tor, inter, gbps) + gbps[inter]
+
     cores_by_group = active_set.cores_by_group(tree)
-    ordered = sorted(demands, key=lambda d: (-d[2], d[0], d[1]))
-    routes, loads = [], {}
-    for src, dst, rate in ordered:
-        candidates = _allowed_paths(tree, active_set, cores_by_group, src, dst)
-        gbps = rate / MBPS_PER_GBPS
+    allowed: dict[tuple[int, int], list] = {}
+    load = [0.0] * tree.num_switches  # agg and core loads so far
+    positions, indexes = [], []
+    for j, (from_tor, to_tor, g, tor_peak) in enumerate(zip(
+        src_tor[inter].tolist(), dst_tor[inter].tolist(),
+        gbps[inter].tolist(), tor_peaks.tolist(),
+    )):
+        pods = (from_tor // half, to_tor // half)
+        candidates = allowed.get(pods)
+        if candidates is None:
+            candidates = allowed[pods] = _allowed_paths(
+                tree, active_set, cores_by_group, *pods
+            )
+        if not candidates:
+            i = inter[j]
+            raise InfeasibleError(
+                f"no active path through the aggregation layer from pod "
+                f"{pods[0]} to pod {pods[1]} for demand "
+                f"{ordered.src[i]}->{ordered.dst[i]}"
+            )
         best, best_peak = None, None
-        for path in candidates:
-            peak = max(loads.get(sw, 0.0) + gbps for sw in path)
+        for candidate in candidates:
+            peak = tor_peak
+            for sw in candidate[2]:
+                here = load[sw] + g
+                if here > peak:
+                    peak = here
             if best_peak is None or peak < best_peak:
-                best, best_peak = path, peak
-        routes.append((src, dst, rate, best))
-        _add_path(loads, best, gbps)
-    routes.sort(key=lambda r: (r[0], r[1]))
-    return _finish_plan(timeslot, routes, loads, params)
+                best, best_peak = candidate, peak
+        position, index, switches = best
+        for sw in switches:
+            load[sw] += g
+        positions.append(position)
+        indexes.append(index)
+
+    position, index = np.zeros((2, len(src_tor)), dtype=np.int64)
+    position[inter], index[inter] = positions, indexes
+    hops = _paths(tree, src_tor, dst_tor, position, index)
+    return _finish_plan(timeslot, ordered, hops, params, by_pair=True)
 
 
-def _allowed_paths(tree, active_set, cores_by_group, src, dst):
-    src_tor, dst_tor = tree.tor_of_server(src), tree.tor_of_server(dst)
-    if src_tor == dst_tor:
-        return [(src_tor,)]
-    src_pod, dst_pod = tree.server_pod(src), tree.server_pod(dst)
+def _tor_loads_before(src_tor, dst_tor, inter, gbps):
+    """Each inter-rack demand's larger endpoint-ToR load (Gbps) before it.
+
+    The path choice never moves a ToR's load: demand i adds its rate to
+    its source ToR and, when inter-rack, to its destination ToR, in
+    routing order.  A ToR takes at most one of each demand's additions,
+    so laying each ToR's additions out in one row, in demand order, and
+    summing every row with one sequential cumsum gives the partial sums
+    that adding them one by one gives.  Since `x + g` is monotone in x,
+    the larger endpoint load plus g is the larger of the two ToR peaks.
+    """
+    n = len(src_tor)
+    if not inter.size:
+        return np.empty(0)
+    # Addition 2i is demand i's source ToR, 2i + 1 its destination ToR.
+    adds = np.zeros((n, 2), dtype=bool)
+    adds[:, 0] = True
+    adds[inter, 1] = True
+    adds = adds.ravel().nonzero()[0]
+    tors = np.array((src_tor, dst_tor)).T.ravel()[adds]
+    by_tor = tors.astype(np.uint16).argsort(kind="stable")  # ToR ids fit 16 bits
+    tors, adds = tors[by_tor], adds[by_tor]
+    rank = np.arange(len(tors)) - tors.searchsorted(tors)  # place in its ToR's row
+    rows = np.zeros((tors[-1] + 1, rank.max() + 2))
+    rows[tors, rank + 1] = gbps[adds // 2]
+    rows.cumsum(axis=1, out=rows)
+    before = np.zeros((n, 2))
+    before.ravel()[adds] = rows[tors, rank]
+    return before[inter].max(axis=1)
+
+
+def _allowed_paths(tree, active_set, cores_by_group, src_pod, dst_pod):
+    """(position, core index, agg and core switches) of each allowed path."""
     positions = active_set.positions.get(src_pod, ())
     if src_pod == dst_pod:
-        paths = [(src_tor, tree.agg_id(src_pod, j), dst_tor) for j in positions]
-    else:
-        shared = sorted(set(positions) & set(active_set.positions.get(dst_pod, ())))
-        paths = [
-            (src_tor, tree.agg_id(src_pod, j), core, tree.agg_id(dst_pod, j), dst_tor)
-            for j in shared
-            for core in cores_by_group.get(j, ())
-        ]
-    if not paths:
-        raise InfeasibleError(
-            f"no active path through the aggregation layer from pod {src_pod} "
-            f"to pod {dst_pod} for demand {src}->{dst}"
+        return [(j, 0, (tree.agg_id(src_pod, j),)) for j in positions]
+    shared = sorted(set(positions) & set(active_set.positions.get(dst_pod, ())))
+    return [
+        (
+            j, (core - tree.core_base) % tree.half,
+            (tree.agg_id(src_pod, j), core, tree.agg_id(dst_pod, j)),
         )
-    return paths
+        for j in shared
+        for core in cores_by_group.get(j, ())
+    ]
 
 
 def eer(
-    demands, tree: FatTree, params: PowerParams, timeslot: int = 0
+    demands: DemandSet, tree: FatTree, params: PowerParams, timeslot: int = 0
 ) -> tuple[ActiveSet, RoutingPlan]:
     """Active-switch selection followed by balanced multipath routing.
 
@@ -314,6 +440,7 @@ def eer(
     overloaded ToR fails at once: its load is fixed by the placement,
     not the routing.
     """
+    demands = _demand_set(demands, timeslot)
     active = estimate_active_set(demands, tree, params)
     plan = balanced_route(demands, tree, active, params, timeslot)
     tors = [sw for sw in plan.violations if tree.layer(sw) == TOR]
@@ -334,13 +461,13 @@ def eer(
     return active, plan
 
 
-# Router name -> plan of one timeslot t, called (flows, tree, params, t, run
-# seed).  Each entry looks its router up here when called, like
+# Router name -> plan of one timeslot t, called (demands, tree, params, t,
+# run seed).  Each entry looks its router up here when called, like
 # assignment.STRATEGIES, so a replaced `sp_route` is the one that runs.
 ROUTERS = {
-    "sp": lambda flows, tree, params, t, seed: sp_route(flows, tree, params, t),
-    "ecmp": lambda flows, tree, params, t, seed: ecmp_route(
-        flows, tree, [seed, t], params, t
+    "sp": lambda demands, tree, params, t, seed: sp_route(demands, tree, params, t),
+    "ecmp": lambda demands, tree, params, t, seed: ecmp_route(
+        demands, tree, [seed, t], params, t
     ),
-    "eer": lambda flows, tree, params, t, seed: eer(flows, tree, params, t)[1],
+    "eer": lambda demands, tree, params, t, seed: eer(demands, tree, params, t)[1],
 }

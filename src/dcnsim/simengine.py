@@ -236,8 +236,8 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
     violations: dict[int, tuple[int, ...]] = {}
     layer_totals = {TOR: 0.0, AGG: 0.0, CORE: 0.0}
     for t in range(scenario.horizon):
-        flows = demands_at(jobs, placement, t).flows
-        plan = route(flows, tree, params, t, scenario.seed)
+        demands = demands_at(jobs, placement, t)
+        plan = route(demands, tree, params, t, scenario.seed)
         if plan.violations:
             violations[t] = plan.violations
         if on_plan is not None:
@@ -250,7 +250,7 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
         per_slot_watts.append(watts)
         active_counts.append(sum(1 for load in plan.loads.values() if load > 0))
         # Free this slot's demands and routes before the next slot builds its own.
-        del flows, plan
+        del demands, plan
 
     runtime_ms = (time.perf_counter() - started) * 1000.0
     return EnergyReport(

@@ -86,15 +86,34 @@ class Job:
         return sum(active)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DemandSet:
-    """Server-to-server demands (Mbps) for one timeslot; src != dst."""
+    """Server-to-server demands (Mbps) for one timeslot as three arrays.
+
+    Demand i runs from server `src[i]` to `dst[i]` (src != dst) at
+    `rate[i]` Mbps.
+    """
 
     timeslot: int
-    flows: tuple[tuple[int, int, float], ...]
+    src: np.ndarray  # int64
+    dst: np.ndarray  # int64
+    rate: np.ndarray  # float64
 
-    def total_rate(self) -> float:
-        return float(sum(rate for _, _, rate in self.flows))
+    @classmethod
+    def of(cls, flows, timeslot: int = 0) -> DemandSet:
+        """The demands of hand-built (src, dst, rate) tuples, in their order."""
+        src, dst, rate = zip(*flows) if flows else ((), (), ())
+        return cls(
+            timeslot,
+            np.array(src, dtype=np.int64),
+            np.array(dst, dtype=np.int64),
+            np.array(rate, dtype=float),
+        )
+
+    @property
+    def flows(self) -> tuple[tuple[int, int, float], ...]:
+        """(src, dst, rate) per demand, built on demand for readers."""
+        return tuple(zip(self.src.tolist(), self.dst.tolist(), self.rate.tolist()))
 
 
 @dataclass(frozen=True)
@@ -225,7 +244,7 @@ def demands_at(
 
     VM pairs co-hosted on one server emit nothing (their traffic never
     reaches a NIC); multiple VM-pair flows between the same server pair
-    aggregate into one demand.
+    aggregate into one demand.  Demands come ordered by (src, dst).
 
     The order of the float additions is part of the result: a server
     pair's rate sums its VM-pair rates job by job in the order of `jobs`,
@@ -233,22 +252,64 @@ def demands_at(
     the summed traffic matrix, starting from 0.0.  Another order may
     change the last bits of the rates and so of every energy total.
     """
-    flows: dict[tuple[int, int], float] = {}
+    matrices, hosts = [], []
     for job in jobs:
         matrix = job.traffic_at(t)
         if matrix is None:
             continue
         try:
-            hosts = np.array([assignment[(job.id, m)] for m in range(job.vm_count)])
+            hosts += [assignment[(job.id, m)] for m in range(job.vm_count)]
         except KeyError:
             m = next(m for m in range(job.vm_count) if (job.id, m) not in assignment)
             raise DomainError(f"job {job.id} VM {m} has no assigned server") from None
-        rows, cols = np.nonzero((matrix > 0) & (hosts[:, None] != hosts[None, :]))
-        pairs = zip(hosts[rows].tolist(), hosts[cols].tolist())
-        for pair, rate in zip(pairs, matrix[rows, cols].tolist()):
-            flows[pair] = flows.get(pair, 0.0) + rate
-    ordered = tuple((s, d, r) for (s, d), r in sorted(flows.items()))
-    return DemandSet(timeslot=t, flows=ordered)
+        matrices.append(matrix)
+    rates = np.concatenate([m.ravel() for m in matrices]) if matrices else np.empty(0)
+    entries = (rates > 0).nonzero()[0]
+    if not entries.size:
+        empty = np.empty(0, dtype=np.int64)
+        return DemandSet(t, empty, empty, np.empty(0))
+    rates = rates[entries]
+    src, dst = _server_pairs(matrices, np.array(hosts), entries)
+    # Each pair's VM-pair rates keep their input order under the stable
+    # sort; bincount then adds them in that order, from 0.0.
+    order = pair_order(src, dst)
+    src, dst, rates = src[order], dst[order], rates[order]
+    first = np.empty(len(src), dtype=bool)
+    first[0] = True
+    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    rate = np.bincount(first.cumsum() - 1, weights=rates)
+    src, dst = src[first], dst[first]
+    off_host = src != dst  # co-hosted VM pairs never reach a NIC
+    return DemandSet(t, src[off_host], dst[off_host], rate[off_host])
+
+
+def pair_order(src, dst) -> np.ndarray:
+    """Stable order of server pairs by (src, dst).
+
+    Two radix passes: server ids fit 16 bits (k <= 48).  numpy's radix
+    sort is faster than its comparison sorts here, and its code is a
+    small part of what they load into memory.
+    """
+    order = dst.astype(np.uint16).argsort(kind="stable")
+    return order[src[order].astype(np.uint16).argsort(kind="stable")]
+
+
+def _server_pairs(matrices, hosts, entries):
+    """(src, dst) servers of the VM pairs at `entries` of the matrices.
+
+    `entries` index the matrices' row-major concatenation: matrix j
+    fills it from entry_start[j], and the servers of its VMs sit in
+    `hosts` from vm_start[j].  The index arrays are updated in place: at
+    k=24 each holds some 25,000 entries.
+    """
+    sizes = np.array([len(m) for m in matrices])
+    entry_start = np.cumsum(sizes * sizes) - sizes * sizes
+    vm_start = np.cumsum(sizes) - sizes
+    job = entry_start.searchsorted(entries, side="right") - 1
+    row, col = np.divmod(entries - entry_start[job], sizes[job])
+    row += vm_start[job]
+    col += vm_start[job]
+    return hosts[row], hosts[col]
 
 
 # --- workload files ------------------------------------------------------

@@ -1,0 +1,217 @@
+"""Per-demand routers that the array routers replaced: differential oracles.
+
+Each routes a list of (src, dst, rate) tuples one demand at a time, in
+the order and with the float additions the array routers must
+reproduce bit for bit.  They return `Plan`s for comparison with
+`dcnsim.routing.RoutingPlan`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from dcnsim.errors import CapacityError, InfeasibleError
+from dcnsim.graphkit import ffd_pack
+from dcnsim.routing import MBPS_PER_GBPS, ActiveSet, _pair_key
+from dcnsim.topology import TOR
+
+
+@dataclass
+class Plan:
+    timeslot: int
+    routes: tuple
+    loads: dict
+    violations: tuple
+
+
+def _finish_plan(timeslot, routes, loads, params):
+    cap = params.max_load()
+    return Plan(
+        timeslot=timeslot,
+        routes=tuple(routes),
+        loads=loads,
+        violations=tuple(sorted(sw for sw, load in loads.items() if load > cap)),
+    )
+
+
+def _add_path(loads, path, gbps):
+    for sw in path:
+        loads[sw] = loads.get(sw, 0.0) + gbps
+
+
+def route_each(demands, tree, params, timeslot, choose) -> Plan:
+    """Route every demand, in order, on the up-down path `choose` picks."""
+    half = tree.half
+    routes, loads = [], {}
+    for src, dst, rate in demands:
+        src_tor, dst_tor = tree.tor_of_server(src), tree.tor_of_server(dst)
+        if src_tor == dst_tor:
+            path = (src_tor,)
+        else:
+            src_pod, dst_pod = src_tor // half, dst_tor // half
+            position, index = choose(src, dst, src_pod == dst_pod)
+            up = tree.agg_id(src_pod, position)
+            if src_pod == dst_pod:
+                path = (src_tor, up, dst_tor)
+            else:
+                core = tree.core_id(position, index)
+                path = (src_tor, up, core, tree.agg_id(dst_pod, position), dst_tor)
+        routes.append((src, dst, rate, path))
+        _add_path(loads, path, rate / MBPS_PER_GBPS)
+    return _finish_plan(timeslot, routes, loads, params)
+
+
+def sp_oracle(demands, tree, params, timeslot=0) -> Plan:
+    half = tree.half
+
+    def choose(src, dst, same_pod):
+        key = int(_pair_key(src, dst))
+        return key % half, (key >> 8) % half
+
+    return route_each(demands, tree, params, timeslot, choose)
+
+
+def ecmp_oracle(demands, tree, seed, params, timeslot=0) -> Plan:
+    """One scalar draw per inter-rack flow, in demand order."""
+    rng = np.random.default_rng(seed)
+    half = tree.half
+
+    def choose(src, dst, same_pod):
+        if same_pod:
+            return int(rng.integers(half)), 0
+        return divmod(int(rng.integers(half * half)), half)
+
+    return route_each(demands, tree, params, timeslot, choose)
+
+
+def estimate_oracle(demands, tree, params, extra=0) -> ActiveSet:
+    cap = params.capacity
+    pod_items: dict[int, list[float]] = {}
+    core_items: list[float] = []
+    cross_pods: set[int] = set()
+    for src, dst, rate in demands:
+        if tree.tor_of_server(src) == tree.tor_of_server(dst):
+            continue
+        gbps = rate / MBPS_PER_GBPS
+        if gbps > cap:
+            raise InfeasibleError(
+                f"demand {src}->{dst} of {gbps} Gbps exceeds switch capacity {cap}"
+            )
+        src_pod, dst_pod = tree.server_pod(src), tree.server_pod(dst)
+        pod_items.setdefault(src_pod, []).append(gbps)
+        if src_pod != dst_pod:
+            pod_items.setdefault(dst_pod, []).append(gbps)
+            core_items.append(gbps)
+            cross_pods.update((src_pod, dst_pod))
+
+    agg_need: dict[int, int] = {}
+    for pod, items in pod_items.items():
+        need = int(max(-(-sum(items) // cap), len(ffd_pack(items, cap))))
+        if need > tree.half:
+            raise InfeasibleError(
+                f"pod {pod} needs {need} aggregation switches for "
+                f"{sum(items):.1f} Gbps but only has {tree.half}"
+            )
+        agg_need[pod] = min(tree.half, need + extra)
+
+    n_core = 0
+    if core_items:
+        n_core = int(max(-(-sum(core_items) // cap), len(ffd_pack(core_items, cap))))
+        if n_core > tree.num_cores:
+            raise InfeasibleError(
+                f"cross-pod traffic {sum(core_items):.1f} Gbps needs {n_core} "
+                f"cores but only {tree.num_cores} exist"
+            )
+        n_core = min(tree.num_cores, n_core + extra)
+
+    shared = max((agg_need[p] for p in cross_pods), default=0)
+    positions = {}
+    for pod, need in agg_need.items():
+        width = max(need, shared) if pod in cross_pods else need
+        positions[pod] = tuple(range(width))
+
+    cores = []
+    if n_core:
+        groups = max(shared, 1)
+        for index in range(tree.half):
+            for group in range(groups):
+                if len(cores) < n_core:
+                    cores.append(tree.core_id(group, index))
+        if len(cores) < n_core:
+            raise InfeasibleError(
+                f"need {n_core} cores but only {len(cores)} are reachable from "
+                f"{groups} agg positions"
+            )
+    return ActiveSet(positions=positions, cores=tuple(cores),
+                     cross_pods=frozenset(cross_pods))
+
+
+def _allowed_paths(tree, active_set, cores_by_group, src, dst):
+    src_tor, dst_tor = tree.tor_of_server(src), tree.tor_of_server(dst)
+    if src_tor == dst_tor:
+        return [(src_tor,)]
+    src_pod, dst_pod = tree.server_pod(src), tree.server_pod(dst)
+    positions = active_set.positions.get(src_pod, ())
+    if src_pod == dst_pod:
+        paths = [(src_tor, tree.agg_id(src_pod, j), dst_tor) for j in positions]
+    else:
+        shared = sorted(set(positions) & set(active_set.positions.get(dst_pod, ())))
+        paths = [
+            (src_tor, tree.agg_id(src_pod, j), core, tree.agg_id(dst_pod, j), dst_tor)
+            for j in shared
+            for core in cores_by_group.get(j, ())
+        ]
+    if not paths:
+        raise InfeasibleError(
+            f"no active path through the aggregation layer from pod {src_pod} "
+            f"to pod {dst_pod} for demand {src}->{dst}"
+        )
+    return paths
+
+
+def balanced_oracle(demands, tree, active_set, params, timeslot=0) -> Plan:
+    """Largest first; each demand takes the candidate with the lowest peak."""
+    cores_by_group = active_set.cores_by_group(tree)
+    ordered = sorted(demands, key=lambda d: (-d[2], d[0], d[1]))
+    routes, loads = [], {}
+    for src, dst, rate in ordered:
+        candidates = _allowed_paths(tree, active_set, cores_by_group, src, dst)
+        gbps = rate / MBPS_PER_GBPS
+        best, best_peak = None, None
+        for path in candidates:
+            peak = max(loads.get(sw, 0.0) + gbps for sw in path)
+            if best_peak is None or peak < best_peak:
+                best, best_peak = path, peak
+        routes.append((src, dst, rate, best))
+        _add_path(loads, best, gbps)
+    routes.sort(key=lambda r: (r[0], r[1]))
+    return _finish_plan(timeslot, routes, loads, params)
+
+
+def eer_oracle(demands, tree, params, timeslot=0, on_estimate=None):
+    """(active set, plan); `on_estimate(extra)` hears of every estimate."""
+    def estimate(extra):
+        if on_estimate is not None:
+            on_estimate(extra)
+        return estimate_oracle(demands, tree, params, extra=extra)
+
+    active = estimate(0)
+    plan = balanced_oracle(demands, tree, active, params, timeslot)
+    tors = [sw for sw in plan.violations if tree.layer(sw) == TOR]
+    if tors:
+        raise InfeasibleError(
+            f"placement overloads ToR switches {tors} at t={timeslot}; "
+            f"no routing can relieve them"
+        )
+    if plan.violations:
+        active = estimate(1)
+        plan = balanced_oracle(demands, tree, active, params, timeslot)
+        if plan.violations:
+            raise CapacityError(
+                f"switches over capacity at t={timeslot}: {list(plan.violations)}",
+                switches=plan.violations,
+                timeslot=timeslot,
+            )
+    return active, plan

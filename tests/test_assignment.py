@@ -365,8 +365,8 @@ def test_cohosting_removes_network_demand():
             for vm in unit.members:
                 merged[(0, vm)] = server
         spread = {(0, vm): vm for vm in range(n)}
-        merged_rate = demands_at([job], merged, 0).total_rate()
-        spread_rate = demands_at([job], spread, 0).total_rate()
+        merged_rate = demands_at([job], merged, 0).rate.sum()
+        spread_rate = demands_at([job], spread, 0).rate.sum()
         assert merged_rate <= spread_rate + 1e-9
 
 

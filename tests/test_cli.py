@@ -125,12 +125,44 @@ def test_bad_utilizations_are_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "sw").exists()
 
 
-def test_unwritable_report_path_exits_2(tmp_path, capsys):
+def test_unwritable_report_path_exits_2(tmp_path, capsys, monkeypatch):
+    import dcnsim.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the scenario ran before the report path was checked")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
     out = tmp_path / "nodir" / "r.json"
     assert main(["run", "--k", "4", "--utilization", "0.3", "--horizon", "4",
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(out) in err
+
+
+def test_report_path_check_leaves_the_path_as_it_was(tmp_path, monkeypatch):
+    import dcnsim.cli as cli
+    from dcnsim.errors import InfeasibleError
+
+    def infeasible(*args, **kwargs):
+        raise InfeasibleError("no room")
+
+    monkeypatch.setattr(cli, "run_scenario", infeasible)
+    argv = ["run", "--k", "4", "--utilization", "0.3", "--horizon", "4", "--out"]
+    missing, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("earlier report")
+    assert main(argv + [str(missing)]) == 3
+    assert main(argv + [str(old)]) == 3
+    assert not missing.exists() and old.read_text() == "earlier report"
+
+
+def test_sweep_reads_utilizations_and_repeats_from_the_config(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("k = 4\nutilizations = 0.3\nrepeats = 1\nhorizon = 4\n")
+    out = tmp_path / "sweepdir"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    reports = [p for p in out.glob("*.json") if p.name != "summary.json"]
+    assert len(reports) == 5
+    assert "wrote 5 reports" in capsys.readouterr().out
 
 
 def test_windows_past_the_horizon_are_a_config_error(tmp_path, capsys):

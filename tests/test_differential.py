@@ -1,18 +1,22 @@
 """The per-slot hot paths against the per-entry loops they replaced.
 
-`demands_at` and `ecmp_route` must give bit-identical results to these
-references: the same flows with the same Python types, and the same
-routes and loads in the same order from the same seed.
+`demands_at` and the array routers must give bit-identical results to
+these references: the same demands in the same order, and the same
+routes, loads (in the same key order) and violations from the same
+seed.  The per-demand routers are in `oracles.py`.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dcnsim.routing as routing
+from dcnsim.errors import SimulationError
 from dcnsim.power import PowerParams
-from dcnsim.routing import MBPS_PER_GBPS, ecmp_route
+from dcnsim.routing import MBPS_PER_GBPS, ecmp_route, eer, sp_route
 from dcnsim.topology import build_fat_tree
 from dcnsim.workload import Job, Transfer, demands_at
+from oracles import ecmp_oracle, eer_oracle, sp_oracle
 
 HORIZON = 6
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -98,8 +102,15 @@ def placed_jobs(draw):
 @given(placed_jobs())
 def test_demands_match_the_per_entry_loop(case):
     jobs, assignment, t = case
-    flows = demands_at(jobs, assignment, t).flows
+    demands = demands_at(jobs, assignment, t)
     expected = demands_loop(jobs, assignment, t)
+    src, dst, rate = ([flow[i] for flow in expected] for i in range(3))
+    assert demands.timeslot == t
+    assert (demands.src.dtype, demands.dst.dtype, demands.rate.dtype) == (
+        np.int64, np.int64, np.float64)
+    assert demands.src.tolist() == src and demands.dst.tolist() == dst
+    assert demands.rate.tobytes() == np.array(rate, dtype=np.float64).tobytes()
+    flows = demands.flows
     assert flows == expected
     assert [tuple(map(type, f)) for f in flows] == [(int, int, float)] * len(flows)
 
@@ -128,3 +139,115 @@ def test_ecmp_matches_the_candidate_path_reference(case, seed, t):
     routes, loads = ecmp_reference(demands, tree, [seed, t])
     assert plan.routes == routes
     assert list(plan.loads.items()) == list(loads.items())
+
+
+@st.composite
+def slot_demands(draw):
+    """(tree, demands) at k = 4, 6 or 8, in any order, some pairs repeated.
+
+    A slot is all same-rack, has no same-rack demand, or mixes both.
+    """
+    tree = build_fat_tree(draw(st.sampled_from([4, 6, 8])))
+    kind = draw(st.sampled_from(["mixed", "same_rack", "inter_rack"]))
+    spr, last = tree.servers_per_rack, tree.num_servers - 1
+    pairs = []
+    for _ in range(draw(st.integers(0, 30))):
+        src = draw(st.integers(0, last))
+        rack = src // spr
+        if kind == "same_rack" or (kind == "mixed" and draw(st.booleans())):
+            dst = draw(st.integers(rack * spr, rack * spr + spr - 1).filter(
+                lambda d: d != src))
+        else:
+            dst = draw(st.integers(0, last).filter(lambda d: d // spr != rack))
+        pairs.append((src, dst))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=6))
+    rates = draw(st.lists(RATES, min_size=len(pairs), max_size=len(pairs)))
+    demands = [(s, d, r) for (s, d), r in zip(pairs, rates)]
+    return tree, draw(st.permutations(demands))
+
+
+def _plan(plan):
+    return (plan.timeslot, plan.routes, list(plan.loads.items()), plan.violations)
+
+
+def _outcome(route):
+    """The router's result, or the type and message of the error it raised."""
+    try:
+        return route()
+    except SimulationError as exc:
+        return type(exc), str(exc)
+
+
+@SETTINGS
+@given(slot_demands(), st.integers(0, 99))
+def test_sp_matches_the_per_demand_oracle(case, t):
+    tree, demands = case
+    params = PowerParams(capacity=1.0)  # some switches over capacity
+    plan = sp_route(demands, tree, params, t)
+    assert _plan(plan) == _plan(sp_oracle(demands, tree, params, t))
+
+
+@SETTINGS
+@given(slot_demands(), st.integers(0, 2**32 - 1), st.integers(0, 99))
+def test_ecmp_matches_the_per_demand_oracle(case, seed, t):
+    tree, demands = case
+    params = PowerParams(capacity=1.0)
+    plan = ecmp_route(demands, tree, [seed, t], params, t)
+    assert _plan(plan) == _plan(ecmp_oracle(demands, tree, [seed, t], params, t))
+
+
+# Three 600 Gbps flows between three pods: the first estimate jams one
+# flow and the extra=1 retry routes it.
+COUPLED = (build_fat_tree(8), [(0, 16, 600_000.0), (4, 32, 600_000.0),
+                               (20, 36, 600_000.0)])
+
+
+# Pod 0 needs two aggs.  Routed largest first, the 350 Gbps demand finds
+# both its ToRs at 400 Gbps, so its two candidates tie on the ToR peak
+# and the first one wins, though the second agg is idle.
+TOR_BOUND = (build_fat_tree(8), [(0, 1, 450_000.0), (4, 8, 400_000.0),
+                                 (5, 9, 350_000.0), (2, 12, 300_000.0)])
+
+
+@SETTINGS
+@given(slot_demands(), st.sampled_from([1000.0, 2.0, 0.2]), st.integers(0, 99))
+@example(COUPLED, 1000.0, 3)
+@example(TOR_BOUND, 1000.0, 0)
+def test_eer_matches_the_per_demand_oracle(case, capacity, t):
+    tree, demands = case
+    params = PowerParams(capacity=capacity)
+
+    def array_result():
+        active, plan = eer(demands, tree, params, t)
+        return active, _plan(plan)
+
+    def oracle_result():
+        active, plan = eer_oracle(demands, tree, params, t)
+        return active, _plan(plan)
+
+    got, want = _outcome(array_result), _outcome(oracle_result)
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        assert got[1] == want[1]
+        assert list(got[0].positions.items()) == list(want[0].positions.items())
+        assert (got[0].cores, got[0].cross_pods) == (want[0].cores, want[0].cross_pods)
+
+
+def test_eer_retry_matches_the_oracle(monkeypatch):
+    tree, demands = COUPLED
+    params = PowerParams()
+    extras, oracle_extras = [], []
+    estimate = routing.estimate_active_set
+    monkeypatch.setattr(
+        routing, "estimate_active_set",
+        lambda demands, tree, params, extra=0: (
+            extras.append(extra) or estimate(demands, tree, params, extra=extra)),
+    )
+    active, plan = eer(demands, tree, params, 3)
+    want_active, want = eer_oracle(demands, tree, params, 3,
+                                   on_estimate=oracle_extras.append)
+    assert extras == oracle_extras == [0, 1]
+    assert _plan(plan) == _plan(want) and plan.violations == ()
+    assert active == want_active

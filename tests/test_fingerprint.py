@@ -13,6 +13,13 @@ from dcnsim.power import PowerParams
 from dcnsim.simengine import STRATEGY_GRID, Scenario, run_scenario, sweep
 
 DIGEST = "aed2880a5269fa083d4d2e0f17cc14c16d255d93a026be95cf138bde727fdc5d"
+# At k=8 every agg group has few cores and EER rarely ties between paths;
+# these larger trees exercise ties, cross-pod spread and many more demands.
+LARGE_DIGEST = "bb15c76f2f9970cd29eb1e3681224d55dabdb1f40c9300f3be6f79dd358fb659"
+LARGE_CASES = (
+    (16, 11, (("opt_eea", "eer"), ("greedy", "sp"), ("greedy", "ecmp"))),
+    (24, 1, (("greedy", "sp"), ("opt_eea", "eer"))),
+)
 
 LOW_STARTUP = PowerParams(sigma=0.01, mu=1.0, capacity=30.0)
 PAIRS = STRATEGY_GRID + (("greedy", "ecmp"),)
@@ -34,8 +41,26 @@ def _payloads():
     yield tables["summary"]
 
 
-def test_reports_match_the_pinned_digest():
+def _large_payloads():
+    for k, seed, pairs in LARGE_CASES:
+        for assign_name, route_name in pairs:
+            scenario = Scenario(
+                k=k, assign_strategy=assign_name, route_strategy=route_name,
+                seed=seed, utilization=0.5,
+            )
+            yield run_scenario(scenario).fingerprint()
+
+
+def _digest(payloads):
     digest = hashlib.sha256()
-    for payload in _payloads():
+    for payload in payloads:
         digest.update(json.dumps(payload, sort_keys=True).encode())
-    assert digest.hexdigest() == DIGEST
+    return digest.hexdigest()
+
+
+def test_reports_match_the_pinned_digest():
+    assert _digest(_payloads()) == DIGEST
+
+
+def test_larger_trees_match_the_pinned_digest():
+    assert _digest(_large_payloads()) == LARGE_DIGEST

@@ -207,7 +207,7 @@ def test_demand_aggregation_preserves_rate():
             for j in range(n)
             if hosts[i] != hosts[j]
         )
-        produced = demands_at([job], assignment, 0).total_rate()
+        produced = float(demands_at([job], assignment, 0).rate.sum())
         assert math.isclose(produced, expected, rel_tol=1e-12, abs_tol=1e-12)
 
 
