@@ -101,6 +101,15 @@ class RoutingPlan:
             )
         return self._routes
 
+    def at(self, timeslot: int) -> RoutingPlan:
+        """This plan for another timeslot with the same demands.
+
+        The copy shares the loads, violations and path choices (and the
+        routes, once read) instead of copying them.
+        """
+        return RoutingPlan(timeslot, self.loads, self.violations,
+                           self._routes, self._paths)
+
     def rows(self) -> list[tuple[int, int, int, float, list[int]]]:
         """Flat export: (timeslot, src, dst, rate Mbps, switch path)."""
         return [
@@ -471,3 +480,8 @@ ROUTERS = {
     ),
     "eer": lambda demands, tree, params, t, seed: eer(demands, tree, params, t)[1],
 }
+# Routers whose plan depends on the timeslot, not only on its demands:
+# ecmp seeds its draws with [seed, t].  Every other router gives equal
+# demands the same plan, so `run_scenario` routes the first slot of a
+# segment (slots with the same demands) and reuses that plan for the rest.
+DRAWS_PER_SLOT = frozenset({"ecmp"})

@@ -2,7 +2,8 @@
 
 A scenario pairs an assignment strategy with a routing strategy over one
 workload.  VMs are never migrated; the per-timeslot demand sets follow
-from the single assignment, and every timeslot is routed independently.
+from the single assignment, and every timeslot's plan depends only on
+its own demands (and, for ecmp, its own draws).
 Comparisons normalize each run against the greedy-assignment /
 shortest-path run on the same workload.
 """
@@ -10,6 +11,7 @@ shortest-path run on the same workload.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -19,7 +21,7 @@ import numpy as np
 from .assignment import STRATEGIES, assign
 from .errors import ConfigError
 from .power import PowerParams, switch_power
-from .routing import ROUTERS
+from .routing import DRAWS_PER_SLOT, ROUTERS
 from .topology import AGG, CORE, TOR, build_fat_tree
 from .workload import (
     WorkloadConfig,
@@ -88,7 +90,7 @@ class Scenario:
 
     @property
     def stochastic(self) -> bool:
-        return self.route_strategy == "ecmp" or self.assign_strategy in (
+        return self.route_strategy in DRAWS_PER_SLOT or self.assign_strategy in (
             "eea",
             "opt_eea",
         )
@@ -208,15 +210,51 @@ def _check_windows(jobs, horizon: int) -> None:
                 )
 
 
+def _segments(jobs, horizon: int):
+    """[first, stop) slot runs over which no transfer starts or ends.
+
+    The horizon is cut at every transfer's start and end + 1, so within
+    a run the same transfers are active and a slot's demands are the
+    same as its run's first slot.
+    """
+    edges = {0, horizon}
+    for job in jobs:
+        for tr in job.transfers:
+            edges.update((tr.start, tr.end + 1))
+    edges = sorted(edges)
+    return zip(edges, edges[1:])
+
+
+def _meter(plan, tree, params):
+    """(layer, watts) per switch in plan order, the slot's watts, active count."""
+    by_switch = [
+        (tree.layer(sw), switch_power(load, params, check=False))
+        for sw, load in plan.loads.items()
+    ]
+    watts = 0.0
+    for _, p in by_switch:
+        watts += p
+    return by_switch, watts, sum(1 for load in plan.loads.values() if load > 0)
+
+
 def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
     """Assign VMs once, then route and meter every timeslot.
+
+    The horizon splits into segments at every transfer window's edges;
+    within a segment the active transfers, and so the demands, do not
+    change.  Demands are built once per segment.  sp and eer route the
+    segment's first slot and reuse that plan for its other slots; ecmp,
+    whose draws are seeded per slot (`routing.DRAWS_PER_SLOT`), routes
+    every slot.  The report is the same as routing every slot afresh:
+    a reused slot adds its switches' watts to the layer totals in the
+    same order.  `on_plan`, when given, still receives one RoutingPlan
+    per timeslot, carrying that slot's `timeslot` (route inspection).
 
     A transfer window that ends past the horizon is a ConfigError.
     Baseline routers may overload switches at extreme load; those
     timeslots are flagged in the report instead of aborting the run.
     The energy-efficient router controls its own active set, so a
-    violation there is a real error and propagates.  `on_plan`, when
-    given, receives every timeslot's RoutingPlan (route inspection).
+    violation there is a real error and propagates.
     """
     started = time.perf_counter()
     tree = build_fat_tree(scenario.k, server_capacity=scenario.server_capacity)
@@ -230,26 +268,32 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
     )
     placement.validate(jobs, tree)
     route = ROUTERS[scenario.route_strategy]
+    route_each_slot = scenario.route_strategy in DRAWS_PER_SLOT
 
     per_slot_watts: list[float] = []
     active_counts: list[int] = []
     violations: dict[int, tuple[int, ...]] = {}
     layer_totals = {TOR: 0.0, AGG: 0.0, CORE: 0.0}
-    for t in range(scenario.horizon):
-        demands = demands_at(jobs, placement, t)
-        plan = route(demands, tree, params, t, scenario.seed)
-        if plan.violations:
-            violations[t] = plan.violations
-        if on_plan is not None:
-            on_plan(plan)
-        watts = 0.0
-        for sw, load in plan.loads.items():
-            p = switch_power(load, params, check=False)
-            watts += p
-            layer_totals[tree.layer(sw)] += p
-        per_slot_watts.append(watts)
-        active_counts.append(sum(1 for load in plan.loads.values() if load > 0))
-        # Free this slot's demands and routes before the next slot builds its own.
+    for first, stop in _segments(jobs, scenario.horizon):
+        active_jobs = [
+            job for job in jobs if any(tr.active_at(first) for tr in job.transfers)
+        ]
+        demands = demands_at(active_jobs, placement, first)
+        for t in range(first, stop):
+            if t == first or route_each_slot:
+                plan = route(demands, tree, params, t, scenario.seed)
+                by_switch, watts, active = _meter(plan, tree, params)
+            elif on_plan is not None:
+                plan = plan.at(t)
+            if plan.violations:
+                violations[t] = plan.violations
+            if on_plan is not None:
+                on_plan(plan)
+            for layer, p in by_switch:
+                layer_totals[layer] += p
+            per_slot_watts.append(watts)
+            active_counts.append(active)
+        # Free this segment's demands and plan before the next builds its own.
         del demands, plan
 
     runtime_ms = (time.perf_counter() - started) * 1000.0
@@ -282,16 +326,24 @@ def _workload_identity(scenario: dict):
 
 
 def table_row(report: EnergyReport, baseline_wt: float) -> dict:
-    """One comparison-table row: the report against a baseline energy."""
+    """One comparison-table row: the report against a baseline energy.
+
+    `ratio_to_baseline` is the report's energy over the baseline's.
+    Against a baseline of 0 it is 1.0 when the report used no energy
+    either and `math.inf` when it did.
+    """
     sc = report.scenario
+    energy = report.total_energy_wt
+    if baseline_wt > 0:
+        ratio = energy / baseline_wt
+    else:
+        ratio = math.inf if energy > 0 else 1.0
     return {
         "scenario": sc["label"],
         "utilization": sc.get("utilization"),
         "seed": _workload_seed(sc),
-        "total_energy_wt": report.total_energy_wt,
-        "ratio_to_baseline": (
-            report.total_energy_wt / baseline_wt if baseline_wt > 0 else 1.0
-        ),
+        "total_energy_wt": energy,
+        "ratio_to_baseline": ratio,
         "runtime_ms": report.runtime_ms,
         "violations": len(report.violations),
     }

@@ -1,9 +1,10 @@
-"""Per-demand routers that the array routers replaced: differential oracles.
+"""Per-demand routers and the per-slot engine loop: differential oracles.
 
-Each routes a list of (src, dst, rate) tuples one demand at a time, in
-the order and with the float additions the array routers must
+Each router routes a list of (src, dst, rate) tuples one demand at a
+time, in the order and with the float additions the array routers must
 reproduce bit for bit.  They return `Plan`s for comparison with
-`dcnsim.routing.RoutingPlan`.
+`dcnsim.routing.RoutingPlan`.  `run_each_slot` is `run_scenario` as it
+was before segments: it builds, routes and meters every timeslot.
 """
 
 from __future__ import annotations
@@ -12,10 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from dcnsim import simengine
+from dcnsim.assignment import assign
 from dcnsim.errors import CapacityError, InfeasibleError
 from dcnsim.graphkit import ffd_pack
-from dcnsim.routing import MBPS_PER_GBPS, ActiveSet, _pair_key
-from dcnsim.topology import TOR
+from dcnsim.power import switch_power
+from dcnsim.routing import MBPS_PER_GBPS, ROUTERS, ActiveSet, _pair_key
+from dcnsim.topology import AGG, CORE, TOR, build_fat_tree
+from dcnsim.workload import demands_at
 
 
 @dataclass
@@ -215,3 +220,45 @@ def eer_oracle(demands, tree, params, timeslot=0, on_estimate=None):
                 timeslot=timeslot,
             )
     return active, plan
+
+
+def run_each_slot(scenario, jobs=None, on_plan=None):
+    """The report `run_scenario` gives, from demands and a plan per slot.
+
+    Its `runtime_ms` is 0.0; compare reports by `fingerprint()`.
+    """
+    tree = build_fat_tree(scenario.k, server_capacity=scenario.server_capacity)
+    jobs = simengine._resolve_workload(scenario, jobs)
+    simengine._check_windows(jobs, scenario.horizon)
+    params = scenario.power
+    placement = assign(
+        scenario.assign_strategy, jobs, tree,
+        seed=scenario.seed, horizon=scenario.horizon,
+    )
+    placement.validate(jobs, tree)
+    route = ROUTERS[scenario.route_strategy]
+
+    per_slot_watts, active_counts, violations = [], [], {}
+    layer_totals = {TOR: 0.0, AGG: 0.0, CORE: 0.0}
+    for t in range(scenario.horizon):
+        plan = route(demands_at(jobs, placement, t), tree, params, t, scenario.seed)
+        if plan.violations:
+            violations[t] = plan.violations
+        if on_plan is not None:
+            on_plan(plan)
+        watts = 0.0
+        for sw, load in plan.loads.items():
+            p = switch_power(load, params, check=False)
+            watts += p
+            layer_totals[tree.layer(sw)] += p
+        per_slot_watts.append(watts)
+        active_counts.append(sum(1 for load in plan.loads.values() if load > 0))
+    return simengine.EnergyReport(
+        scenario=scenario.describe(),
+        total_energy_wt=float(sum(per_slot_watts)),
+        per_timeslot_watts=tuple(per_slot_watts),
+        layer_breakdown={layer: float(v) for layer, v in layer_totals.items()},
+        active_switches=tuple(active_counts),
+        runtime_ms=0.0,
+        violations=violations,
+    )

@@ -3,7 +3,9 @@
 `demands_at` and the array routers must give bit-identical results to
 these references: the same demands in the same order, and the same
 routes, loads (in the same key order) and violations from the same
-seed.  The per-demand routers are in `oracles.py`.
+seed.  `run_scenario`, which routes each run of identical slots once,
+must give the report and the per-slot plans of a loop that routes every
+slot.  The per-demand routers and that loop are in `oracles.py`.
 """
 
 import numpy as np
@@ -13,10 +15,13 @@ from hypothesis import strategies as st
 import dcnsim.routing as routing
 from dcnsim.errors import SimulationError
 from dcnsim.power import PowerParams
-from dcnsim.routing import MBPS_PER_GBPS, ecmp_route, eer, sp_route
+from dcnsim.assignment import STRATEGIES
+from dcnsim.errors import InfeasibleError
+from dcnsim.routing import MBPS_PER_GBPS, ROUTERS, ecmp_route, eer, sp_route
+from dcnsim.simengine import Scenario, run_scenario
 from dcnsim.topology import build_fat_tree
 from dcnsim.workload import Job, Transfer, demands_at
-from oracles import ecmp_oracle, eer_oracle, sp_oracle
+from oracles import ecmp_oracle, eer_oracle, run_each_slot, sp_oracle
 
 HORIZON = 6
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -251,3 +256,106 @@ def test_eer_retry_matches_the_oracle(monkeypatch):
     assert extras == oracle_extras == [0, 1]
     assert _plan(plan) == _plan(want) and plan.violations == ()
     assert active == want_active
+
+
+# --- the segment loop ---------------------------------------------------
+
+LOW_STARTUP = PowerParams(sigma=0.01, mu=1.0, capacity=30.0)
+
+
+def _matrix(n, rate):
+    matrix = np.full((n, n), rate)
+    np.fill_diagonal(matrix, 0.0)
+    return matrix
+
+
+# Job 0's two transfers overlap on slots 1-2, and its six VMs span two
+# racks at k=4; nothing runs in slot 5; job 1's window ends in the last
+# slot.
+OVERLAPPING = [
+    Job(id=0, vm_count=6, transfers=(Transfer(0, 2, _matrix(6, 40.0)),
+                                     Transfer(1, 4, _matrix(6, 1 / 3)))),
+    Job(id=1, vm_count=3, transfers=(Transfer(6, 7, _matrix(3, 7e5)),)),
+]
+
+
+def _scenario(k, assign_name, route_name, horizon, power=PowerParams(), seed=5):
+    return Scenario(k=k, assign_strategy=assign_name, route_strategy=route_name,
+                    seed=seed, horizon=horizon, power=power)
+
+
+@st.composite
+def segment_cases(draw):
+    """(scenario, jobs): hand-built jobs with several, overlapping windows.
+
+    Windows lean towards slot 0 and the last slot; slots that no window
+    covers, and jobs whose VMs share a server, leave idle stretches.
+    """
+    horizon = draw(st.integers(1, 8))
+    jobs = []
+    for job_id in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(2, 6))
+        trs = []
+        for _ in range(draw(st.integers(1, 3))):
+            start = draw(st.one_of(st.just(0), st.integers(0, horizon - 1)))
+            end = draw(st.one_of(st.just(horizon - 1), st.integers(start, horizon - 1)))
+            matrix = np.array(draw(st.lists(RATES, min_size=n * n, max_size=n * n)))
+            matrix = matrix.reshape(n, n)
+            np.fill_diagonal(matrix, 0.0)
+            trs.append(Transfer(start, end, matrix))
+        jobs.append(Job(id=job_id, vm_count=n, transfers=trs))
+    scenario = _scenario(
+        draw(st.sampled_from([4, 6, 8])), draw(st.sampled_from(sorted(STRATEGIES))),
+        draw(st.sampled_from(sorted(ROUTERS))), horizon,
+        draw(st.sampled_from([PowerParams(), LOW_STARTUP])),
+        draw(st.integers(0, 2**16)),
+    )
+    return scenario, jobs
+
+
+def _slot(plan):
+    return (plan.timeslot, plan.rows(), list(plan.loads.items()), plan.violations)
+
+
+def _runs(scenario, jobs):
+    """(outcome, per-slot plans) of run_scenario and of the per-slot loop."""
+    results = []
+    for run in (run_scenario, run_each_slot):
+        plans = []
+        outcome = _outcome(lambda: run(
+            scenario, jobs, on_plan=lambda plan: plans.append(_slot(plan))
+        ).fingerprint())
+        results.append((outcome, plans))
+    return results
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(segment_cases())
+@example((_scenario(4, "greedy", "sp", 8), OVERLAPPING))
+@example((_scenario(4, "greedy", "ecmp", 8), OVERLAPPING))
+@example((_scenario(6, "opt_eea", "eer", 8, LOW_STARTUP), OVERLAPPING))
+def test_segment_loop_matches_the_per_slot_loop(case):
+    scenario, jobs = case
+    (got, got_plans), (want, want_plans) = _runs(scenario, jobs)
+    assert got == want
+    assert got_plans == want_plans
+    if isinstance(want, dict):
+        assert [plan[0] for plan in got_plans] == list(range(scenario.horizon))
+
+
+def test_eer_failure_in_a_later_segment_names_its_slot():
+    # Slots 0-2 carry nothing: job 0's VMs share server 0.  From slot 3
+    # job 1 sends 600 Mbps each way between servers 1 and 2, in racks 0
+    # and 1: each demand fits the 1 Gbps switches, but each of the two
+    # ToRs carries both directions.
+    quiet = Job(id=0, vm_count=2, transfers=(Transfer(0, 2, _matrix(2, 50.0)),))
+    matrix = np.zeros((4, 4))
+    matrix[0, 2] = matrix[1, 3] = matrix[2, 0] = matrix[3, 1] = 300.0
+    busy = Job(id=1, vm_count=4, transfers=(Transfer(3, 5, matrix),))
+    scenario = _scenario(4, "greedy", "eer", 6, PowerParams(capacity=1.0))
+    (got, got_plans), (want, want_plans) = _runs(scenario, [quiet, busy])
+    assert got == want == (
+        InfeasibleError,
+        "placement overloads ToR switches [0, 1] at t=3; no routing can relieve them",
+    )
+    assert got_plans == want_plans and [p[0] for p in got_plans] == [0, 1, 2]

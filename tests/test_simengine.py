@@ -16,6 +16,7 @@ from dcnsim.simengine import (
     run_scenario,
     save_report,
     sweep,
+    table_row,
 )
 from dcnsim.workload import WorkloadConfig, generate_workload, save_workload
 
@@ -128,6 +129,14 @@ def test_compare_baseline_against_itself():
     table = compare([report])
     assert table["rows"][0]["ratio_to_baseline"] == 1.0
     assert table["summary"][0]["mean_ratio"] == 1.0
+
+
+def test_ratio_against_a_zero_baseline():
+    used = run_scenario(_scenario())
+    idle = run_scenario(_scenario(utilization=0.0))
+    assert used.total_energy_wt > 0 and idle.total_energy_wt == 0.0
+    assert table_row(used, 0.0)["ratio_to_baseline"] == math.inf
+    assert table_row(idle, 0.0)["ratio_to_baseline"] == 1.0
 
 
 def test_compare_labels_rows_with_a_zero_workload_seed():
