@@ -312,15 +312,17 @@ def pack_cluster_into_pod(
                 f"job {job.id}: group of {sum(u.size for u in group)} slots "
                 f"split across racks"
             )
-            split_order = [s for rack in _by_emptiest(pod) for s in pod.racks[rack]]
+            fit = _FirstFit(
+                [s for rack in _by_emptiest(pod) for s in pod.racks[rack]], free
+            )
             for unit in sorted(group, key=lambda u: (-u.size, u.members)):
-                server = _first_fit_server(split_order, free, unit.size)
+                server = fit.server(unit.size)
                 if server is not None:
                     _commit(placements, free, unit, server)
                     continue
                 # Fragmented free slots: place the unit's VMs one by one.
                 for m in unit.members:
-                    server = _first_fit_server(split_order, free, job.vm_resource)
+                    server = fit.server(job.vm_resource)
                     if server is None:
                         raise InfeasibleError(
                             f"pod overflow while packing job {job.id}"
@@ -342,11 +344,28 @@ def _commit(placements, free, unit: SuperVM, server: int) -> None:
     free[server] -= unit.size
 
 
-def _first_fit_server(servers: Iterable[int], free, size: int):
-    for server in servers:
-        if free[server] >= size:
-            return server
-    return None
+class _FirstFit:
+    """First-fit over a fixed server order while free slots only fall.
+
+    The first server with room for a size never moves backwards when
+    `free` only decreases, so one cursor per size resumes where the last
+    search for that size stopped: a whole placement pass walks the order
+    once per size, not once per VM.
+    """
+
+    def __init__(self, servers: Iterable[int], free):
+        self.servers = list(servers)
+        self.free = free  # server -> free slots, shared with the caller
+        self.cursor: dict[int, int] = {}
+
+    def server(self, size: int):
+        """The first server with at least `size` free slots, or None."""
+        servers, free = self.servers, self.free
+        i = self.cursor.get(size, 0)
+        while i < len(servers) and free[servers[i]] < size:
+            i += 1
+        self.cursor[size] = i
+        return servers[i] if i < len(servers) else None
 
 
 # --- assignment strategies ---------------------------------------------------
@@ -356,10 +375,11 @@ def greedy_assign(jobs: Sequence[Job], tree: FatTree) -> Assignment:
     """First-fit: VMs in (job, vm index) order onto the first open server."""
     _check_total_demand(jobs, tree)
     free = {s: tree.server_capacity for s in range(tree.num_servers)}
+    fit = _FirstFit(range(tree.num_servers), free)
     placements: dict[tuple[int, int], int] = {}
     for job in jobs:
         for m in range(job.vm_count):
-            server = _first_fit_server(range(tree.num_servers), free, job.vm_resource)
+            server = fit.server(job.vm_resource)
             if server is None:
                 raise InfeasibleError(f"no server can host job {job.id} VM {m}")
             placements[(job.id, m)] = server
@@ -371,10 +391,11 @@ def opt_greedy_assign(jobs: Sequence[Job], tree: FatTree) -> Assignment:
     """First-fit over super-VMs: merge first, then place groups greedily."""
     _check_total_demand(jobs, tree)
     free = {s: tree.server_capacity for s in range(tree.num_servers)}
+    fit = _FirstFit(range(tree.num_servers), free)
     placements: dict[tuple[int, int], int] = {}
     for job in jobs:
         for unit in shrink_to_super_vms(job, tree.server_capacity):
-            _place_unit_anywhere(unit, job, tree, free, placements)
+            _place_unit_anywhere(unit, job, fit, placements)
     return Assignment(placements)
 
 
@@ -408,6 +429,7 @@ def _pipeline_assign(jobs, tree, seed, horizon, shrink) -> Assignment:
     }
     by_id = {job.id: job for job in jobs}
     free = {s: tree.server_capacity for s in range(tree.num_servers)}
+    anywhere = _FirstFit(range(tree.num_servers), free)
     placements: dict[tuple[int, int], int] = {}
 
     # Jobs larger than a pod cannot be clustered; place them greedily first.
@@ -415,7 +437,7 @@ def _pipeline_assign(jobs, tree, seed, horizon, shrink) -> Assignment:
     for job in jobs:
         if job.slots > tree.pod_slot_capacity:
             for unit in units_of[job.id]:
-                _place_unit_anywhere(unit, job, tree, free, placements)
+                _place_unit_anywhere(unit, job, anywhere, placements)
 
     n_pods = estimate_pod_count(normal, tree.pod_slot_capacity)
     if n_pods == 0:
@@ -445,27 +467,30 @@ def _pipeline_assign(jobs, tree, seed, horizon, shrink) -> Assignment:
         placements.update(placed)
 
     # Overflow jobs fill vacant capacity of the cluster pods, then anywhere.
-    cluster_servers = [s for p in target_pods for s in tree.pod_servers(p)]
+    in_clusters = _FirstFit(
+        (s for p in target_pods for s in tree.pod_servers(p)), free
+    )
     for job_id in sorted(clusters.overflow, key=lambda j: (-by_id[j].slots, j)):
         job = by_id[job_id]
         for unit in units_of[job_id]:
-            server = _first_fit_server(cluster_servers, free, unit.size)
+            server = in_clusters.server(unit.size)
             if server is not None:
                 _commit(placements, free, unit, server)
             else:
-                _place_unit_anywhere(unit, job, tree, free, placements)
+                _place_unit_anywhere(unit, job, anywhere, placements)
     return Assignment(placements)
 
 
-def _place_unit_anywhere(unit: SuperVM, job: Job, tree: FatTree, free, placements):
-    server = _first_fit_server(range(tree.num_servers), free, unit.size)
+def _place_unit_anywhere(unit: SuperVM, job: Job, fit: _FirstFit, placements):
+    free = fit.free
+    server = fit.server(unit.size)
     if server is not None:
         _commit(placements, free, unit, server)
         return
     # Slot fragmentation can strand a multi-VM unit even when total free
     # capacity suffices; fall back to placing its VMs one by one.
     for m in unit.members:
-        server = _first_fit_server(range(tree.num_servers), free, job.vm_resource)
+        server = fit.server(job.vm_resource)
         if server is None:
             raise InfeasibleError(
                 f"datacenter overflow: job {job.id} VM {m} cannot be placed"

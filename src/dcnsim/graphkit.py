@@ -49,9 +49,22 @@ class WeightedGraph:
     def weight_between(self, group_a, group_b) -> float:
         """Total weight of edges with one endpoint in each group."""
         b = set(group_b)
-        return sum(
+        return ordered_sum(
             w for u in group_a for v, w in self.adj[u].items() if v in b
         )
+
+
+def ordered_sum(values) -> float:
+    """Left-to-right float sum from 0.0, the same on every Python.
+
+    Python 3.12 made the builtin `sum` of floats a compensated sum, whose
+    last bits can differ from plain addition; totals that feed a report
+    or a decision add in order instead.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def max_flow_min_cut(graph: WeightedGraph, s: int, t: int):
@@ -230,7 +243,7 @@ def min_k_cut(graph: WeightedGraph, k: int):
     for idx, comp in enumerate(components):
         for v in comp:
             label[v] = idx
-    cut_weight = sum(w for u, v, w in graph.edges() if label[u] != label[v])
+    cut_weight = ordered_sum(w for u, v, w in graph.edges() if label[u] != label[v])
     return components, cut_weight
 
 

@@ -31,7 +31,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import CapacityError, InfeasibleError
-from .graphkit import ffd_pack
+from .graphkit import ffd_pack, ordered_sum
 from .power import PowerParams
 from .topology import TOR, FatTree
 from .workload import DemandSet, pair_order
@@ -279,22 +279,22 @@ def estimate_active_set(
 
     agg_need: dict[int, int] = {}
     for pod, items in pod_items.items():
-        need = int(max(-(-sum(items) // cap), len(ffd_pack(items, cap))))
+        total = ordered_sum(items)
+        need = int(max(-(-total // cap), len(ffd_pack(items, cap))))
         if need > tree.half:
             raise InfeasibleError(
                 f"pod {pod} needs {need} aggregation switches for "
-                f"{sum(items):.1f} Gbps but only has {tree.half}"
+                f"{total:.1f} Gbps but only has {tree.half}"
             )
         agg_need[pod] = min(tree.half, need + extra)
 
     n_core = 0
     if core_items:
-        n_core = int(
-            max(-(-sum(core_items) // cap), len(ffd_pack(core_items, cap)))
-        )
+        total = ordered_sum(core_items)
+        n_core = int(max(-(-total // cap), len(ffd_pack(core_items, cap))))
         if n_core > tree.num_cores:
             raise InfeasibleError(
-                f"cross-pod traffic {sum(core_items):.1f} Gbps needs {n_core} "
+                f"cross-pod traffic {total:.1f} Gbps needs {n_core} "
                 f"cores but only {tree.num_cores} exist"
             )
         n_core = min(tree.num_cores, n_core + extra)

@@ -20,12 +20,13 @@ import numpy as np
 
 from .assignment import STRATEGIES, assign
 from .errors import ConfigError
+from .graphkit import ordered_sum
 from .power import PowerParams, switch_power
 from .routing import DRAWS_PER_SLOT, ROUTERS
 from .topology import AGG, CORE, TOR, build_fat_tree
 from .workload import (
     WorkloadConfig,
-    demands_at,
+    demand_table,
     generate_workload,
     load_document,
     load_workload,
@@ -231,9 +232,7 @@ def _meter(plan, tree, params):
         (tree.layer(sw), switch_power(load, params, check=False))
         for sw, load in plan.loads.items()
     ]
-    watts = 0.0
-    for _, p in by_switch:
-        watts += p
+    watts = ordered_sum(p for _, p in by_switch)
     return by_switch, watts, sum(1 for load in plan.loads.values() if load > 0)
 
 
@@ -242,7 +241,9 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
 
     The horizon splits into segments at every transfer window's edges;
     within a segment the active transfers, and so the demands, do not
-    change.  Demands are built once per segment.  sp and eer route the
+    change.  The demand table (`workload.demand_table`) maps every VM
+    pair to its server pair once per run, since VMs never move; each
+    segment gathers its demands from it.  sp and eer route the
     segment's first slot and reuse that plan for its other slots; ecmp,
     whose draws are seeded per slot (`routing.DRAWS_PER_SLOT`), routes
     every slot.  The report is the same as routing every slot afresh:
@@ -274,11 +275,9 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
     active_counts: list[int] = []
     violations: dict[int, tuple[int, ...]] = {}
     layer_totals = {TOR: 0.0, AGG: 0.0, CORE: 0.0}
+    table = demand_table(jobs, placement)
     for first, stop in _segments(jobs, scenario.horizon):
-        active_jobs = [
-            job for job in jobs if any(tr.active_at(first) for tr in job.transfers)
-        ]
-        demands = demands_at(active_jobs, placement, first)
+        demands = table.at(first)
         for t in range(first, stop):
             if t == first or route_each_slot:
                 plan = route(demands, tree, params, t, scenario.seed)
@@ -299,7 +298,7 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
     runtime_ms = (time.perf_counter() - started) * 1000.0
     return EnergyReport(
         scenario=scenario.describe(),
-        total_energy_wt=float(sum(per_slot_watts)),
+        total_energy_wt=float(ordered_sum(per_slot_watts)),
         per_timeslot_watts=tuple(per_slot_watts),
         layer_breakdown={layer: float(v) for layer, v in layer_totals.items()},
         active_switches=tuple(active_counts),

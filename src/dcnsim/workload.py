@@ -237,50 +237,133 @@ def job_distance(v1: np.ndarray, v2: np.ndarray, dist_max: float = DIST_MAX) -> 
     return 1.0 / norm
 
 
+@dataclass(frozen=True, eq=False)
+class DemandTable:
+    """Every VM-pair flow of a placed workload, built once per run.
+
+    A unit is one job over a stretch of slots in which its set of active
+    transfers does not change; unit u sends the job's summed matrix of
+    those transfers over slots start[u]..end[u].  Row i is one positive
+    entry of a unit's matrix whose two VMs sit on different servers: it
+    carries rate[i] Mbps from server src[i] to dst[i] while unit[i] is
+    active.  Rows are stably ordered by (src, dst) once; within a pair
+    they keep job order, then row-major (source VM, destination VM)
+    order, which is the order `at` adds them in.
+    """
+
+    start: np.ndarray  # int64 per unit
+    end: np.ndarray  # int64 per unit
+    src: np.ndarray  # uint16 per row (server ids fit 16 bits, k <= 48)
+    dst: np.ndarray  # uint16 per row
+    rate: np.ndarray  # float64 per row
+    unit: np.ndarray  # uint16 per row (int32 past 65,536 units)
+
+    def at(self, t: int) -> DemandSet:
+        """Server-to-server demands of the units active at slot t.
+
+        The kept rows are already in pair order; each pair's rate adds
+        its VM-pair rates in row order, starting from 0.0.  Another
+        order may change the last bits of the rates and so of every
+        energy total.
+        """
+        keep = ((self.start <= t) & (t <= self.end))[self.unit]
+        src, dst, rate = self.src[keep], self.dst[keep], self.rate[keep]
+        if not len(src):
+            empty = np.empty(0, dtype=np.int64)
+            return DemandSet(t, empty, empty, np.empty(0))
+        first = np.empty(len(src), dtype=bool)
+        first[0] = True
+        first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        group = first.cumsum()
+        group -= 1
+        rate = np.bincount(group, weights=rate)
+        return DemandSet(
+            t, src[first].astype(np.int64), dst[first].astype(np.int64), rate
+        )
+
+
+def demand_table(
+    jobs: Sequence[Job], assignment: Mapping[tuple[int, int], int]
+) -> DemandTable:
+    """The demand table of `jobs` placed by `assignment`.
+
+    VM pairs co-hosted on one server emit nothing (their traffic never
+    reaches a NIC).  A VM of a listed job without a server is a
+    DomainError.  The rows fill preallocated compact arrays, and each
+    unsorted array is freed as soon as its sorted copy exists.
+    """
+    starts, ends, units = [], [], []
+    for job in jobs:
+        hosts = _hosts(job, assignment)
+        for first, last in _stretches(job):
+            matrix = job.traffic_at(first)
+            sent = matrix > 0
+            sent &= hosts[:, None] != hosts
+            starts.append(first)
+            ends.append(last)
+            units.append((hosts, matrix, sent))
+    rows = sum(int(np.count_nonzero(sent)) for _, _, sent in units)
+    src = np.empty(rows, dtype=np.uint16)
+    dst = np.empty(rows, dtype=np.uint16)
+    rate = np.empty(rows)
+    unit = np.empty(rows, dtype=np.uint16 if len(units) <= 1 << 16 else np.int32)
+    begin = 0
+    for u, (hosts, matrix, sent) in enumerate(units):
+        row, col = sent.nonzero()
+        stop = begin + len(row)
+        src[begin:stop] = hosts[row]
+        dst[begin:stop] = hosts[col]
+        rate[begin:stop] = matrix[row, col]
+        unit[begin:stop] = u
+        begin = stop
+    del units
+    # `pair_order`'s two stable radix passes, by dst and then by src, each
+    # applied at once so that no unsorted column outlives its sorted copy.
+    columns = [src, dst, rate, unit]
+    del src, dst, rate, unit
+    for key in (1, 0):
+        order = columns[key].argsort(kind="stable")
+        for i, column in enumerate(columns):
+            columns[i] = column[order]
+    return DemandTable(np.array(starts, dtype=np.int64),
+                       np.array(ends, dtype=np.int64), *columns)
+
+
+def _hosts(job: Job, assignment) -> np.ndarray:
+    """The servers of the job's VMs, in VM order, as uint16."""
+    try:
+        return np.array(
+            [assignment[(job.id, m)] for m in range(job.vm_count)], dtype=np.uint16
+        )
+    except KeyError:
+        m = next(m for m in range(job.vm_count) if (job.id, m) not in assignment)
+        raise DomainError(f"job {job.id} VM {m} has no assigned server") from None
+
+
+def _stretches(job: Job):
+    """(first, last) slot of each stretch with the same, nonempty set of
+    the job's transfers active."""
+    edges = sorted({e for tr in job.transfers for e in (tr.start, tr.end + 1)})
+    for first, stop in zip(edges, edges[1:]):
+        if any(tr.active_at(first) for tr in job.transfers):
+            yield first, stop - 1
+
+
 def demands_at(
     jobs: Sequence[Job], assignment: Mapping[tuple[int, int], int], t: int
 ) -> DemandSet:
     """Server-to-server demands produced by transfers active at timeslot t.
 
-    VM pairs co-hosted on one server emit nothing (their traffic never
-    reaches a NIC); multiple VM-pair flows between the same server pair
-    aggregate into one demand.  Demands come ordered by (src, dst).
-
-    The order of the float additions is part of the result: a server
-    pair's rate sums its VM-pair rates job by job in the order of `jobs`,
-    and within a job in row-major (source VM, destination VM) order of
-    the summed traffic matrix, starting from 0.0.  Another order may
-    change the last bits of the rates and so of every energy total.
+    The demand table (`demand_table`) of the jobs active at t, read at
+    t: multiple VM-pair flows between the same server pair aggregate
+    into one demand, co-hosted VM pairs emit nothing, and demands come
+    ordered by (src, dst).  A server pair's rate sums its VM-pair rates
+    job by job in the order of `jobs`, and within a job in row-major
+    (source VM, destination VM) order of the summed traffic matrix,
+    starting from 0.0.  Only an active job needs its VMs assigned.
     """
-    matrices, hosts = [], []
-    for job in jobs:
-        matrix = job.traffic_at(t)
-        if matrix is None:
-            continue
-        try:
-            hosts += [assignment[(job.id, m)] for m in range(job.vm_count)]
-        except KeyError:
-            m = next(m for m in range(job.vm_count) if (job.id, m) not in assignment)
-            raise DomainError(f"job {job.id} VM {m} has no assigned server") from None
-        matrices.append(matrix)
-    rates = np.concatenate([m.ravel() for m in matrices]) if matrices else np.empty(0)
-    entries = (rates > 0).nonzero()[0]
-    if not entries.size:
-        empty = np.empty(0, dtype=np.int64)
-        return DemandSet(t, empty, empty, np.empty(0))
-    rates = rates[entries]
-    src, dst = _server_pairs(matrices, np.array(hosts), entries)
-    # Each pair's VM-pair rates keep their input order under the stable
-    # sort; bincount then adds them in that order, from 0.0.
-    order = pair_order(src, dst)
-    src, dst, rates = src[order], dst[order], rates[order]
-    first = np.empty(len(src), dtype=bool)
-    first[0] = True
-    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-    rate = np.bincount(first.cumsum() - 1, weights=rates)
-    src, dst = src[first], dst[first]
-    off_host = src != dst  # co-hosted VM pairs never reach a NIC
-    return DemandSet(t, src[off_host], dst[off_host], rate[off_host])
+    active = [job for job in jobs if any(tr.active_at(t) for tr in job.transfers)]
+    return demand_table(active, assignment).at(t)
 
 
 def pair_order(src, dst) -> np.ndarray:
@@ -292,24 +375,6 @@ def pair_order(src, dst) -> np.ndarray:
     """
     order = dst.astype(np.uint16).argsort(kind="stable")
     return order[src[order].astype(np.uint16).argsort(kind="stable")]
-
-
-def _server_pairs(matrices, hosts, entries):
-    """(src, dst) servers of the VM pairs at `entries` of the matrices.
-
-    `entries` index the matrices' row-major concatenation: matrix j
-    fills it from entry_start[j], and the servers of its VMs sit in
-    `hosts` from vm_start[j].  The index arrays are updated in place: at
-    k=24 each holds some 25,000 entries.
-    """
-    sizes = np.array([len(m) for m in matrices])
-    entry_start = np.cumsum(sizes * sizes) - sizes * sizes
-    vm_start = np.cumsum(sizes) - sizes
-    job = entry_start.searchsorted(entries, side="right") - 1
-    row, col = np.divmod(entries - entry_start[job], sizes[job])
-    row += vm_start[job]
-    col += vm_start[job]
-    return hosts[row], hosts[col]
 
 
 # --- workload files ------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Per-demand routers and the per-slot engine loop: differential oracles.
+"""Per-demand routers, rescanning first-fit and the per-slot engine loop.
 
 Each router routes a list of (src, dst, rate) tuples one demand at a
 time, in the order and with the float additions the array routers must
 reproduce bit for bit.  They return `Plan`s for comparison with
-`dcnsim.routing.RoutingPlan`.  `run_each_slot` is `run_scenario` as it
-was before segments: it builds, routes and meters every timeslot.
+`dcnsim.routing.RoutingPlan`.  The first-fit placements rescan the
+servers from the first for every search, where `assignment` resumes a
+cursor.  `run_each_slot` is `run_scenario` as it was before segments:
+it builds, routes and meters every timeslot.
 """
 
 from __future__ import annotations
@@ -14,9 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from dcnsim import simengine
-from dcnsim.assignment import assign
+from dcnsim.assignment import (
+    Assignment,
+    _check_total_demand,
+    assign,
+    shrink_to_super_vms,
+)
 from dcnsim.errors import CapacityError, InfeasibleError
-from dcnsim.graphkit import ffd_pack
+from dcnsim.graphkit import ffd_pack, ordered_sum
 from dcnsim.power import switch_power
 from dcnsim.routing import MBPS_PER_GBPS, ROUTERS, ActiveSet, _pair_key
 from dcnsim.topology import AGG, CORE, TOR, build_fat_tree
@@ -113,20 +120,22 @@ def estimate_oracle(demands, tree, params, extra=0) -> ActiveSet:
 
     agg_need: dict[int, int] = {}
     for pod, items in pod_items.items():
-        need = int(max(-(-sum(items) // cap), len(ffd_pack(items, cap))))
+        total = ordered_sum(items)
+        need = int(max(-(-total // cap), len(ffd_pack(items, cap))))
         if need > tree.half:
             raise InfeasibleError(
                 f"pod {pod} needs {need} aggregation switches for "
-                f"{sum(items):.1f} Gbps but only has {tree.half}"
+                f"{total:.1f} Gbps but only has {tree.half}"
             )
         agg_need[pod] = min(tree.half, need + extra)
 
     n_core = 0
     if core_items:
-        n_core = int(max(-(-sum(core_items) // cap), len(ffd_pack(core_items, cap))))
+        total = ordered_sum(core_items)
+        n_core = int(max(-(-total // cap), len(ffd_pack(core_items, cap))))
         if n_core > tree.num_cores:
             raise InfeasibleError(
-                f"cross-pod traffic {sum(core_items):.1f} Gbps needs {n_core} "
+                f"cross-pod traffic {total:.1f} Gbps needs {n_core} "
                 f"cores but only {tree.num_cores} exist"
             )
         n_core = min(tree.num_cores, n_core + extra)
@@ -222,6 +231,69 @@ def eer_oracle(demands, tree, params, timeslot=0, on_estimate=None):
     return active, plan
 
 
+def first_fit_server(servers, free, size: int):
+    """The first of `servers` with `size` free slots, or None: a full rescan."""
+    for server in servers:
+        if free[server] >= size:
+            return server
+    return None
+
+
+class RescanFirstFit:
+    """`assignment._FirstFit` that rescans its whole order on every search."""
+
+    def __init__(self, servers, free):
+        self.servers = list(servers)
+        self.free = free
+
+    def server(self, size: int):
+        return first_fit_server(self.servers, self.free, size)
+
+
+def greedy_oracle(jobs, tree) -> Assignment:
+    """`greedy_assign` with every VM's search starting from server 0."""
+    _check_total_demand(jobs, tree)
+    free = {s: tree.server_capacity for s in range(tree.num_servers)}
+    placements = {}
+    for job in jobs:
+        for m in range(job.vm_count):
+            server = first_fit_server(range(tree.num_servers), free, job.vm_resource)
+            if server is None:
+                raise InfeasibleError(f"no server can host job {job.id} VM {m}")
+            placements[(job.id, m)] = server
+            free[server] -= job.vm_resource
+    return Assignment(placements)
+
+
+def opt_greedy_oracle(jobs, tree) -> Assignment:
+    """`opt_greedy_assign` with every search starting from server 0.
+
+    A super-VM no server has room for falls back to placing its VMs one
+    by one.
+    """
+    _check_total_demand(jobs, tree)
+    servers = range(tree.num_servers)
+    free = {s: tree.server_capacity for s in servers}
+    placements = {}
+    for job in jobs:
+        for unit in shrink_to_super_vms(job, tree.server_capacity):
+            server = first_fit_server(servers, free, unit.size)
+            if server is not None:
+                for m in unit.members:
+                    placements[(job.id, m)] = server
+                free[server] -= unit.size
+                continue
+            for m in unit.members:
+                server = first_fit_server(servers, free, job.vm_resource)
+                if server is None:
+                    raise InfeasibleError(
+                        f"datacenter overflow: job {job.id} VM {m} cannot be placed"
+                    )
+                placements[(job.id, m)] = server
+                free[server] -= job.vm_resource
+    return Assignment(placements)
+
+
 def run_each_slot(scenario, jobs=None, on_plan=None):
     """The report `run_scenario` gives, from demands and a plan per slot.
 
@@ -255,7 +327,7 @@ def run_each_slot(scenario, jobs=None, on_plan=None):
         active_counts.append(sum(1 for load in plan.loads.values() if load > 0))
     return simengine.EnergyReport(
         scenario=scenario.describe(),
-        total_energy_wt=float(sum(per_slot_watts)),
+        total_energy_wt=float(ordered_sum(per_slot_watts)),
         per_timeslot_watts=tuple(per_slot_watts),
         layer_breakdown={layer: float(v) for layer, v in layer_totals.items()},
         active_switches=tuple(active_counts),

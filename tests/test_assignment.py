@@ -1,7 +1,11 @@
 """Super-VM merging, clustering, rack partitioning, packing, strategies."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcnsim.assignment import (
     Assignment,
@@ -19,6 +23,7 @@ from dcnsim.assignment import (
 )
 from dcnsim.errors import DomainError, InfeasibleError
 from dcnsim.topology import build_fat_tree
+from oracles import RescanFirstFit, greedy_oracle, opt_greedy_oracle
 from dcnsim.workload import (
     Job,
     Transfer,
@@ -403,3 +408,58 @@ def test_distributing_across_enough_racks_saves_power():
                 (k - 1) * w
             ) ** alpha
             assert compact - spread > 0
+
+
+# --- first-fit cursor against a rescanning first-fit ---------------------------
+
+
+@st.composite
+def crowded_jobs(draw):
+    """(tree, jobs) at k=4 requesting 75% to just over 100% of the slots.
+
+    Servers hold 2-4 slots and VMs take 1-3, so free slots fragment and
+    super-VMs often find no server with room for all their VMs.
+    """
+    tree = build_fat_tree(4, server_capacity=draw(st.integers(2, 4)))
+    target = draw(st.integers(tree.total_slots * 3 // 4, tree.total_slots + 2))
+    jobs, slots = [], 0
+    while slots < target:
+        n = draw(st.integers(1, 6))
+        rates = draw(st.lists(st.integers(0, 9), min_size=n * n, max_size=n * n))
+        matrix = np.array(rates, dtype=float).reshape(n, n)
+        np.fill_diagonal(matrix, 0.0)
+        jobs.append(Job(id=len(jobs), vm_count=n, vm_resource=draw(st.integers(1, 3)),
+                        transfers=(Transfer(0, draw(st.integers(0, 9)), matrix),)))
+        slots += jobs[-1].slots
+    return tree, jobs
+
+
+def _placed(place):
+    """The placements, or the InfeasibleError message, of `place()`."""
+    try:
+        return place().placements
+    except InfeasibleError as exc:
+        return str(exc)
+
+
+FIRST_FIT = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@FIRST_FIT
+@given(crowded_jobs())
+def test_first_fit_matches_a_rescanning_first_fit(case):
+    tree, jobs = case
+    assert _placed(lambda: greedy_assign(jobs, tree)) == _placed(
+        lambda: greedy_oracle(jobs, tree))
+    assert _placed(lambda: opt_greedy_assign(jobs, tree)) == _placed(
+        lambda: opt_greedy_oracle(jobs, tree))
+
+
+@FIRST_FIT
+@given(crowded_jobs(), st.sampled_from([eea_assign, opt_eea]), st.integers(0, 99))
+def test_pipelines_match_a_rescanning_first_fit(case, strategy, seed):
+    tree, jobs = case
+    got = _placed(lambda: strategy(jobs, tree, seed=seed, horizon=10))
+    with mock.patch("dcnsim.assignment._FirstFit", RescanFirstFit):
+        want = _placed(lambda: strategy(jobs, tree, seed=seed, horizon=10))
+    assert got == want

@@ -1,7 +1,8 @@
 """The per-slot hot paths against the per-entry loops they replaced.
 
-`demands_at` and the array routers must give bit-identical results to
-these references: the same demands in the same order, and the same
+The demand table, `demands_at` and the array routers must give
+bit-identical results to these references: the same demands in the
+same order, and the same
 routes, loads (in the same key order) and violations from the same
 seed.  `run_scenario`, which routes each run of identical slots once,
 must give the report and the per-slot plans of a loop that routes every
@@ -9,18 +10,19 @@ slot.  The per-demand routers and that loop are in `oracles.py`.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dcnsim.routing as routing
-from dcnsim.errors import SimulationError
+from dcnsim.errors import DomainError, SimulationError
 from dcnsim.power import PowerParams
 from dcnsim.assignment import STRATEGIES
 from dcnsim.errors import InfeasibleError
 from dcnsim.routing import MBPS_PER_GBPS, ROUTERS, ecmp_route, eer, sp_route
 from dcnsim.simengine import Scenario, run_scenario
 from dcnsim.topology import build_fat_tree
-from dcnsim.workload import Job, Transfer, demands_at
+from dcnsim.workload import Job, Transfer, demand_table, demands_at
 from oracles import ecmp_oracle, eer_oracle, run_each_slot, sp_oracle
 
 HORIZON = 6
@@ -103,21 +105,104 @@ def placed_jobs(draw):
     return jobs, assignment, t
 
 
-@SETTINGS
-@given(placed_jobs())
-def test_demands_match_the_per_entry_loop(case):
-    jobs, assignment, t = case
-    demands = demands_at(jobs, assignment, t)
-    expected = demands_loop(jobs, assignment, t)
+def _assert_demands(demands, t, expected):
+    """`demands` are slot t's `expected` flows, by dtype and by bytes."""
     src, dst, rate = ([flow[i] for flow in expected] for i in range(3))
     assert demands.timeslot == t
     assert (demands.src.dtype, demands.dst.dtype, demands.rate.dtype) == (
         np.int64, np.int64, np.float64)
-    assert demands.src.tolist() == src and demands.dst.tolist() == dst
+    assert demands.src.tobytes() == np.array(src, dtype=np.int64).tobytes()
+    assert demands.dst.tobytes() == np.array(dst, dtype=np.int64).tobytes()
     assert demands.rate.tobytes() == np.array(rate, dtype=np.float64).tobytes()
     flows = demands.flows
     assert flows == expected
     assert [tuple(map(type, f)) for f in flows] == [(int, int, float)] * len(flows)
+
+
+@SETTINGS
+@given(placed_jobs())
+def test_demands_match_the_per_entry_loop(case):
+    jobs, assignment, t = case
+    _assert_demands(demands_at(jobs, assignment, t), t,
+                    demands_loop(jobs, assignment, t))
+
+
+@st.composite
+def placed_workloads(draw):
+    """(jobs, assignment) over HORIZON slots at k = 4, 6 or 8.
+
+    Jobs have zero to three transfers whose windows lean towards slot 0
+    and the last slot, so they overlap; matrices hold zeros; VMs take one
+    to three slots, and VMs drawn from a small server pool share servers.
+    """
+    tree = build_fat_tree(draw(st.sampled_from([4, 6, 8])))
+    pool = draw(st.lists(st.integers(0, tree.num_servers - 1), min_size=1, max_size=4))
+    jobs, assignment = [], {}
+    for job_id in range(draw(st.integers(0, 5))):
+        n = draw(st.integers(1, 5))
+        trs = []
+        for _ in range(draw(st.integers(0, 3))):
+            start = draw(st.one_of(st.just(0), st.integers(0, HORIZON - 1)))
+            end = draw(st.one_of(st.just(HORIZON - 1), st.integers(start, HORIZON - 1)))
+            matrix = np.array(draw(st.lists(RATES, min_size=n * n, max_size=n * n)))
+            matrix = matrix.reshape(n, n)
+            np.fill_diagonal(matrix, 0.0)
+            trs.append(Transfer(start, end, matrix))
+        jobs.append(Job(id=job_id, vm_count=n, transfers=trs,
+                        vm_resource=draw(st.integers(1, 3))))
+        for m in range(n):
+            assignment[(job_id, m)] = draw(st.sampled_from(pool))
+    return jobs, assignment
+
+
+def _pair_flows(rates, n=2):
+    """A job per rate list whose VM pairs all send from server 0 to server 1.
+
+    VMs below n // 2 sit on server 0, the others on server 1; `rates`
+    fill the matrix entries from the first half to the second, row-major.
+    """
+    jobs, assignment = [], {}
+    for job_id, job_rates in enumerate(rates):
+        matrix = np.zeros((n, n))
+        matrix[: n // 2, n // 2 :].flat = job_rates
+        jobs.append(Job(id=job_id, vm_count=n,
+                        transfers=(Transfer(0, HORIZON - 1, matrix),)))
+        for m in range(n):
+            assignment[(job_id, m)] = int(m >= n // 2)
+    return jobs, assignment
+
+
+# 1e16 + 1.0 rounds back to 1e16, while 1.0 + 1.0 + 1e16 does not: adding
+# in another job order (first case) or in column-major order within a
+# job (second case) changes the rate.
+@SETTINGS
+@given(placed_workloads())
+@example(_pair_flows([[1e16], [1.0], [1.0]]))
+@example(_pair_flows([[1.0, 1e16, 1.0, 0.0]], n=4))
+def test_demand_table_matches_the_per_entry_loop_in_every_slot(case):
+    jobs, assignment = case
+    table = demand_table(jobs, assignment)
+    for t in range(HORIZON):
+        _assert_demands(table.at(t), t, demands_loop(jobs, assignment, t))
+
+
+@SETTINGS
+@given(placed_workloads(), st.data())
+def test_demands_at_needs_servers_only_for_active_jobs(case, data):
+    jobs, assignment = case
+    if not jobs:
+        return
+    job = data.draw(st.sampled_from(jobs))
+    m = data.draw(st.integers(0, job.vm_count - 1))
+    del assignment[(job.id, m)]
+    for t in range(HORIZON):
+        if job.traffic_at(t) is None:
+            _assert_demands(demands_at(jobs, assignment, t), t,
+                            demands_loop(jobs, assignment, t))
+            continue
+        with pytest.raises(DomainError) as raised:
+            demands_at(jobs, assignment, t)
+        assert str(raised.value) == f"job {job.id} VM {m} has no assigned server"
 
 
 @st.composite
