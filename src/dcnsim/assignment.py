@@ -218,6 +218,10 @@ def partition_into_racks(
     Edge weights aggregate the lifetime traffic between the units in
     both directions; the partition keeps the heaviest-communicating
     units together.  Returns groups of indices into super_vms.
+
+    With no more units than racks (k == count) the only partition into
+    k nonempty groups is one unit per group, so the weights cannot
+    change the answer and no graph is built.
     """
     if k_racks < 1:
         raise DomainError("k_racks must be >= 1")
@@ -227,12 +231,19 @@ def partition_into_racks(
     k = min(k_racks, count)
     if k == 1:
         return [list(range(count))]
+    if k == count:
+        return [[a] for a in range(count)]
+    members = [list(unit.members) for unit in super_vms]
+    rows = [t_ref[m] for m in members]
     graph = WeightedGraph(count)
     for a in range(count):
-        rows = list(super_vms[a].members)
         for b in range(a + 1, count):
-            cols = list(super_vms[b].members)
-            w = float(t_ref[np.ix_(rows, cols)].sum() + t_ref[np.ix_(cols, rows)].sum())
+            # take() keeps each block row-major, so it sums in the same
+            # order as t_ref[np.ix_(...)]; rows[a][:, ...] would not.
+            w = float(
+                rows[a].take(members[b], axis=1).sum()
+                + rows[b].take(members[a], axis=1).sum()
+            )
             if w > 0:
                 graph.add_edge(a, b, w)
     components, _ = min_k_cut(graph, k)

@@ -119,28 +119,6 @@ class CutTree:
             if self.parent[v] >= 0:
                 yield v, self.parent[v], self.weight[v]
 
-    def _path_to_root(self, v: int) -> list[int]:
-        path = [v]
-        while self.parent[path[-1]] >= 0:
-            path.append(self.parent[path[-1]])
-        return path
-
-    def min_cut(self, u: int, v: int) -> float:
-        """Minimum cut value between u and v in the source graph."""
-        if u == v:
-            raise DomainError(f"min cut undefined for identical vertices ({u})")
-        up, vp = self._path_to_root(u), self._path_to_root(v)
-        on_up = {node: i for i, node in enumerate(up)}
-        meet = next(node for node in vp if node in on_up)
-        cut = math.inf
-        for node in up[: on_up[meet]]:
-            cut = min(cut, self.weight[node])
-        for node in vp:
-            if node == meet:
-                break
-            cut = min(cut, self.weight[node])
-        return cut
-
 
 def gomory_hu_tree(graph: WeightedGraph) -> CutTree:
     """Gusfield's cut-tree construction: n-1 max-flow calls, no contraction.

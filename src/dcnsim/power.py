@@ -9,6 +9,7 @@ time), with the conversion to joules left to presentation code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import CapacityError, ConfigError, DomainError
@@ -33,6 +34,10 @@ class PowerParams:
     capacity: float = 1000.0
 
     def __post_init__(self):
+        for name in ("sigma", "mu", "alpha", "capacity"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.sigma < 0:
             raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
         if self.mu <= 0:

@@ -80,6 +80,10 @@ class Scenario:
                 f"route strategy must be one of {tuple(ROUTERS)}, "
                 f"got {self.route_strategy!r}"
             )
+        if not (math.isfinite(self.timeslot_seconds) and self.timeslot_seconds > 0):
+            raise ConfigError(
+                f"timeslot_seconds must be finite and > 0, got {self.timeslot_seconds}"
+            )
         if self.stochastic and self.seed is None:
             raise ConfigError(
                 f"{self.label} uses randomness and needs an explicit seed"

@@ -6,11 +6,14 @@ reproduce bit for bit.  They return `Plan`s for comparison with
 `dcnsim.routing.RoutingPlan`.  The first-fit placements rescan the
 servers from the first for every search, where `assignment` resumes a
 cursor.  `run_each_slot` is `run_scenario` as it was before segments:
-it builds, routes and meters every timeslot.
+it builds, routes and meters every timeslot.  `partition_oracle` cuts
+every job, building its rack graph with two `np.ix_` gathers per pair,
+and `tree_min_cut` reads a pairwise minimum cut off a Gomory-Hu tree.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +25,8 @@ from dcnsim.assignment import (
     assign,
     shrink_to_super_vms,
 )
-from dcnsim.errors import CapacityError, InfeasibleError
-from dcnsim.graphkit import ffd_pack, ordered_sum
+from dcnsim.errors import CapacityError, DomainError, InfeasibleError
+from dcnsim.graphkit import WeightedGraph, ffd_pack, min_k_cut, ordered_sum
 from dcnsim.power import switch_power
 from dcnsim.routing import MBPS_PER_GBPS, ROUTERS, ActiveSet, _pair_key
 from dcnsim.topology import AGG, CORE, TOR, build_fat_tree
@@ -292,6 +295,56 @@ def opt_greedy_oracle(jobs, tree) -> Assignment:
                 placements[(job.id, m)] = server
                 free[server] -= job.vm_resource
     return Assignment(placements)
+
+
+def partition_oracle(super_vms, t_ref, k_racks):
+    """`partition_into_racks` that cuts every job with two or more groups.
+
+    The rack graph takes two `np.ix_` blocks of `t_ref` per unit pair.
+    Returns (groups, the graph it cut or None).
+    """
+    if k_racks < 1:
+        raise DomainError("k_racks must be >= 1")
+    count = len(super_vms)
+    if count == 0:
+        return [], None
+    k = min(k_racks, count)
+    if k == 1:
+        return [list(range(count))], None
+    graph = WeightedGraph(count)
+    for a in range(count):
+        rows = list(super_vms[a].members)
+        for b in range(a + 1, count):
+            cols = list(super_vms[b].members)
+            w = float(t_ref[np.ix_(rows, cols)].sum() + t_ref[np.ix_(cols, rows)].sum())
+            if w > 0:
+                graph.add_edge(a, b, w)
+    components, _ = min_k_cut(graph, k)
+    return components, graph
+
+
+def tree_min_cut(tree, u: int, v: int) -> float:
+    """Minimum u-v cut of the source graph: the lightest edge on the tree path."""
+    if u == v:
+        raise DomainError(f"min cut undefined for identical vertices ({u})")
+
+    def path_to_root(node):
+        path = [node]
+        while tree.parent[path[-1]] >= 0:
+            path.append(tree.parent[path[-1]])
+        return path
+
+    up, vp = path_to_root(u), path_to_root(v)
+    on_up = {node: i for i, node in enumerate(up)}
+    meet = next(node for node in vp if node in on_up)
+    cut = math.inf
+    for node in up[: on_up[meet]]:
+        cut = min(cut, tree.weight[node])
+    for node in vp:
+        if node == meet:
+            break
+        cut = min(cut, tree.weight[node])
+    return cut
 
 
 def run_each_slot(scenario, jobs=None, on_plan=None):

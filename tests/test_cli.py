@@ -155,6 +155,25 @@ def test_report_path_check_leaves_the_path_as_it_was(tmp_path, monkeypatch):
     assert not missing.exists() and old.read_text() == "earlier report"
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--mu", "nan", "mu"),
+    ("--sigma", "inf", "sigma"),
+    ("--alpha", "nan", "alpha"),
+    ("--capacity-gbps", "inf", "capacity"),
+    ("--timeslot-seconds", "-5", "timeslot_seconds"),
+    ("--timeslot-seconds", "0", "timeslot_seconds"),
+    ("--timeslot-seconds", "nan", "timeslot_seconds"),
+    ("--timeslot-seconds", "inf", "timeslot_seconds"),
+])
+def test_non_finite_or_non_positive_values_are_config_errors(
+        tmp_path, capsys, flag, value, field):
+    out = tmp_path / "r.json"
+    assert main(["run", "--k", "4", "--utilization", "0.3", "--horizon", "4",
+                 flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field} must be ")
+    assert not out.exists()
+
+
 def test_sweep_reads_utilizations_and_repeats_from_the_config(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("k = 4\nutilizations = 0.3\nrepeats = 1\nhorizon = 4\n")

@@ -6,7 +6,9 @@ same order, and the same
 routes, loads (in the same key order) and violations from the same
 seed.  `run_scenario`, which routes each run of identical slots once,
 must give the report and the per-slot plans of a loop that routes every
-slot.  The per-demand routers and that loop are in `oracles.py`.
+slot.  The rack partition must give the groups, and build the graph,
+of one that gathers each block with `np.ix_`.  The per-demand routers,
+that loop and that partition are in `oracles.py`.
 """
 
 import numpy as np
@@ -14,16 +16,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dcnsim.assignment as assignment
 import dcnsim.routing as routing
 from dcnsim.errors import DomainError, SimulationError
 from dcnsim.power import PowerParams
-from dcnsim.assignment import STRATEGIES
+from dcnsim.assignment import (
+    STRATEGIES,
+    SuperVM,
+    partition_into_racks,
+    shrink_to_super_vms,
+    single_vm_units,
+)
+from dcnsim.graphkit import min_k_cut
 from dcnsim.errors import InfeasibleError
 from dcnsim.routing import MBPS_PER_GBPS, ROUTERS, ecmp_route, eer, sp_route
 from dcnsim.simengine import Scenario, run_scenario
 from dcnsim.topology import build_fat_tree
-from dcnsim.workload import Job, Transfer, demand_table, demands_at
-from oracles import ecmp_oracle, eer_oracle, run_each_slot, sp_oracle
+from dcnsim.workload import Job, Transfer, demand_table, demands_at, referential_matrix
+from oracles import ecmp_oracle, eer_oracle, partition_oracle, run_each_slot, sp_oracle
 
 HORIZON = 6
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -444,3 +454,67 @@ def test_eer_failure_in_a_later_segment_names_its_slot():
         "placement overloads ToR switches [0, 1] at t=3; no routing can relieve them",
     )
     assert got_plans == want_plans and [p[0] for p in got_plans] == [0, 1, 2]
+
+
+# --- the rack partition ------------------------------------------------------
+
+
+@st.composite
+def rack_partitions(draw):
+    """(units, t_ref, k_racks) for one job of 1-20 VMs.
+
+    The units are super-VMs (server capacity 1-4 over a `vm_resource` of
+    1-3) or single VMs.  Entries mix zeros, fractions and magnitudes
+    six orders apart, so another summation order changes the last bits
+    of a weight; some rows are all zero.
+    """
+    n = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    transfers = []
+    for _ in range(draw(st.integers(1, 2))):
+        scale = rng.choice([1.0, 1 / 3, 1e3, 1e6], size=(n, n))
+        matrix = rng.random((n, n)) * scale
+        matrix[rng.random((n, n)) < draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))] = 0.0
+        matrix[draw(st.lists(st.integers(0, n - 1), max_size=n))] = 0.0
+        np.fill_diagonal(matrix, 0.0)
+        transfers.append(Transfer(0, draw(st.integers(0, 2)), matrix))
+    job = Job(id=0, vm_count=n, transfers=transfers,
+              vm_resource=draw(st.one_of(st.just(1), st.integers(1, 3))))
+    if draw(st.booleans()):
+        units = shrink_to_super_vms(job, draw(st.one_of(st.just(4), st.integers(1, 4))))
+    else:
+        units = single_vm_units(job)
+    k_racks = draw(st.one_of(st.integers(2, 3), st.integers(1, 12)))
+    return units, referential_matrix(job), k_racks
+
+
+def _row_major_blocks():
+    """Three two-VM units whose 2x2 blocks sum to 1.3 row by row, not by column."""
+    t_ref = np.zeros((6, 6))
+    t_ref[np.ix_([0, 1], [2, 3])] = t_ref[np.ix_([2, 3], [0, 1])] = [[0.1, 0.1],
+                                                                      [1.0, 0.1]]
+    units = [SuperVM(0, (2 * i, 2 * i + 1), 2) for i in range(3)]
+    return units, t_ref, 2
+
+
+@SETTINGS
+@given(rack_partitions())
+@example(_row_major_blocks())
+def test_partition_matches_the_ix_reference(case):
+    units, t_ref, k_racks = case
+    want, want_graph = partition_oracle(units, t_ref, k_racks)
+    graphs = []
+
+    def recording_cut(graph, k):
+        graphs.append(graph)
+        return min_k_cut(graph, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assignment, "min_k_cut", recording_cut)
+        assert partition_into_racks(units, t_ref, k_racks) == want
+    if not 1 < k_racks < len(units):
+        assert graphs == []
+    else:
+        (graph,) = graphs
+        assert [list(adj.items()) for adj in graph.adj] == [
+            list(adj.items()) for adj in want_graph.adj]

@@ -14,7 +14,9 @@ from dcnsim.graphkit import (
     kmeans_pp_seed,
     max_flow_min_cut,
     min_k_cut,
+    ordered_sum,
 )
+from oracles import tree_min_cut
 
 
 def _random_graph(rng, n, density=0.6, max_w=10):
@@ -79,7 +81,7 @@ def test_gomory_hu_triangle_and_star():
         tri.add_edge(u, v, 1)
     tree = gomory_hu_tree(tri)
     for u, v in ((0, 1), (1, 2), (0, 2)):
-        assert tree.min_cut(u, v) == 2
+        assert tree_min_cut(tree, u, v) == 2
 
     star = WeightedGraph(4)
     weights = {1: 3.0, 2: 5.0, 3: 2.0}
@@ -89,7 +91,7 @@ def test_gomory_hu_triangle_and_star():
     for leaf, w in weights.items():
         for other in range(4):
             if other != leaf:
-                assert tree.min_cut(leaf, other) == min(
+                assert tree_min_cut(tree, leaf, other) == min(
                     w, weights.get(other, math.inf)
                 )
 
@@ -103,7 +105,7 @@ def test_gomory_hu_matches_pairwise_max_flow():
         for u in range(n):
             for v in range(u + 1, n):
                 direct, _ = max_flow_min_cut(g, u, v)
-                assert math.isclose(tree.min_cut(u, v), direct, rel_tol=1e-9)
+                assert math.isclose(tree_min_cut(tree, u, v), direct, rel_tol=1e-9)
 
 
 def test_gomory_hu_is_a_genuine_cut_tree():
@@ -199,6 +201,39 @@ def test_min_k_cut_is_partition_and_within_bound():
                 w for u, v, w in g.edges() if label[u] != label[v]
             )
             assert math.isclose(weight, recomputed, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_min_k_cut_within_bound_at_every_k():
+    # k = n must give the singletons, cut along every edge: the rack
+    # partition returns them without cutting when a job has no more
+    # units than racks.
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        n = int(rng.integers(2, 9))
+        g = _random_graph(rng, n, density=float(rng.choice([0.3, 0.6, 0.9])))
+        for k in range(2, n + 1):
+            comps, weight = min_k_cut(g, k)
+            assert sorted(v for comp in comps for v in comp) == list(range(n))
+            assert len(comps) == k
+            assert weight <= 2 * (1 - 1 / k) * _brute_force_k_cut(g, k) + 1e-9
+        assert comps == [[v] for v in range(n)]
+        assert weight == ordered_sum(w for _, _, w in g.edges())
+
+
+def test_max_flow_matches_scipy_on_integer_capacities():
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    sparse = pytest.importorskip("scipy.sparse")
+    rng = np.random.default_rng(43)
+    for _ in range(80):
+        n = int(rng.integers(2, 13))
+        g = _random_graph(rng, n, density=float(rng.choice([0.2, 0.5, 0.8])), max_w=50)
+        capacity = np.zeros((n, n), dtype=np.int32)
+        for u, v, w in g.edges():
+            capacity[u, v] = capacity[v, u] = int(w)
+        s, t = (int(x) for x in rng.choice(n, size=2, replace=False))
+        flow, _ = max_flow_min_cut(g, s, t)
+        expected = csgraph.maximum_flow(sparse.csr_array(capacity), s, t).flow_value
+        assert flow == expected
 
 
 def test_kmeans_seed_all_and_errors():
