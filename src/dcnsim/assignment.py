@@ -54,13 +54,6 @@ class Assignment:
     def __eq__(self, other):
         return isinstance(other, Assignment) and self.placements == other.placements
 
-    def server_slot_usage(self, jobs: Sequence[Job]) -> dict[int, int]:
-        resource = {job.id: job.vm_resource for job in jobs}
-        usage: dict[int, int] = {}
-        for (job_id, _), server in self.placements.items():
-            usage[server] = usage.get(server, 0) + resource[job_id]
-        return usage
-
     def validate(self, jobs: Sequence[Job], tree: FatTree) -> None:
         """Check totality, uniqueness of placement and server capacity."""
         expected = {(job.id, m) for job in jobs for m in range(job.vm_count)}
@@ -70,11 +63,15 @@ class Assignment:
         extra = set(self.placements) - expected
         if extra:
             raise DomainError(f"assignment covers unknown VMs: {sorted(extra)[:5]}")
-        for usage_server, used in self.server_slot_usage(jobs).items():
-            tree.check_server(usage_server)
+        resource = {job.id: job.vm_resource for job in jobs}
+        usage: dict[int, int] = {}
+        for (job_id, _), server in self.placements.items():
+            usage[server] = usage.get(server, 0) + resource[job_id]
+        for server, used in usage.items():
+            tree.check_server(server)
             if used > tree.server_capacity:
                 raise DomainError(
-                    f"server {usage_server} holds {used} slots > capacity "
+                    f"server {server} holds {used} slots > capacity "
                     f"{tree.server_capacity}"
                 )
 
@@ -102,36 +99,30 @@ def shrink_to_super_vms(job: Job, server_slot_capacity: int) -> list[SuperVM]:
     """
     if server_slot_capacity < 1:
         raise DomainError("server capacity must be >= 1")
-    n = job.vm_count
     max_members = server_slot_capacity // job.vm_resource
     if max_members <= 1:
-        return [SuperVM(job.id, (m,), job.vm_resource) for m in range(n)]
+        return single_vm_units(job)
 
-    work = referential_matrix(job).copy()
-    alive = set(range(n))
+    work = referential_matrix(job)
+    n = job.vm_count
+    alive = np.ones(n, dtype=bool)
+    off_diagonal = ~np.eye(n, dtype=bool)
     groups: list[list[int]] = []
-    while len(alive) >= 2:
-        order = sorted(alive)
-        m1, m2, best = -1, -1, -math.inf
-        for a in order:
-            for b in order:
-                if a != b and work[a, b] > best:
-                    m1, m2, best = a, b, work[a, b]
+    while np.count_nonzero(alive) >= 2:
+        # argmax returns the first maximum in row-major order, which is
+        # the lowest-index tie rule; the masks keep it to live VMs.
+        pairs = alive[:, None] & alive & off_diagonal
+        m1, m2 = divmod(int(np.where(pairs, work, -math.inf).argmax()), n)
         group = [m1, m2]
         _absorb(work, m1, m2)
-        alive.discard(m2)
-        while len(group) < max_members and len(alive) >= 2:
-            target, best = -1, -math.inf
-            for b in sorted(alive):
-                if b != m1 and work[m1, b] > best:
-                    target, best = b, work[m1, b]
+        alive[m1] = alive[m2] = False
+        while len(group) < max_members and np.count_nonzero(alive):
+            target = int(np.where(alive, work[m1], -math.inf).argmax())
             group.append(target)
             _absorb(work, m1, target)
-            alive.discard(target)
-        alive.discard(m1)
+            alive[target] = False
         groups.append(sorted(group))
-    for leftover in sorted(alive):
-        groups.append([leftover])
+    groups += [[m] for m in np.flatnonzero(alive).tolist()]
     return [
         SuperVM(job.id, tuple(g), len(g) * job.vm_resource) for g in groups
     ]
@@ -327,19 +318,7 @@ def pack_cluster_into_pod(
                 [s for rack in _by_emptiest(pod) for s in pod.racks[rack]], free
             )
             for unit in sorted(group, key=lambda u: (-u.size, u.members)):
-                server = fit.server(unit.size)
-                if server is not None:
-                    _commit(placements, free, unit, server)
-                    continue
-                # Fragmented free slots: place the unit's VMs one by one.
-                for m in unit.members:
-                    server = fit.server(job.vm_resource)
-                    if server is None:
-                        raise InfeasibleError(
-                            f"pod overflow while packing job {job.id}"
-                        )
-                    placements[(job.id, m)] = server
-                    free[server] -= job.vm_resource
+                _place_unit(unit, job, fit, placements)
         pod.resort()
     return placements, warnings
 
@@ -384,29 +363,20 @@ class _FirstFit:
 
 def greedy_assign(jobs: Sequence[Job], tree: FatTree) -> Assignment:
     """First-fit: VMs in (job, vm index) order onto the first open server."""
-    _check_total_demand(jobs, tree)
-    free = {s: tree.server_capacity for s in range(tree.num_servers)}
-    fit = _FirstFit(range(tree.num_servers), free)
+    fit = _first_fit_over(jobs, tree)
     placements: dict[tuple[int, int], int] = {}
     for job in jobs:
-        for m in range(job.vm_count):
-            server = fit.server(job.vm_resource)
-            if server is None:
-                raise InfeasibleError(f"no server can host job {job.id} VM {m}")
-            placements[(job.id, m)] = server
-            free[server] -= job.vm_resource
+        _place_vms(job, range(job.vm_count), fit, placements)
     return Assignment(placements)
 
 
 def opt_greedy_assign(jobs: Sequence[Job], tree: FatTree) -> Assignment:
     """First-fit over super-VMs: merge first, then place groups greedily."""
-    _check_total_demand(jobs, tree)
-    free = {s: tree.server_capacity for s in range(tree.num_servers)}
-    fit = _FirstFit(range(tree.num_servers), free)
+    fit = _first_fit_over(jobs, tree)
     placements: dict[tuple[int, int], int] = {}
     for job in jobs:
         for unit in shrink_to_super_vms(job, tree.server_capacity):
-            _place_unit_anywhere(unit, job, fit, placements)
+            _place_unit(unit, job, fit, placements)
     return Assignment(placements)
 
 
@@ -425,7 +395,8 @@ def opt_eea(
 
 
 def _pipeline_assign(jobs, tree, seed, horizon, shrink) -> Assignment:
-    _check_total_demand(jobs, tree)
+    anywhere = _first_fit_over(jobs, tree)
+    free = anywhere.free
     if horizon is None:
         horizon = max(
             (tr.end + 1 for job in jobs for tr in job.transfers), default=1
@@ -439,8 +410,6 @@ def _pipeline_assign(jobs, tree, seed, horizon, shrink) -> Assignment:
         for job in jobs
     }
     by_id = {job.id: job for job in jobs}
-    free = {s: tree.server_capacity for s in range(tree.num_servers)}
-    anywhere = _FirstFit(range(tree.num_servers), free)
     placements: dict[tuple[int, int], int] = {}
 
     # Jobs larger than a pod cannot be clustered; place them greedily first.
@@ -448,7 +417,7 @@ def _pipeline_assign(jobs, tree, seed, horizon, shrink) -> Assignment:
     for job in jobs:
         if job.slots > tree.pod_slot_capacity:
             for unit in units_of[job.id]:
-                _place_unit_anywhere(unit, job, anywhere, placements)
+                _place_unit(unit, job, anywhere, placements)
 
     n_pods = estimate_pod_count(normal, tree.pod_slot_capacity)
     if n_pods == 0:
@@ -488,35 +457,40 @@ def _pipeline_assign(jobs, tree, seed, horizon, shrink) -> Assignment:
             if server is not None:
                 _commit(placements, free, unit, server)
             else:
-                _place_unit_anywhere(unit, job, anywhere, placements)
+                _place_unit(unit, job, anywhere, placements)
     return Assignment(placements)
 
 
-def _place_unit_anywhere(unit: SuperVM, job: Job, fit: _FirstFit, placements):
-    free = fit.free
-    server = fit.server(unit.size)
-    if server is not None:
-        _commit(placements, free, unit, server)
-        return
-    # Slot fragmentation can strand a multi-VM unit even when total free
-    # capacity suffices; fall back to placing its VMs one by one.
-    for m in unit.members:
-        server = fit.server(job.vm_resource)
-        if server is None:
-            raise InfeasibleError(
-                f"datacenter overflow: job {job.id} VM {m} cannot be placed"
-            )
-        placements[(job.id, m)] = server
-        free[server] -= job.vm_resource
-
-
-def _check_total_demand(jobs: Sequence[Job], tree: FatTree) -> None:
+def _first_fit_over(jobs: Sequence[Job], tree: FatTree) -> _FirstFit:
+    """First-fit over every server of the empty datacenter, once the jobs fit."""
     total = sum(job.slots for job in jobs)
     if total > tree.total_slots:
         raise InfeasibleError(
             f"workload requests {total} slots but the datacenter has "
             f"{tree.total_slots}"
         )
+    free = {s: tree.server_capacity for s in range(tree.num_servers)}
+    return _FirstFit(range(tree.num_servers), free)
+
+
+def _place_unit(unit: SuperVM, job: Job, fit: _FirstFit, placements) -> None:
+    server = fit.server(unit.size)
+    if server is not None:
+        _commit(placements, fit.free, unit, server)
+    else:
+        # Slot fragmentation can strand a multi-VM unit even when total
+        # free capacity suffices; place its VMs one by one.
+        _place_vms(job, unit.members, fit, placements)
+
+
+def _place_vms(job: Job, members: Iterable[int], fit: _FirstFit, placements) -> None:
+    free = fit.free
+    for m in members:
+        server = fit.server(job.vm_resource)
+        if server is None:
+            raise InfeasibleError(f"no server can host job {job.id} VM {m}")
+        placements[(job.id, m)] = server
+        free[server] -= job.vm_resource
 
 
 STRATEGIES = {

@@ -64,6 +64,11 @@ def _option(args, cfg, name, cast, default=None):
     return default
 
 
+def _present(**values) -> dict:
+    """The values that are set; an unset option keeps its library default."""
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def _check_writable(path) -> None:
     """Raise the OSError that writing `path` would raise, leaving it as it was."""
     existed = os.path.exists(path)
@@ -74,33 +79,34 @@ def _check_writable(path) -> None:
 
 
 def _power_from(args, cfg) -> PowerParams:
-    return PowerParams(
-        sigma=_option(args, cfg, "sigma", float, 200.0),
-        mu=_option(args, cfg, "mu", float, 1e-4),
-        alpha=_option(args, cfg, "alpha", float, 2.0),
-        capacity=_option(args, cfg, "capacity_gbps", float, 1000.0),
-    )
+    return PowerParams(**_present(
+        sigma=_option(args, cfg, "sigma", float),
+        mu=_option(args, cfg, "mu", float),
+        alpha=_option(args, cfg, "alpha", float),
+        capacity=_option(args, cfg, "capacity_gbps", float),
+    ))
 
 
 def cmd_gen(args) -> int:
     cfg = parse_config_file(args.config) if args.config else {}
     k = _option(args, cfg, "k", int)
     utilization = _option(args, cfg, "utilization", float)
-    seed = _option(args, cfg, "seed", int, 0)
-    horizon = _option(args, cfg, "horizon", int, 100)
-    server_capacity = _option(args, cfg, "server_capacity", int, 2)
+    # Unseeded, gen draws the workload that an unseeded `run` draws.
+    seed = _option(args, cfg, "seed", int, Scenario.seed)
     if k is None or utilization is None:
         raise ConfigError("gen needs --k and --utilization")
     wl_cfg = WorkloadConfig(
-        k=k, target_utilization=utilization, horizon=horizon,
-        server_capacity=server_capacity,
+        k=k, target_utilization=utilization, **_present(
+            horizon=_option(args, cfg, "horizon", int),
+            server_capacity=_option(args, cfg, "server_capacity", int),
+        ),
     )
     jobs = generate_workload(wl_cfg, seed)
     save_workload(
-        args.out, jobs, horizon=horizon, seed=seed,
+        args.out, jobs, horizon=wl_cfg.horizon, seed=seed,
         config={
             "k": k, "utilization": utilization,
-            "server_capacity": server_capacity,
+            "server_capacity": wl_cfg.server_capacity,
         },
     )
     print(f"wrote {len(jobs)} jobs ({sum(j.slots for j in jobs)} slots) to {args.out}")
@@ -129,14 +135,16 @@ def cmd_run(args) -> int:
         k=k,
         assign_strategy=_option(args, cfg, "assign", str, "greedy"),
         route_strategy=_option(args, cfg, "route", str, "sp"),
-        seed=_option(args, cfg, "seed", int, 0),
         utilization=utilization,
         workload_seed=workload_seed,
         workload_path=workload_path,
-        horizon=100 if horizon is None else horizon,
-        server_capacity=_option(args, cfg, "server_capacity", int, 2),
-        timeslot_seconds=_option(args, cfg, "timeslot_seconds", float, 60.0),
         power=_power_from(args, cfg),
+        **_present(
+            seed=_option(args, cfg, "seed", int),
+            horizon=horizon,
+            server_capacity=_option(args, cfg, "server_capacity", int),
+            timeslot_seconds=_option(args, cfg, "timeslot_seconds", float),
+        ),
     )
     _check_writable(args.out)  # before the run, not after it
     route_writer = None
@@ -201,10 +209,12 @@ def cmd_sweep(args) -> int:
         k=k,
         utilizations=utilizations,
         repeats=_option(args, cfg, "repeats", int, SWEEP_REPEATS),
-        base_seed=_option(args, cfg, "seed", int, 0),
-        horizon=_option(args, cfg, "horizon", int, 100),
-        server_capacity=_option(args, cfg, "server_capacity", int, 2),
         power=_power_from(args, cfg),
+        **_present(
+            base_seed=_option(args, cfg, "seed", int),
+            horizon=_option(args, cfg, "horizon", int),
+            server_capacity=_option(args, cfg, "server_capacity", int),
+        ),
     )
     for index, report in enumerate(reports):
         sc = report.scenario

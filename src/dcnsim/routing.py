@@ -118,11 +118,11 @@ class RoutingPlan:
         ]
 
 
-def _demand_set(demands, timeslot: int) -> DemandSet:
+def _demand_set(demands) -> DemandSet:
     """A DemandSet as given, or one of hand-built (src, dst, rate) tuples."""
     if isinstance(demands, DemandSet):
         return demands
-    return DemandSet.of(demands, timeslot)
+    return DemandSet.of(demands)
 
 
 def _paths(tree: FatTree, src_tor, dst_tor, position, index):
@@ -168,7 +168,7 @@ def _route(demands, tree: FatTree, params, timeslot, choose) -> RoutingPlan:
     position and core index, which a same-rack demand (it rides its ToR
     alone) and, for the core, a same-pod demand ignore.
     """
-    demands = _demand_set(demands, timeslot)
+    demands = _demand_set(demands)
     spr = tree.servers_per_rack
     src_tor, dst_tor = demands.src // spr, demands.dst // spr
     position, index = choose(demands.src, demands.dst, src_tor, dst_tor)
@@ -256,7 +256,7 @@ def estimate_active_set(
     every count (escalation retry).
     """
     cap = params.capacity
-    demands = _demand_set(demands, 0)
+    demands = _demand_set(demands)
     spr, spp = tree.servers_per_rack, tree.servers_per_pod
     keep = demands.src // spr != demands.dst // spr
     gbps = demands.rate[keep] / MBPS_PER_GBPS
@@ -336,12 +336,11 @@ def balanced_route(
     load among its own switches (ties: first candidate, position-major).
     Endpoint ToRs are always allowed; a same-rack demand rides its ToR.
     """
-    demands = _demand_set(demands, timeslot)
+    demands = _demand_set(demands)
     by_size = pair_order(demands.src, demands.dst)
     by_size = by_size[(-demands.rate[by_size]).argsort(kind="stable")]
     ordered = DemandSet(
-        demands.timeslot,
-        demands.src[by_size], demands.dst[by_size], demands.rate[by_size],
+        demands.src[by_size], demands.dst[by_size], demands.rate[by_size]
     )
     spr, half = tree.servers_per_rack, tree.half
     src_tor, dst_tor = ordered.src // spr, ordered.dst // spr
@@ -449,7 +448,7 @@ def eer(
     overloaded ToR fails at once: its load is fixed by the placement,
     not the routing.
     """
-    demands = _demand_set(demands, timeslot)
+    demands = _demand_set(demands)
     active = estimate_active_set(demands, tree, params)
     plan = balanced_route(demands, tree, active, params, timeslot)
     tors = [sw for sw in plan.violations if tree.layer(sw) == TOR]

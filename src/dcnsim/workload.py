@@ -38,6 +38,8 @@ class Transfer:
         m = self.matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError(f"traffic matrix must be square, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise DomainError("traffic matrix entries must be finite")
         if (m < 0).any():
             raise DomainError("traffic matrix entries must be >= 0")
         if np.diagonal(m).any():
@@ -94,17 +96,15 @@ class DemandSet:
     `rate[i]` Mbps.
     """
 
-    timeslot: int
     src: np.ndarray  # int64
     dst: np.ndarray  # int64
     rate: np.ndarray  # float64
 
     @classmethod
-    def of(cls, flows, timeslot: int = 0) -> DemandSet:
+    def of(cls, flows) -> DemandSet:
         """The demands of hand-built (src, dst, rate) tuples, in their order."""
         src, dst, rate = zip(*flows) if flows else ((), (), ())
         return cls(
-            timeslot,
             np.array(src, dtype=np.int64),
             np.array(dst, dtype=np.int64),
             np.array(rate, dtype=float),
@@ -270,7 +270,7 @@ class DemandTable:
         src, dst, rate = self.src[keep], self.dst[keep], self.rate[keep]
         if not len(src):
             empty = np.empty(0, dtype=np.int64)
-            return DemandSet(t, empty, empty, np.empty(0))
+            return DemandSet(empty, empty, np.empty(0))
         first = np.empty(len(src), dtype=bool)
         first[0] = True
         first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
@@ -278,7 +278,7 @@ class DemandTable:
         group -= 1
         rate = np.bincount(group, weights=rate)
         return DemandSet(
-            t, src[first].astype(np.int64), dst[first].astype(np.int64), rate
+            src[first].astype(np.int64), dst[first].astype(np.int64), rate
         )
 
 
@@ -414,7 +414,8 @@ def load_document(path, kind: str, version: int, build):
     """Read a versioned JSON file and return `build(document)`.
 
     A file that is not JSON, holds no JSON object or another version, or
-    whose document lacks a key or holds a value of the wrong type, raises
+    whose document lacks a key or holds a value of the wrong type or out
+    of its domain (a negative or non-finite rate, say), raises
     ConfigError naming the file.
     """
     with open(path) as fh:
@@ -432,7 +433,7 @@ def load_document(path, kind: str, version: int, build):
         return build(doc)
     except KeyError as exc:
         raise ConfigError(f"{kind} file {path} lacks the key {exc.args[0]!r}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, DomainError, TypeError, ValueError) as exc:
         raise ConfigError(f"{kind} file {path} is malformed: {exc}") from exc
 
 

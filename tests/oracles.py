@@ -8,7 +8,9 @@ servers from the first for every search, where `assignment` resumes a
 cursor.  `run_each_slot` is `run_scenario` as it was before segments:
 it builds, routes and meters every timeslot.  `partition_oracle` cuts
 every job, building its rack graph with two `np.ix_` gathers per pair,
-and `tree_min_cut` reads a pairwise minimum cut off a Gomory-Hu tree.
+`shrink_oracle` merges super-VMs with nested Python scans for each
+maximum, and `tree_min_cut` reads a pairwise minimum cut off a
+Gomory-Hu tree.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import numpy as np
 from dcnsim import simengine
 from dcnsim.assignment import (
     Assignment,
-    _check_total_demand,
+    SuperVM,
+    _absorb,
+    _first_fit_over,
     assign,
     shrink_to_super_vms,
 )
@@ -30,7 +34,7 @@ from dcnsim.graphkit import WeightedGraph, ffd_pack, min_k_cut, ordered_sum
 from dcnsim.power import switch_power
 from dcnsim.routing import MBPS_PER_GBPS, ROUTERS, ActiveSet, _pair_key
 from dcnsim.topology import AGG, CORE, TOR, build_fat_tree
-from dcnsim.workload import demands_at
+from dcnsim.workload import demands_at, referential_matrix
 
 
 @dataclass
@@ -255,8 +259,7 @@ class RescanFirstFit:
 
 def greedy_oracle(jobs, tree) -> Assignment:
     """`greedy_assign` with every VM's search starting from server 0."""
-    _check_total_demand(jobs, tree)
-    free = {s: tree.server_capacity for s in range(tree.num_servers)}
+    free = _first_fit_over(jobs, tree).free
     placements = {}
     for job in jobs:
         for m in range(job.vm_count):
@@ -274,9 +277,8 @@ def opt_greedy_oracle(jobs, tree) -> Assignment:
     A super-VM no server has room for falls back to placing its VMs one
     by one.
     """
-    _check_total_demand(jobs, tree)
     servers = range(tree.num_servers)
-    free = {s: tree.server_capacity for s in servers}
+    free = _first_fit_over(jobs, tree).free
     placements = {}
     for job in jobs:
         for unit in shrink_to_super_vms(job, tree.server_capacity):
@@ -289,12 +291,53 @@ def opt_greedy_oracle(jobs, tree) -> Assignment:
             for m in unit.members:
                 server = first_fit_server(servers, free, job.vm_resource)
                 if server is None:
-                    raise InfeasibleError(
-                        f"datacenter overflow: job {job.id} VM {m} cannot be placed"
-                    )
+                    raise InfeasibleError(f"no server can host job {job.id} VM {m}")
                 placements[(job.id, m)] = server
                 free[server] -= job.vm_resource
     return Assignment(placements)
+
+
+def shrink_oracle(job, server_slot_capacity: int) -> list[SuperVM]:
+    """`shrink_to_super_vms` with nested Python scans for every maximum.
+
+    Each scan walks the live VMs in index order and keeps the first
+    strictly larger value, so ties go to the lowest index, row-major.
+    """
+    if server_slot_capacity < 1:
+        raise DomainError("server capacity must be >= 1")
+    n = job.vm_count
+    max_members = server_slot_capacity // job.vm_resource
+    if max_members <= 1:
+        return [SuperVM(job.id, (m,), job.vm_resource) for m in range(n)]
+
+    work = referential_matrix(job).copy()
+    alive = set(range(n))
+    groups: list[list[int]] = []
+    while len(alive) >= 2:
+        order = sorted(alive)
+        m1, m2, best = -1, -1, -math.inf
+        for a in order:
+            for b in order:
+                if a != b and work[a, b] > best:
+                    m1, m2, best = a, b, work[a, b]
+        group = [m1, m2]
+        _absorb(work, m1, m2)
+        alive.discard(m2)
+        while len(group) < max_members and len(alive) >= 2:
+            target, best = -1, -math.inf
+            for b in sorted(alive):
+                if b != m1 and work[m1, b] > best:
+                    target, best = b, work[m1, b]
+            group.append(target)
+            _absorb(work, m1, target)
+            alive.discard(target)
+        alive.discard(m1)
+        groups.append(sorted(group))
+    for leftover in sorted(alive):
+        groups.append([leftover])
+    return [
+        SuperVM(job.id, tuple(g), len(g) * job.vm_resource) for g in groups
+    ]
 
 
 def partition_oracle(super_vms, t_ref, k_racks):

@@ -291,6 +291,20 @@ def test_opt_greedy_cohosts_pairs():
     assert assignment[(0, 0)] == assignment[(0, 1)]
 
 
+def test_opt_greedy_places_a_stranded_super_vm_one_vm_at_a_time():
+    # Sixteen 2-VM jobs leave each of k=4's sixteen 3-slot servers one
+    # slot free, so the last job's 3-slot super-VM fits no server whole.
+    tree = build_fat_tree(4, server_capacity=3)
+    pair = np.array([[0.0, 50.0], [50.0, 0.0]])
+    trio = np.full((3, 3), 50.0) - np.diag([50.0] * 3)
+    jobs = [Job(id=j, vm_count=2, transfers=(Transfer(0, 5, pair),)) for j in range(16)]
+    jobs.append(Job(id=16, vm_count=3, transfers=(Transfer(0, 5, trio),)))
+    assert shrink_to_super_vms(jobs[-1], 3) == [SuperVM(16, (0, 1, 2), 3)]
+    want = {(j, m): j for j in range(16) for m in range(2)}
+    want.update({(16, 0): 0, (16, 1): 1, (16, 2): 2})
+    assert opt_greedy_assign(jobs, tree).placements == want
+
+
 def test_opt_eea_cohosts_two_vm_job():
     tree = build_fat_tree(4)
     m = np.array([[0.0, 50.0], [50.0, 0.0]])

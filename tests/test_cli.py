@@ -6,8 +6,8 @@ import json
 import pytest
 
 from dcnsim.cli import main
-from dcnsim.simengine import TABLE_COLUMNS, load_report
-from dcnsim.workload import load_workload
+from dcnsim.simengine import TABLE_COLUMNS, Scenario, load_report
+from dcnsim.workload import WorkloadConfig, generate_workload, load_workload
 
 
 def test_gen_run_compare_pipeline(tmp_path):
@@ -172,6 +172,42 @@ def test_non_finite_or_non_positive_values_are_config_errors(
                  flag, value, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field} must be ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+@pytest.mark.parametrize("route", ["sp", "eer"])
+def test_non_finite_traffic_entries_are_config_errors(tmp_path, capsys, entry, route):
+    wl = tmp_path / "wl.json"
+    wl.write_text(
+        '{"version": 1, "horizon": 4, "seed": 0, "config": {}, "jobs": [{"id": 0, '
+        '"vm_count": 2, "transfers": [{"start": 0, "end": 1, "matrix": '
+        f'[[0, {entry}], [5, 0]]}}]}}]}}'
+    )
+    out = tmp_path / "r.json"
+    assert main(["run", "--workload", str(wl), "--k", "4", "--server-capacity", "1",
+                 "--route", route, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(wl) in err and "finite" in err
+    assert not out.exists()
+
+
+def test_unset_options_keep_the_library_defaults(tmp_path):
+    wl, out = tmp_path / "wl.json", tmp_path / "r.json"
+    assert main(["gen", "--k", "4", "--utilization", "0.3", "--out", str(wl)]) == 0
+    assert main(["run", "--k", "4", "--utilization", "0.3", "--out", str(out)]) == 0
+    scenario = Scenario(k=4, assign_strategy="greedy", route_strategy="sp",
+                        utilization=0.3)
+    assert load_report(out).scenario == scenario.describe()
+    jobs, meta = load_workload(wl)
+    cfg = WorkloadConfig(k=4, target_utilization=0.3)
+
+    def drawn(jobs):
+        return [(job.id, job.vm_count, [(tr.start, tr.end, tr.matrix.tolist())
+                                        for tr in job.transfers]) for job in jobs]
+
+    assert drawn(jobs) == drawn(generate_workload(cfg, scenario.seed))
+    assert (meta["horizon"], meta["seed"], meta["config"]["server_capacity"]) == (
+        cfg.horizon, scenario.seed, cfg.server_capacity)
 
 
 def test_sweep_reads_utilizations_and_repeats_from_the_config(tmp_path, capsys):

@@ -7,8 +7,9 @@ routes, loads (in the same key order) and violations from the same
 seed.  `run_scenario`, which routes each run of identical slots once,
 must give the report and the per-slot plans of a loop that routes every
 slot.  The rack partition must give the groups, and build the graph,
-of one that gathers each block with `np.ix_`.  The per-demand routers,
-that loop and that partition are in `oracles.py`.
+of one that gathers each block with `np.ix_`, and the super-VM merge
+the groups of nested Python scans.  The per-demand routers, that loop,
+that partition and that merge are in `oracles.py`.
 """
 
 import numpy as np
@@ -33,7 +34,14 @@ from dcnsim.routing import MBPS_PER_GBPS, ROUTERS, ecmp_route, eer, sp_route
 from dcnsim.simengine import Scenario, run_scenario
 from dcnsim.topology import build_fat_tree
 from dcnsim.workload import Job, Transfer, demand_table, demands_at, referential_matrix
-from oracles import ecmp_oracle, eer_oracle, partition_oracle, run_each_slot, sp_oracle
+from oracles import (
+    ecmp_oracle,
+    eer_oracle,
+    partition_oracle,
+    run_each_slot,
+    shrink_oracle,
+    sp_oracle,
+)
 
 HORIZON = 6
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -115,10 +123,9 @@ def placed_jobs(draw):
     return jobs, assignment, t
 
 
-def _assert_demands(demands, t, expected):
-    """`demands` are slot t's `expected` flows, by dtype and by bytes."""
+def _assert_demands(demands, expected):
+    """`demands` are the `expected` flows, by dtype and by bytes."""
     src, dst, rate = ([flow[i] for flow in expected] for i in range(3))
-    assert demands.timeslot == t
     assert (demands.src.dtype, demands.dst.dtype, demands.rate.dtype) == (
         np.int64, np.int64, np.float64)
     assert demands.src.tobytes() == np.array(src, dtype=np.int64).tobytes()
@@ -133,8 +140,7 @@ def _assert_demands(demands, t, expected):
 @given(placed_jobs())
 def test_demands_match_the_per_entry_loop(case):
     jobs, assignment, t = case
-    _assert_demands(demands_at(jobs, assignment, t), t,
-                    demands_loop(jobs, assignment, t))
+    _assert_demands(demands_at(jobs, assignment, t), demands_loop(jobs, assignment, t))
 
 
 @st.composite
@@ -193,7 +199,7 @@ def test_demand_table_matches_the_per_entry_loop_in_every_slot(case):
     jobs, assignment = case
     table = demand_table(jobs, assignment)
     for t in range(HORIZON):
-        _assert_demands(table.at(t), t, demands_loop(jobs, assignment, t))
+        _assert_demands(table.at(t), demands_loop(jobs, assignment, t))
 
 
 @SETTINGS
@@ -207,7 +213,7 @@ def test_demands_at_needs_servers_only_for_active_jobs(case, data):
     del assignment[(job.id, m)]
     for t in range(HORIZON):
         if job.traffic_at(t) is None:
-            _assert_demands(demands_at(jobs, assignment, t), t,
+            _assert_demands(demands_at(jobs, assignment, t),
                             demands_loop(jobs, assignment, t))
             continue
         with pytest.raises(DomainError) as raised:
@@ -518,3 +524,39 @@ def test_partition_matches_the_ix_reference(case):
         (graph,) = graphs
         assert [list(adj.items()) for adj in graph.adj] == [
             list(adj.items()) for adj in want_graph.adj]
+
+
+# --- the super-VM merge ------------------------------------------------------
+
+
+@st.composite
+def merge_cases(draw):
+    """(job, server capacity) for one job of 1-12 VMs.
+
+    Entries are the integers 0-2, so many pairs tie for the maximum and
+    the tie rule decides most merges.
+    """
+    n = draw(st.integers(1, 12))
+    matrix = np.array(
+        draw(st.lists(st.integers(0, 2), min_size=n * n, max_size=n * n)),
+        dtype=float,
+    ).reshape(n, n)
+    np.fill_diagonal(matrix, 0.0)
+    job = Job(id=0, vm_count=n, transfers=(Transfer(0, 0, matrix),),
+              vm_resource=draw(st.integers(1, 3)))
+    return job, draw(st.integers(1, 5))
+
+
+def _column_tie():
+    """Entries (0, 2) and (1, 0) tie: row-major order meets (0, 2) first."""
+    matrix = np.zeros((3, 3))
+    matrix[0, 2] = matrix[1, 0] = 1.0
+    return Job(id=0, vm_count=3, transfers=(Transfer(0, 0, matrix),)), 2
+
+
+@SETTINGS
+@given(merge_cases())
+@example(_column_tie())
+def test_merge_matches_the_nested_scan(case):
+    job, capacity = case
+    assert shrink_to_super_vms(job, capacity) == shrink_oracle(job, capacity)
