@@ -14,13 +14,18 @@ up-down paths:
 
 Every router takes a slot's DemandSet and works on whole arrays.  A
 same-rack demand rides its ToR alone, so only inter-rack demands reach
-a path choice: sp's pair hash and ecmp's draws are array operations,
-and eer's greedy loop visits only them.  sp and ecmp share one routing
-core and differ only in its choice.  Switch loads come from one ordered
-bincount over every path's switches.  Demand rates arrive in Mbps;
-switch loads are kept in Gbps.  Every plan lists its switches over
-capacity; eer treats them as errors since it controls its own active
-set.
+a path choice: sp's pair hash and ecmp's draws are array operations.
+eer sizes its active set with ordered bincounts, and calls the
+first-fit-decreasing packer only for a pod or core layer whose flows
+do not fit one switch.  A demand whose pod pair has one allowed path is
+forced onto it by table lookup; eer's greedy loop visits only the
+demands whose choice or load can matter: those with a choice, and the
+forced ones that load a switch some choice reads.  sp and ecmp share
+one routing core and differ only in its choice.  Switch loads come from
+one ordered bincount over every path's switches.  Demand rates arrive
+in Mbps; switch loads are kept in Gbps.  Every plan lists its switches
+over capacity; eer treats them as errors since it controls its own
+active set.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import CapacityError, InfeasibleError
-from .graphkit import ffd_pack, ordered_sum
+from .graphkit import ffd_one_bin, ffd_pack
 from .power import PowerParams
 from .topology import TOR, FatTree
 from .workload import DemandSet, pair_order
@@ -254,51 +259,65 @@ def estimate_active_set(
     selected cores connect them; cores are taken round-robin across the
     reachable groups.  Same-rack demands need neither.  `extra` widens
     every count (escalation retry).
+
+    Each layer's total is one ordered bincount over the inter-rack
+    demands' items, in the order the flows join each pod's list and the
+    core's, so it adds what a left-to-right sum of those lists adds.
+    `ffd_one_bin` decides exactly when FFD needs one bin; only the other
+    layers are packed by `ffd_pack`.
     """
     cap = params.capacity
     demands = _demand_set(demands)
     spr, spp = tree.servers_per_rack, tree.servers_per_pod
     keep = demands.src // spr != demands.dst // spr
+    src, dst = demands.src[keep], demands.dst[keep]
     gbps = demands.rate[keep] / MBPS_PER_GBPS
-    pod_items: dict[int, list[float]] = {}
-    core_items: list[float] = []
-    cross_pods: set[int] = set()
-    for src, dst, g in zip(
-        demands.src[keep].tolist(), demands.dst[keep].tolist(), gbps.tolist()
-    ):
-        if g > cap:
-            raise InfeasibleError(
-                f"demand {src}->{dst} of {g} Gbps exceeds switch capacity {cap}"
-            )
-        src_pod, dst_pod = src // spp, dst // spp
-        pod_items.setdefault(src_pod, []).append(g)
-        if src_pod != dst_pod:
-            pod_items.setdefault(dst_pod, []).append(g)
-            core_items.append(g)
-            cross_pods.update((src_pod, dst_pod))
+    over = gbps > cap
+    if over.any():
+        i = int(over.argmax())
+        raise InfeasibleError(
+            f"demand {int(src[i])}->{int(dst[i])} of {float(gbps[i])} Gbps "
+            f"exceeds switch capacity {cap}"
+        )
+    # Each demand's items, as (row, size): its source pod's, then, across
+    # pods, its destination pod's and the core's (row num_pods), so every
+    # row lists its items in demand order.
+    src_pod, dst_pod = src // spp, dst // spp
+    cross = src_pod != dst_pod
+    rows = np.array((src_pod, dst_pod, src_pod))
+    rows[2] = core_row = tree.num_pods
+    rows = rows.T[cross[:, None] | [True, False, False]]
+    sizes = gbps.repeat(np.where(cross, 3, 1))
+    totals = np.bincount(rows, weights=sizes, minlength=core_row + 1).tolist()
+    one_bin = ffd_one_bin(rows, sizes, cap, core_row + 1).tolist()
+
+    def needed(row):
+        bins = 1 if one_bin[row] else len(ffd_pack(sizes[rows == row].tolist(), cap))
+        return int(max(-(-totals[row] // cap), bins))
 
     agg_need: dict[int, int] = {}
-    for pod, items in pod_items.items():
-        total = ordered_sum(items)
-        need = int(max(-(-total // cap), len(ffd_pack(items, cap))))
-        if need > tree.half:
+    for pod in dict.fromkeys(rows.tolist()):  # in order of first item
+        if pod == core_row:
+            continue
+        n_agg = needed(pod)
+        if n_agg > tree.half:
             raise InfeasibleError(
-                f"pod {pod} needs {need} aggregation switches for "
-                f"{total:.1f} Gbps but only has {tree.half}"
+                f"pod {pod} needs {n_agg} aggregation switches for "
+                f"{totals[pod]:.1f} Gbps but only has {tree.half}"
             )
-        agg_need[pod] = min(tree.half, need + extra)
+        agg_need[pod] = min(tree.half, n_agg + extra)
 
     n_core = 0
-    if core_items:
-        total = ordered_sum(core_items)
-        n_core = int(max(-(-total // cap), len(ffd_pack(core_items, cap))))
+    if cross.any():
+        n_core = needed(core_row)
         if n_core > tree.num_cores:
             raise InfeasibleError(
-                f"cross-pod traffic {total:.1f} Gbps needs {n_core} "
-                f"cores but only {tree.num_cores} exist"
+                f"cross-pod traffic {totals[core_row]:.1f} Gbps needs "
+                f"{n_core} cores but only {tree.num_cores} exist"
             )
         n_core = min(tree.num_cores, n_core + extra)
 
+    cross_pods = set(np.concatenate((src_pod[cross], dst_pod[cross])).tolist())
     shared = max((agg_need[p] for p in cross_pods), default=0)
     positions = {}
     for pod, need in agg_need.items():
@@ -335,6 +354,12 @@ def balanced_route(
     takes the allowed candidate path that minimizes the resulting maximum
     load among its own switches (ties: first candidate, position-major).
     Endpoint ToRs are always allowed; a same-rack demand rides its ToR.
+
+    A demand whose pod pair has one allowed path takes it by lookup in
+    `_path_table`.  The greedy loop then visits, in the same order, only
+    the demands with a choice and the forced ones that load a switch
+    some choice reads; no other load is ever compared.  It does not run
+    at all when no demand has a choice.
     """
     demands = _demand_set(demands)
     by_size = pair_order(demands.src, demands.dst)
@@ -345,49 +370,86 @@ def balanced_route(
     spr, half = tree.servers_per_rack, tree.half
     src_tor, dst_tor = ordered.src // spr, ordered.dst // spr
     inter = (src_tor != dst_tor).nonzero()[0]
-    gbps = ordered.rate / MBPS_PER_GBPS
-    tor_peaks = _tor_loads_before(src_tor, dst_tor, inter, gbps) + gbps[inter]
-
+    pods = (src_tor[inter] // half, dst_tor[inter] // half)
     cores_by_group = active_set.cores_by_group(tree)
-    allowed: dict[tuple[int, int], list] = {}
-    load = [0.0] * tree.num_switches  # agg and core loads so far
-    positions, indexes = [], []
-    for j, (from_tor, to_tor, g, tor_peak) in enumerate(zip(
-        src_tor[inter].tolist(), dst_tor[inter].tolist(),
-        gbps[inter].tolist(), tor_peaks.tolist(),
-    )):
-        pods = (from_tor // half, to_tor // half)
-        candidates = allowed.get(pods)
-        if candidates is None:
-            candidates = allowed[pods] = _allowed_paths(
-                tree, active_set, cores_by_group, *pods
-            )
-        if not candidates:
-            i = inter[j]
-            raise InfeasibleError(
-                f"no active path through the aggregation layer from pod "
-                f"{pods[0]} to pod {pods[1]} for demand "
-                f"{ordered.src[i]}->{ordered.dst[i]}"
-            )
-        best, best_peak = None, None
-        for candidate in candidates:
-            peak = tor_peak
-            for sw in candidate[2]:
-                here = load[sw] + g
-                if here > peak:
-                    peak = here
-            if best_peak is None or peak < best_peak:
-                best, best_peak = candidate, peak
-        position, index, switches = best
-        for sw in switches:
-            load[sw] += g
-        positions.append(position)
-        indexes.append(index)
-
+    count, first_position, first_index = _path_table(tree, active_set, cores_by_group)
+    count = count[pods]
+    if not count.all():
+        j = int(count.argmin())  # the first demand with no path
+        i = inter[j]
+        raise InfeasibleError(
+            f"no active path through the aggregation layer from pod "
+            f"{int(pods[0][j])} to pod {int(pods[1][j])} for demand "
+            f"{ordered.src[i]}->{ordered.dst[i]}"
+        )
     position, index = np.zeros((2, len(src_tor)), dtype=np.int64)
-    position[inter], index[inter] = positions, indexes
+    position[inter], index[inter] = first_position[pods], first_index[pods]
     hops = _paths(tree, src_tor, dst_tor, position, index)
+
+    free = count > 1
+    if free.any():
+        allowed: dict[tuple[int, int], list] = {}
+        reads = np.zeros(tree.num_switches, dtype=bool)
+        for pair in set(zip(pods[0][free].tolist(), pods[1][free].tolist())):
+            allowed[pair] = _allowed_paths(tree, active_set, cores_by_group, *pair)
+            for _, _, switches in allowed[pair]:
+                reads[list(switches)] = True
+        middle = hops[inter, 1:4]
+        visit = (free | (reads[middle] & (middle >= 0)).any(axis=1)).nonzero()[0]
+        gbps = ordered.rate / MBPS_PER_GBPS
+        tor_peaks = _tor_loads_before(src_tor, dst_tor, inter, gbps) + gbps[inter]
+        load = [0.0] * tree.num_switches  # agg and core loads so far
+        positions, indexes = [], []
+        for from_pod, to_pod, g, tor_peak in zip(
+            pods[0][visit].tolist(), pods[1][visit].tolist(),
+            gbps[inter[visit]].tolist(), tor_peaks[visit].tolist(),
+        ):
+            candidates = allowed.get((from_pod, to_pod))
+            if candidates is None:
+                candidates = allowed[from_pod, to_pod] = _allowed_paths(
+                    tree, active_set, cores_by_group, from_pod, to_pod
+                )
+            best, best_peak = None, None
+            for candidate in candidates:
+                peak = tor_peak
+                for sw in candidate[2]:
+                    here = load[sw] + g
+                    if here > peak:
+                        peak = here
+                if best_peak is None or peak < best_peak:
+                    best, best_peak = candidate, peak
+            for sw in best[2]:
+                load[sw] += g
+            positions.append(best[0])
+            indexes.append(best[1])
+        position[inter[visit]], index[inter[visit]] = positions, indexes
+        hops = _paths(tree, src_tor, dst_tor, position, index)
     return _finish_plan(timeslot, ordered, hops, params, by_pair=True)
+
+
+def _path_table(tree, active_set, cores_by_group):
+    """Allowed paths per (source pod, destination pod), as three arrays.
+
+    `count[a, b]` is the number of allowed paths from pod a to pod b;
+    where it is 1, `position[a, b]` and `index[a, b]` are that path's
+    agg position and core index.
+    """
+    half = tree.half
+    positions = active_set.positions
+    on = np.zeros((tree.num_pods, half), dtype=bool)  # pod, agg position
+    on[[pod for pod, js in positions.items() for _ in js],
+       [j for js in positions.values() for j in js]] = True
+    group_cores = np.zeros(half, dtype=np.int64)
+    group_index = np.zeros(half, dtype=np.int64)
+    for group, cores in cores_by_group.items():
+        group_cores[group] = len(cores)
+        group_index[group] = (cores[0] - tree.core_base) % half
+    # paths[a, b, j]: allowed paths from pod a to pod b through position j
+    paths = (on[:, None, :] & on) * group_cores
+    pods = np.arange(tree.num_pods)
+    paths[pods, pods] = on  # within a pod, one path per position
+    position = paths.argmax(axis=2)
+    return paths.sum(axis=2), position, group_index[position]
 
 
 def _tor_loads_before(src_tor, dst_tor, inter, gbps):

@@ -21,9 +21,14 @@ from .errors import ConfigError, DomainError
 DIST_MAX = 1e12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Transfer:
-    """One communication-intensive window: [start, end] timeslots, rate matrix."""
+    """One communication-intensive window: [start, end] timeslots, rate matrix.
+
+    Transfers compare field by field, matrices by value, and hash by
+    their window and matrix shape, so a `Job` holding them compares and
+    hashes too.
+    """
 
     start: int
     end: int
@@ -44,6 +49,15 @@ class Transfer:
             raise DomainError("traffic matrix entries must be >= 0")
         if np.diagonal(m).any():
             raise DomainError("traffic matrix diagonal must be zero")
+
+    def __eq__(self, other):
+        if not isinstance(other, Transfer):
+            return NotImplemented
+        return ((self.start, self.end) == (other.start, other.end)
+                and np.array_equal(self.matrix, other.matrix))
+
+    def __hash__(self):
+        return hash((self.start, self.end, self.matrix.shape))
 
     def active_at(self, t: int) -> bool:
         return self.start <= t <= self.end

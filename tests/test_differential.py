@@ -316,10 +316,17 @@ TOR_BOUND = (build_fat_tree(8), [(0, 1, 450_000.0), (4, 8, 400_000.0),
                                  (5, 9, 350_000.0), (2, 12, 300_000.0)])
 
 
+# Pod 0's own traffic needs two aggs, so its same-pod 500 Gbps demand
+# chooses between them.  The 600 Gbps cross-pod demand before it has one
+# path (one core), which loads agg(0, 0), so the choice falls on agg(0, 1).
+MIXED = (build_fat_tree(8), [(4, 8, 500_000.0), (0, 16, 600_000.0)])
+
+
 @SETTINGS
 @given(slot_demands(), st.sampled_from([1000.0, 2.0, 0.2]), st.integers(0, 99))
 @example(COUPLED, 1000.0, 3)
 @example(TOR_BOUND, 1000.0, 0)
+@example(MIXED, 1000.0, 0)
 def test_eer_matches_the_per_demand_oracle(case, capacity, t):
     tree, demands = case
     params = PowerParams(capacity=capacity)

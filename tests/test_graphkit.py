@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dcnsim.errors import DomainError
 from dcnsim.graphkit import (
     WeightedGraph,
+    ffd_one_bin,
     ffd_pack,
     gomory_hu_tree,
     kmeans_pp_seed,
@@ -325,3 +328,64 @@ def test_ffd_against_exhaustive_optimum():
         opt = _optimal_bins(items, cap)
         assert len(bins) <= opt + 1
         assert len(bins) <= math.ceil(11 / 9 * opt) + 1
+
+
+def _nudged(value, ulps):
+    """`value` moved by `ulps` units in the last place, never below 0."""
+    for _ in range(abs(ulps)):
+        value = float(np.nextafter(value, math.inf if ulps > 0 else -math.inf))
+    return max(value, 0.0)
+
+
+@st.composite
+def packing_rows(draw):
+    """(rows, sizes, capacity, n_rows): rows of every kind, items interleaved.
+
+    Besides random sizes, a row may hold equal sizes, a single item, no
+    item, or sizes whose last one fills what FFD leaves of the bin, give
+    or take a few ulps, where one bin is decided by the last bit.
+    """
+    capacity = draw(st.sampled_from([1.0, 0.3, 30.0, 1000.0])
+                    | st.floats(min_value=1e-3, max_value=1e3))
+    fraction = st.sampled_from([0.05, 0.1, 0.2, 0.3, 1 / 3, 0.5, 0.7, 0.9, 1.0])
+    size = (fraction.map(lambda f: f * capacity)
+            | st.floats(min_value=0.0, max_value=capacity))
+    rows, sizes = [], []
+    n_rows = draw(st.integers(1, 4))
+    for row in range(n_rows):
+        kind = draw(st.sampled_from(["random", "equal", "single", "empty", "fill"]))
+        if kind == "random":
+            items = draw(st.lists(size, max_size=8))
+        elif kind == "equal":
+            items = [draw(size)] * draw(st.integers(2, 8))
+        elif kind == "single":
+            items = [draw(size)]
+        elif kind == "empty":
+            items = []
+        else:
+            items = draw(st.lists(size, min_size=1, max_size=6))
+            free = capacity
+            for item in sorted(items, reverse=True):
+                free -= item
+            if free >= 0:
+                items.append(min(_nudged(free, draw(st.integers(-3, 3))), capacity))
+        rows += [row] * len(items)
+        sizes += items
+    order = draw(st.permutations(range(len(rows))))
+    return ([rows[i] for i in order], [sizes[i] for i in order], capacity, n_rows)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(packing_rows())
+# FFD sorts to [0.9, 0.1]: 1.0 - 0.9 leaves 0.09999999999999998 < 0.1,
+# though 0.9 + 0.1 == 1.0 and the items fit in their given order.
+@example(([0, 0], [0.1, 0.9], 1.0, 1))
+@example(([0, 1, 0, 1], [0.2, 0.1, 0.1, 0.2], 0.3, 3))
+def test_one_bin_check_matches_ffd(case):
+    rows, sizes, capacity, n_rows = case
+    got = ffd_one_bin(np.array(rows, dtype=np.int64), np.array(sizes), capacity, n_rows)
+    want = [
+        len(ffd_pack([s for r, s in zip(rows, sizes) if r == row], capacity)) == 1
+        for row in range(n_rows)
+    ]
+    assert got.tolist() == want

@@ -241,3 +241,19 @@ def test_transfer_validation():
         Transfer(0, 1, -_matrix(2))
     with pytest.raises(DomainError):
         Job(id=0, vm_count=3, transfers=(Transfer(0, 1, _matrix(2)),))
+
+
+def test_jobs_and_transfers_compare_and_hash_by_value():
+    def job(rate=10.0, end=1, vm_resource=1):
+        return Job(id=3, vm_count=2, vm_resource=vm_resource,
+                   transfers=(Transfer(0, end, _matrix(2, rate)),))
+
+    a, b = job(), job()  # equal, with distinct matrix arrays
+    assert a.transfers[0].matrix is not b.transfers[0].matrix
+    assert a == b and a.transfers[0] == b.transfers[0]
+    assert hash(a) == hash(b) and len({a, b}) == 1
+    assert a != job(rate=10.5) and a != job(end=2) and a != job(vm_resource=2)
+    assert Transfer(0, 1, _matrix(2)) != Transfer(0, 1, _matrix(3))
+    assert a.transfers[0] != "transfer"
+    cfg = WorkloadConfig(k=4, target_utilization=0.5)
+    assert generate_workload(cfg, seed=77) == generate_workload(cfg, seed=77)
