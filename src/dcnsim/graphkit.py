@@ -295,14 +295,24 @@ def ffd_one_bin(rows, sizes, bin_capacity: float, n_rows: int) -> np.ndarray:
     """Per row r < n_rows: does `ffd_pack` put the sizes in row r in one bin?
 
     Row r's items are `sizes[rows == r]` in array order, each within
-    [0, bin_capacity].  With one bin open, FFD keeps an item in it iff
-    `size <= free`, that is iff `fl(free - size) >= 0`, and the free space
-    never rises, so its last value decides.  One ordered bincount gives
-    minus that value: each row starts at -bin_capacity and adds its sizes
-    in FFD order (largest first, ties in index order), the same
-    roundings negated.  An empty row packs into no bin.
+    [0, bin_capacity]; a size outside is an error, as in `ffd_pack`.
+    With one bin open, FFD keeps an item in it iff `size <= free`, that
+    is iff `fl(free - size) >= 0`, and the free space never rises, so its
+    last value decides.  One ordered bincount gives minus that value:
+    each row starts at -bin_capacity and adds its sizes in FFD order
+    (largest first, ties in index order), the same roundings negated.  An
+    empty row packs into no bin.
     """
     rows, sizes = np.asarray(rows, dtype=np.intp), np.asarray(sizes, dtype=float)
+    bad = (sizes < 0) | (sizes > bin_capacity)
+    if bad.any():
+        idx = int(bad.argmax())
+        size = float(sizes[idx])
+        if size < 0:
+            raise DomainError(f"item {idx} has negative size {size}")
+        raise DomainError(
+            f"item {idx} of size {size} exceeds bin capacity {bin_capacity}"
+        )
     order = np.lexsort((-sizes, rows))
     overflow = np.bincount(
         np.concatenate((np.arange(n_rows), rows[order])),

@@ -17,15 +17,14 @@ same-rack demand rides its ToR alone, so only inter-rack demands reach
 a path choice: sp's pair hash and ecmp's draws are array operations.
 eer sizes its active set with ordered bincounts, and calls the
 first-fit-decreasing packer only for a pod or core layer whose flows
-do not fit one switch.  A demand whose pod pair has one allowed path is
-forced onto it by table lookup; eer's greedy loop visits only the
-demands whose choice or load can matter: those with a choice, and the
-forced ones that load a switch some choice reads.  sp and ecmp share
-one routing core and differ only in its choice.  Switch loads come from
-one ordered bincount over every path's switches.  Demand rates arrive
-in Mbps; switch loads are kept in Gbps.  Every plan lists its switches
-over capacity; eer treats them as errors since it controls its own
-active set.
+do not fit one switch.  When every inter-rack demand's pod pair has one
+allowed path, eer looks the paths up and runs no greedy loop; otherwise
+its loop visits every inter-rack demand.  sp and ecmp share one routing
+core and differ only in its choice.  Switch loads come from one ordered
+bincount over every path's switches.  Demand rates arrive in Mbps;
+switch loads are kept in Gbps.  Every plan lists its switches over
+capacity; eer treats them as errors since it controls its own active
+set.
 """
 
 from __future__ import annotations
@@ -355,11 +354,10 @@ def balanced_route(
     load among its own switches (ties: first candidate, position-major).
     Endpoint ToRs are always allowed; a same-rack demand rides its ToR.
 
-    A demand whose pod pair has one allowed path takes it by lookup in
-    `_path_table`.  The greedy loop then visits, in the same order, only
-    the demands with a choice and the forced ones that load a switch
-    some choice reads; no other load is ever compared.  It does not run
-    at all when no demand has a choice.
+    Each distinct pod pair's allowed paths are listed once.  When no
+    demand has a choice, every one takes its pair's only path by lookup
+    and the loop never runs; otherwise the greedy loop visits every
+    inter-rack demand.
     """
     demands = _demand_set(demands)
     by_size = pair_order(demands.src, demands.dst)
@@ -372,8 +370,18 @@ def balanced_route(
     inter = (src_tor != dst_tor).nonzero()[0]
     pods = (src_tor[inter] // half, dst_tor[inter] // half)
     cores_by_group = active_set.cores_by_group(tree)
-    count, first_position, first_index = _path_table(tree, active_set, cores_by_group)
-    count = count[pods]
+    # Distinct pod pairs by a mask over pair codes, not `np.unique`, whose
+    # first call imports numpy.ma (+1.7 MB peak RSS).
+    codes = pods[0].astype(np.int64) * tree.num_pods + pods[1]
+    seen = np.zeros(tree.num_pods**2, dtype=bool)
+    seen[codes] = True
+    pairs = seen.nonzero()[0]
+    pair_of = pairs.searchsorted(codes)  # each demand's place in `pairs`
+    allowed = [
+        _allowed_paths(tree, active_set, cores_by_group, *divmod(pair, tree.num_pods))
+        for pair in pairs.tolist()
+    ]
+    count = np.array([len(paths) for paths in allowed], dtype=np.int64)[pair_of]
     if not count.all():
         j = int(count.argmin())  # the first demand with no path
         i = inter[j]
@@ -382,35 +390,21 @@ def balanced_route(
             f"{int(pods[0][j])} to pod {int(pods[1][j])} for demand "
             f"{ordered.src[i]}->{ordered.dst[i]}"
         )
+    # Every demand starts on its pair's first path; the loop may move it.
     position, index = np.zeros((2, len(src_tor)), dtype=np.int64)
-    position[inter], index[inter] = first_position[pods], first_index[pods]
-    hops = _paths(tree, src_tor, dst_tor, position, index)
+    position[inter] = np.array([paths[0][0] for paths in allowed], dtype=int)[pair_of]
+    index[inter] = np.array([paths[0][1] for paths in allowed], dtype=int)[pair_of]
 
-    free = count > 1
-    if free.any():
-        allowed: dict[tuple[int, int], list] = {}
-        reads = np.zeros(tree.num_switches, dtype=bool)
-        for pair in set(zip(pods[0][free].tolist(), pods[1][free].tolist())):
-            allowed[pair] = _allowed_paths(tree, active_set, cores_by_group, *pair)
-            for _, _, switches in allowed[pair]:
-                reads[list(switches)] = True
-        middle = hops[inter, 1:4]
-        visit = (free | (reads[middle] & (middle >= 0)).any(axis=1)).nonzero()[0]
+    if (count > 1).any():
         gbps = ordered.rate / MBPS_PER_GBPS
         tor_peaks = _tor_loads_before(src_tor, dst_tor, inter, gbps) + gbps[inter]
         load = [0.0] * tree.num_switches  # agg and core loads so far
         positions, indexes = [], []
-        for from_pod, to_pod, g, tor_peak in zip(
-            pods[0][visit].tolist(), pods[1][visit].tolist(),
-            gbps[inter[visit]].tolist(), tor_peaks[visit].tolist(),
+        for pair, g, tor_peak in zip(
+            pair_of.tolist(), gbps[inter].tolist(), tor_peaks.tolist()
         ):
-            candidates = allowed.get((from_pod, to_pod))
-            if candidates is None:
-                candidates = allowed[from_pod, to_pod] = _allowed_paths(
-                    tree, active_set, cores_by_group, from_pod, to_pod
-                )
             best, best_peak = None, None
-            for candidate in candidates:
+            for candidate in allowed[pair]:
                 peak = tor_peak
                 for sw in candidate[2]:
                     here = load[sw] + g
@@ -422,34 +416,9 @@ def balanced_route(
                 load[sw] += g
             positions.append(best[0])
             indexes.append(best[1])
-        position[inter[visit]], index[inter[visit]] = positions, indexes
-        hops = _paths(tree, src_tor, dst_tor, position, index)
+        position[inter], index[inter] = positions, indexes
+    hops = _paths(tree, src_tor, dst_tor, position, index)
     return _finish_plan(timeslot, ordered, hops, params, by_pair=True)
-
-
-def _path_table(tree, active_set, cores_by_group):
-    """Allowed paths per (source pod, destination pod), as three arrays.
-
-    `count[a, b]` is the number of allowed paths from pod a to pod b;
-    where it is 1, `position[a, b]` and `index[a, b]` are that path's
-    agg position and core index.
-    """
-    half = tree.half
-    positions = active_set.positions
-    on = np.zeros((tree.num_pods, half), dtype=bool)  # pod, agg position
-    on[[pod for pod, js in positions.items() for _ in js],
-       [j for js in positions.values() for j in js]] = True
-    group_cores = np.zeros(half, dtype=np.int64)
-    group_index = np.zeros(half, dtype=np.int64)
-    for group, cores in cores_by_group.items():
-        group_cores[group] = len(cores)
-        group_index[group] = (cores[0] - tree.core_base) % half
-    # paths[a, b, j]: allowed paths from pod a to pod b through position j
-    paths = (on[:, None, :] & on) * group_cores
-    pods = np.arange(tree.num_pods)
-    paths[pods, pods] = on  # within a pod, one path per position
-    position = paths.argmax(axis=2)
-    return paths.sum(axis=2), position, group_index[position]
 
 
 def _tor_loads_before(src_tor, dst_tor, inter, gbps):

@@ -389,3 +389,11 @@ def test_one_bin_check_matches_ffd(case):
         for row in range(n_rows)
     ]
     assert got.tolist() == want
+
+
+def test_one_bin_check_rejects_sizes_outside_the_bin():
+    with pytest.raises(DomainError, match="item 1 has negative size"):
+        ffd_one_bin(np.array([0, 0]), np.array([0.5, -0.1]), 1.0, 1)
+    with pytest.raises(DomainError, match="item 0 of size 1.5 exceeds"):
+        ffd_one_bin(np.array([1, 0]), np.array([1.5, 0.2]), 1.0, 2)
+    assert ffd_one_bin(np.array([0, 0]), np.array([0.0, 1.0]), 1.0, 1).tolist() == [True]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dcnsim.errors import CapacityError, InfeasibleError
+from dcnsim.errors import CapacityError, DomainError, InfeasibleError
 from dcnsim.power import PowerParams, switch_power
 from dcnsim.routing import (
     ActiveSet,
@@ -230,6 +230,14 @@ def test_estimate_infeasible_single_demand():
     tree = build_fat_tree(4)
     with pytest.raises(InfeasibleError):
         estimate_active_set([(0, 2, 1.5e6)], tree, PARAMS)
+
+
+def test_eer_rejects_a_negative_rate():
+    tree = build_fat_tree(4)
+    with pytest.raises(DomainError, match="negative size"):
+        eer([(0, 8, -5.0)], tree, PARAMS)
+    with pytest.raises(DomainError, match="negative size"):
+        estimate_active_set([(0, 2, 300.0), (1, 3, -5.0)], tree, PARAMS)
 
 
 # --- balanced routing -------------------------------------------------------------
