@@ -381,14 +381,14 @@ def opt_greedy_assign(jobs: Sequence[Job], tree: FatTree) -> Assignment:
 
 
 def eea_assign(
-    jobs: Sequence[Job], tree: FatTree, seed=None, horizon=None
+    jobs: Sequence[Job], tree: FatTree, seed=None, *, horizon: int
 ) -> Assignment:
     """The pod/rack pipeline applied to raw VMs (no super-VM merge)."""
     return _pipeline_assign(jobs, tree, seed, horizon, shrink=False)
 
 
 def opt_eea(
-    jobs: Sequence[Job], tree: FatTree, seed=None, horizon=None
+    jobs: Sequence[Job], tree: FatTree, seed=None, *, horizon: int
 ) -> Assignment:
     """The full pipeline: shrink, cluster into pods, min-cut racks, pack."""
     return _pipeline_assign(jobs, tree, seed, horizon, shrink=True)
@@ -397,10 +397,6 @@ def opt_eea(
 def _pipeline_assign(jobs, tree, seed, horizon, shrink) -> Assignment:
     anywhere = _first_fit_over(jobs, tree)
     free = anywhere.free
-    if horizon is None:
-        horizon = max(
-            (tr.end + 1 for job in jobs for tr in job.transfers), default=1
-        )
     units_of = {
         job.id: (
             shrink_to_super_vms(job, tree.server_capacity)
@@ -501,8 +497,8 @@ STRATEGIES = {
 }
 
 
-def assign(name: str, jobs: Sequence[Job], tree: FatTree, seed=None, horizon=None):
-    """Dispatch by strategy name; seed only matters for the pipelines."""
+def assign(name: str, jobs: Sequence[Job], tree: FatTree, seed=None, *, horizon: int):
+    """Dispatch by strategy name; seed and horizon only matter for the pipelines."""
     if name not in STRATEGIES:
         raise DomainError(f"unknown assignment strategy {name!r}")
-    return STRATEGIES[name](jobs, tree, seed, horizon)
+    return STRATEGIES[name](jobs, tree, seed, horizon=horizon)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CapacityError, ConfigError, DomainError
+from .errors import ConfigError, DomainError
 
 # Relative slack on capacity checks; fluid splitting can hit C exactly.
 CAPACITY_RTOL = 1e-9
@@ -51,16 +51,8 @@ class PowerParams:
         return self.capacity * (1.0 + CAPACITY_RTOL)
 
 
-def switch_power(load: float, params: PowerParams, check: bool = True) -> float:
+def switch_power(load: float, params: PowerParams) -> float:
     """Power draw in watts of one switch at the given load (Gbps)."""
-    if check:
-        if load < 0:
-            raise DomainError(f"load must be >= 0, got {load}")
-        if load > params.max_load():
-            raise CapacityError(
-                f"load {load} Gbps exceeds capacity {params.capacity}",
-                switches=[],
-            )
     if load == 0:
         return 0.0
     return params.sigma + params.mu * load**params.alpha

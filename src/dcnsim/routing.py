@@ -19,8 +19,8 @@ eer sizes its active set with ordered bincounts, and calls the
 first-fit-decreasing packer only for a pod or core layer whose flows
 do not fit one switch.  When every inter-rack demand's pod pair has one
 allowed path, eer looks the paths up and runs no greedy loop; otherwise
-its loop visits every inter-rack demand.  sp and ecmp share one routing
-core and differ only in its choice.  Switch loads come from one ordered
+its loop visits every demand.  sp and ecmp share one routing core and
+differ only in its choice.  Switch loads come from one ordered
 bincount over every path's switches.  Demand rates arrive in Mbps;
 switch loads are kept in Gbps.  Every plan lists its switches over
 capacity; eer treats them as errors since it controls its own active
@@ -357,7 +357,8 @@ def balanced_route(
     Each distinct pod pair's allowed paths are listed once.  When no
     demand has a choice, every one takes its pair's only path by lookup
     and the loop never runs; otherwise the greedy loop visits every
-    inter-rack demand.
+    demand, adding it to its endpoint ToRs, whose larger load is the
+    floor of each candidate's peak.
     """
     demands = _demand_set(demands)
     by_size = pair_order(demands.src, demands.dst)
@@ -396,16 +397,19 @@ def balanced_route(
     index[inter] = np.array([paths[0][1] for paths in allowed], dtype=int)[pair_of]
 
     if (count > 1).any():
-        gbps = ordered.rate / MBPS_PER_GBPS
-        tor_peaks = _tor_loads_before(src_tor, dst_tor, inter, gbps) + gbps[inter]
-        load = [0.0] * tree.num_switches  # agg and core loads so far
+        gbps = (ordered.rate / MBPS_PER_GBPS).tolist()
+        load = [0.0] * tree.num_switches  # every switch's load so far
+        inter_pairs = iter(pair_of.tolist())  # inter-rack demands' pairs, in order
         positions, indexes = [], []
-        for pair, g, tor_peak in zip(
-            pair_of.tolist(), gbps[inter].tolist(), tor_peaks.tolist()
-        ):
+        for a, b, g in zip(src_tor.tolist(), dst_tor.tolist(), gbps):
+            load[a] += g
+            if a == b:
+                continue
+            load[b] += g
+            floor = max(load[a], load[b])
             best, best_peak = None, None
-            for candidate in allowed[pair]:
-                peak = tor_peak
+            for candidate in allowed[next(inter_pairs)]:
+                peak = floor
                 for sw in candidate[2]:
                     here = load[sw] + g
                     if here > peak:
@@ -419,37 +423,6 @@ def balanced_route(
         position[inter], index[inter] = positions, indexes
     hops = _paths(tree, src_tor, dst_tor, position, index)
     return _finish_plan(timeslot, ordered, hops, params, by_pair=True)
-
-
-def _tor_loads_before(src_tor, dst_tor, inter, gbps):
-    """Each inter-rack demand's larger endpoint-ToR load (Gbps) before it.
-
-    The path choice never moves a ToR's load: demand i adds its rate to
-    its source ToR and, when inter-rack, to its destination ToR, in
-    routing order.  A ToR takes at most one of each demand's additions,
-    so laying each ToR's additions out in one row, in demand order, and
-    summing every row with one sequential cumsum gives the partial sums
-    that adding them one by one gives.  Since `x + g` is monotone in x,
-    the larger endpoint load plus g is the larger of the two ToR peaks.
-    """
-    n = len(src_tor)
-    if not inter.size:
-        return np.empty(0)
-    # Addition 2i is demand i's source ToR, 2i + 1 its destination ToR.
-    adds = np.zeros((n, 2), dtype=bool)
-    adds[:, 0] = True
-    adds[inter, 1] = True
-    adds = adds.ravel().nonzero()[0]
-    tors = np.array((src_tor, dst_tor)).T.ravel()[adds]
-    by_tor = tors.astype(np.uint16).argsort(kind="stable")  # ToR ids fit 16 bits
-    tors, adds = tors[by_tor], adds[by_tor]
-    rank = np.arange(len(tors)) - tors.searchsorted(tors)  # place in its ToR's row
-    rows = np.zeros((tors[-1] + 1, rank.max() + 2))
-    rows[tors, rank + 1] = gbps[adds // 2]
-    rows.cumsum(axis=1, out=rows)
-    before = np.zeros((n, 2))
-    before.ravel()[adds] = rows[tors, rank]
-    return before[inter].max(axis=1)
 
 
 def _allowed_paths(tree, active_set, cores_by_group, src_pod, dst_pod):

@@ -215,25 +215,10 @@ def _check_windows(jobs, horizon: int) -> None:
                 )
 
 
-def _segments(jobs, horizon: int):
-    """[first, stop) slot runs over which no transfer starts or ends.
-
-    The horizon is cut at every transfer's start and end + 1, so within
-    a run the same transfers are active and a slot's demands are the
-    same as its run's first slot.
-    """
-    edges = {0, horizon}
-    for job in jobs:
-        for tr in job.transfers:
-            edges.update((tr.start, tr.end + 1))
-    edges = sorted(edges)
-    return zip(edges, edges[1:])
-
-
 def _meter(plan, tree, params):
     """(layer, watts) per switch in plan order, the slot's watts, active count."""
     by_switch = [
-        (tree.layer(sw), switch_power(load, params, check=False))
+        (tree.layer(sw), switch_power(load, params))
         for sw, load in plan.loads.items()
     ]
     watts = ordered_sum(p for _, p in by_switch)
@@ -243,11 +228,11 @@ def _meter(plan, tree, params):
 def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
     """Assign VMs once, then route and meter every timeslot.
 
-    The horizon splits into segments at every transfer window's edges;
-    within a segment the active transfers, and so the demands, do not
-    change.  The demand table (`workload.demand_table`) maps every VM
-    pair to its server pair once per run, since VMs never move; each
-    segment gathers its demands from it.  sp and eer route the
+    The horizon splits into segments at every transfer window's edges
+    (`DemandTable.segments`); within a segment the active transfers, and
+    so the demands, do not change.  The demand table maps every VM pair
+    to its server pair once per run, since VMs never move; each segment
+    gathers its demands from it.  sp and eer route the
     segment's first slot and reuse that plan for its other slots; ecmp,
     whose draws are seeded per slot (`routing.DRAWS_PER_SLOT`), routes
     every slot.  The report is the same as routing every slot afresh:
@@ -280,7 +265,7 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
     violations: dict[int, tuple[int, ...]] = {}
     layer_totals = {TOR: 0.0, AGG: 0.0, CORE: 0.0}
     table = demand_table(jobs, placement)
-    for first, stop in _segments(jobs, scenario.horizon):
+    for first, stop in table.segments(scenario.horizon):
         demands = table.at(first)
         for t in range(first, stop):
             if t == first or route_each_slot:

@@ -45,7 +45,6 @@ class FatTree:
         self.agg_base = self.num_tors
         self.core_base = self.num_tors + self.num_aggs
         self.pod_slot_capacity = self.servers_per_pod * server_capacity
-        self.rack_slot_capacity = self.servers_per_rack * server_capacity
         self.total_slots = self.num_servers * server_capacity
 
     # --- id arithmetic -------------------------------------------------

@@ -130,30 +130,33 @@ class DemandSet:
         return tuple(zip(self.src.tolist(), self.dst.tolist(), self.rate.tolist()))
 
 
+# The generator's fixed draws, after the experiment setup: one slot per
+# VM; VM counts from N(k/2, VM_STD_OF_MEAN * k/2); window lengths a
+# uniform WINDOW_FRAC_MIN..WINDOW_FRAC_MAX share of the horizon (profiled
+# jobs are network-intensive for 30..60% of their run); pairwise rates
+# from N(RATE_MEAN_MBPS, RATE_STD_MBPS), clipped at 0.
+VM_RESOURCE = 1
+VM_STD_OF_MEAN = 0.5
+WINDOW_FRAC_MIN = 0.3
+WINDOW_FRAC_MAX = 0.6
+RATE_MEAN_MBPS = 50.0
+RATE_STD_MBPS = 1.0
+
+
 @dataclass(frozen=True)
 class WorkloadConfig:
-    """Synthetic workload knobs; defaults follow the experiment setup.
+    """Synthetic workload size: Fat-Tree arity, share of the VM slots to
+    request, horizon and slots per server; the constants above fix the rest.
 
-    Job VM counts are drawn from N(vm_mean, vm_std) with vm_mean
-    defaulting to the servers-per-rack count (k/2) and vm_std to half of
-    it; draws rounding below 2 are redrawn, and counts are clamped so a
-    job always fits one pod and the whole VMs still free in the
-    datacenter.  Window length is a uniform fraction of the horizon
-    (profiled jobs are network-intensive for 30..60% of their run); the
-    window is truncated at the horizon end.
+    VM-count draws rounding below 2 are redrawn, and counts are clamped so
+    a job always fits one pod and the whole VMs still free in the
+    datacenter; the window is truncated at the horizon end.
     """
 
     k: int
     target_utilization: float
     horizon: int = 100
     server_capacity: int = 2
-    vm_resource: int = 1
-    rate_mean_mbps: float = 50.0
-    rate_std_mbps: float = 1.0
-    vm_mean: float | None = None
-    vm_std: float | None = None
-    window_frac_min: float = 0.3
-    window_frac_max: float = 0.6
 
     def __post_init__(self):
         if self.k % 2 != 0 or not (4 <= self.k <= 48):
@@ -164,14 +167,6 @@ class WorkloadConfig:
             )
         if self.horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
-        if not (0 < self.window_frac_min <= self.window_frac_max <= 1.0):
-            raise ConfigError("window fractions must satisfy 0 < min <= max <= 1")
-
-    def resolved_vm_mean(self) -> float:
-        return self.vm_mean if self.vm_mean is not None else self.k / 2.0
-
-    def resolved_vm_std(self) -> float:
-        return self.vm_std if self.vm_std is not None else 0.5 * self.resolved_vm_mean()
 
 
 def generate_workload(cfg: WorkloadConfig, seed: int) -> list[Job]:
@@ -184,22 +179,23 @@ def generate_workload(cfg: WorkloadConfig, seed: int) -> list[Job]:
     pod_slots = (cfg.k**2 // 4) * cfg.server_capacity
     target = cfg.target_utilization * total_slots
     rng = np.random.default_rng(seed)
-    vm_mean, vm_std = cfg.resolved_vm_mean(), cfg.resolved_vm_std()
-    max_vms = max(2, pod_slots // cfg.vm_resource)
+    vm_mean = cfg.k / 2.0
+    vm_std = VM_STD_OF_MEAN * vm_mean
+    max_vms = max(2, pod_slots // VM_RESOURCE)
 
     jobs: list[Job] = []
     requested = 0
-    while requested < target and total_slots - requested >= cfg.vm_resource:
+    while requested < target and total_slots - requested >= VM_RESOURCE:
         while True:
             n = int(round(rng.normal(vm_mean, vm_std)))
             if n >= 2:
                 break
-        n = min(n, max_vms, (total_slots - requested) // cfg.vm_resource)
+        n = min(n, max_vms, (total_slots - requested) // VM_RESOURCE)
         start = int(rng.integers(0, cfg.horizon))
-        frac = rng.uniform(cfg.window_frac_min, cfg.window_frac_max)
+        frac = rng.uniform(WINDOW_FRAC_MIN, WINDOW_FRAC_MAX)
         length = max(1, int(round(frac * cfg.horizon)))
         end = min(cfg.horizon - 1, start + length - 1)
-        matrix = rng.normal(cfg.rate_mean_mbps, cfg.rate_std_mbps, size=(n, n))
+        matrix = rng.normal(RATE_MEAN_MBPS, RATE_STD_MBPS, size=(n, n))
         np.clip(matrix, 0.0, None, out=matrix)
         np.fill_diagonal(matrix, 0.0)
         jobs.append(
@@ -207,7 +203,7 @@ def generate_workload(cfg: WorkloadConfig, seed: int) -> list[Job]:
                 id=len(jobs),
                 vm_count=n,
                 transfers=(Transfer(start, end, matrix),),
-                vm_resource=cfg.vm_resource,
+                vm_resource=VM_RESOURCE,
             )
         )
         requested += jobs[-1].slots
@@ -222,12 +218,11 @@ def referential_matrix(job: Job) -> np.ndarray:
     return total
 
 
-def pattern_vector(job: Job, horizon: int, epsilon: float = 0.0) -> np.ndarray:
-    """Per-timeslot average pairwise traffic (epsilon outside windows)."""
+def pattern_vector(job: Job, horizon: int) -> np.ndarray:
+    """Per-timeslot average pairwise traffic (zero outside windows)."""
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
     raw = np.zeros(horizon)
-    covered = np.zeros(horizon, dtype=bool)
     denom = job.vm_count**2 / 2.0
     for tr in job.transfers:
         value = float(tr.matrix.sum()) / denom
@@ -235,11 +230,10 @@ def pattern_vector(job: Job, horizon: int, epsilon: float = 0.0) -> np.ndarray:
         if lo <= hi:
             # Overlapping transfers stack on top of each other.
             raw[lo : hi + 1] += value
-            covered[lo : hi + 1] = True
-    return np.where(covered, raw, epsilon)
+    return raw
 
 
-def job_distance(v1: np.ndarray, v2: np.ndarray, dist_max: float = DIST_MAX) -> float:
+def job_distance(v1: np.ndarray, v2: np.ndarray) -> float:
     """Inverse L2 separation: similar patterns sit at a large distance."""
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
@@ -247,7 +241,7 @@ def job_distance(v1: np.ndarray, v2: np.ndarray, dist_max: float = DIST_MAX) -> 
         raise DomainError(f"pattern length mismatch: {v1.shape} vs {v2.shape}")
     norm = float(np.linalg.norm(v1 - v2))
     if norm == 0.0:
-        return dist_max
+        return DIST_MAX
     return 1.0 / norm
 
 
@@ -271,6 +265,11 @@ class DemandTable:
     dst: np.ndarray  # uint16 per row
     rate: np.ndarray  # float64 per row
     unit: np.ndarray  # uint16 per row (int32 past 65,536 units)
+
+    def segments(self, horizon: int):
+        """[first, stop) runs of the horizon's slots in which no unit starts or ends."""
+        edges = sorted({0, horizon, *self.start.tolist(), *(self.end + 1).tolist()})
+        return zip(edges, edges[1:])
 
     def at(self, t: int) -> DemandSet:
         """Server-to-server demands of the units active at slot t.

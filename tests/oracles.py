@@ -416,7 +416,7 @@ def run_each_slot(scenario, jobs=None, on_plan=None):
             on_plan(plan)
         watts = 0.0
         for sw, load in plan.loads.items():
-            p = switch_power(load, params, check=False)
+            p = switch_power(load, params)
             watts += p
             layer_totals[tree.layer(sw)] += p
         per_slot_watts.append(watts)

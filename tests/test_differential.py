@@ -322,11 +322,20 @@ TOR_BOUND = (build_fat_tree(8), [(0, 1, 450_000.0), (4, 8, 400_000.0),
 MIXED = (build_fat_tree(8), [(4, 8, 500_000.0), (0, 16, 600_000.0)])
 
 
+# A same-rack demand loads ToR 0 to 600 Gbps first.  The 350 Gbps demand
+# then lifts ToR 0 to 950 Gbps, which ties both its candidates (agg 32
+# already carries 600 Gbps), so it takes agg 32.  A loop that left the
+# same-rack load out of ToR 0 would send it to the idle agg 33.
+SAME_RACK_FLOOR = (build_fat_tree(8), [(0, 1, 600_000.0), (4, 8, 600_000.0),
+                                       (2, 12, 350_000.0), (6, 10, 100_000.0)])
+
+
 @SETTINGS
 @given(slot_demands(), st.sampled_from([1000.0, 2.0, 0.2]), st.integers(0, 99))
 @example(COUPLED, 1000.0, 3)
 @example(TOR_BOUND, 1000.0, 0)
 @example(MIXED, 1000.0, 0)
+@example(SAME_RACK_FLOOR, 1000.0, 0)
 def test_eer_matches_the_per_demand_oracle(case, capacity, t):
     tree, demands = case
     params = PowerParams(capacity=capacity)

@@ -23,7 +23,7 @@ PARAMS = PowerParams()  # sigma 200, mu 1e-4, alpha 2, capacity 1000 Gbps
 
 
 def _plan_energy(plan):
-    return sum(switch_power(load, PARAMS, check=False) for load in plan.loads.values())
+    return sum(switch_power(load, PARAMS) for load in plan.loads.values())
 
 
 def _full_active_set(tree):

@@ -153,11 +153,11 @@ def test_pattern_vector_values():
     assert np.allclose(pattern_vector(double, 8), 2 * vec)
 
 
-def test_pattern_vector_epsilon_fill():
+def test_pattern_vector_zero_outside_the_window():
     job = Job(id=0, vm_count=2, transfers=(Transfer(1, 2, _matrix(2)),))
-    vec = pattern_vector(job, 4, epsilon=0.5)
-    assert vec[0] == 0.5 and vec[3] == 0.5
-    assert vec[1] > 0.5
+    vec = pattern_vector(job, 4)
+    assert vec[0] == 0.0 and vec[3] == 0.0
+    assert (vec[1:3] > 0).all()
 
 
 def test_job_distance():
