@@ -495,6 +495,8 @@ STRATEGIES = {
     "eea": eea_assign,
     "opt_eea": opt_eea,
 }
+# Strategies whose placement depends on the run seed (k-means++ clustering).
+SEEDED = frozenset({"eea", "opt_eea"})
 
 
 def assign(name: str, jobs: Sequence[Job], tree: FatTree, seed=None, *, horizon: int):

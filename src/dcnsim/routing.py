@@ -17,9 +17,10 @@ same-rack demand rides its ToR alone, so only inter-rack demands reach
 a path choice: sp's pair hash and ecmp's draws are array operations.
 eer sizes its active set with ordered bincounts, and calls the
 first-fit-decreasing packer only for a pod or core layer whose flows
-do not fit one switch.  When every inter-rack demand's pod pair has one
-allowed path, eer looks the paths up and runs no greedy loop; otherwise
-its loop visits every demand.  sp and ecmp share one routing core and
+do not fit one switch.  Its active set is counts, so each demand's
+number of allowed paths is array arithmetic; a forced demand (one path)
+takes agg position 0 and core index 0, and the greedy loop runs only
+when some demand has a choice.  sp and ecmp share one routing core and
 differ only in its choice.  Switch loads come from one ordered
 bincount over every path's switches.  Demand rates arrive in Mbps;
 switch loads are kept in Gbps.  Every plan lists its switches over
@@ -29,6 +30,7 @@ set.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -45,28 +47,36 @@ MBPS_PER_GBPS = 1000.0
 
 @dataclass(frozen=True)
 class ActiveSet:
-    """Switches allowed to carry traffic in one timeslot.
+    """Switches allowed to carry traffic in one timeslot, as counts.
 
-    Aggregation positions are identical across pods that exchange
-    cross-pod traffic, so every selected core (group = agg position)
-    connects selected aggs on both sides.
+    Pod p keeps agg positions 0..widths[p]-1 awake (a pod not listed
+    keeps none), and core group j, the cores behind agg position j,
+    keeps core indices 0..cores_per_group[j]-1 awake.
+    `estimate_active_set` gives every pod with cross-pod traffic the
+    same width, so every awake core connects awake aggs on both sides.
     """
 
-    positions: Mapping[int, tuple[int, ...]]  # pod -> agg positions
-    cores: tuple[int, ...]
-    cross_pods: frozenset[int]
+    widths: Mapping[int, int]  # pod -> awake agg positions
+    cores_per_group: tuple[int, ...]  # agg position -> awake core indices
 
-    def agg_ids(self, tree: FatTree) -> set[int]:
-        return {
-            tree.agg_id(pod, j) for pod, js in self.positions.items() for j in js
-        }
+    def paths(self, tree: FatTree, src_pod: int, dst_pod: int):
+        """(position, core index, agg and core switches) of each allowed path.
 
-    def cores_by_group(self, tree: FatTree) -> dict[int, list[int]]:
-        by_group: dict[int, list[int]] = {}
-        for core in self.cores:
-            group = (core - tree.core_base) // tree.half
-            by_group.setdefault(group, []).append(core)
-        return by_group
+        Across pods, position j must be awake in both pods.  The paths
+        come position-major, then by core index.
+        """
+        width = self.widths.get(src_pod, 0)
+        if src_pod == dst_pod:
+            return [(j, 0, (tree.agg_id(src_pod, j),)) for j in range(width)]
+        shared = min(width, self.widths.get(dst_pod, 0))
+        return [
+            (
+                j, i,
+                (tree.agg_id(src_pod, j), tree.core_id(j, i), tree.agg_id(dst_pod, j)),
+            )
+            for j, cores in enumerate(self.cores_per_group[:shared])
+            for i in range(cores)
+        ]
 
 
 class RoutingPlan:
@@ -254,9 +264,9 @@ def estimate_active_set(
     Per pod the agg count is the traffic-over-capacity ceiling, raised
     if first-fit-decreasing needs more bins to fit the unsplittable
     flows; same for the core count over the cross-pod traffic.  Pods
-    with cross-pod traffic all use the same agg positions 0..n-1 so the
-    selected cores connect them; cores are taken round-robin across the
-    reachable groups.  Same-rack demands need neither.  `extra` widens
+    with cross-pod traffic all keep the largest of their agg counts, n,
+    so the awake cores connect them; the cores are dealt round-robin
+    over the n groups.  Same-rack demands need neither.  `extra` widens
     every count (escalation retry).
 
     Each layer's total is one ordered bincount over the inter-rack
@@ -318,29 +328,20 @@ def estimate_active_set(
 
     cross_pods = set(np.concatenate((src_pod[cross], dst_pod[cross])).tolist())
     shared = max((agg_need[p] for p in cross_pods), default=0)
-    positions = {}
-    for pod, need in agg_need.items():
-        width = max(need, shared) if pod in cross_pods else need
-        positions[pod] = tuple(range(width))
-
-    cores = []
+    widths = {
+        pod: max(need, shared) if pod in cross_pods else need
+        for pod, need in agg_need.items()
+    }
+    cores_per_group = ()
     if n_core:
         groups = max(shared, 1)
-        for index in range(tree.half):
-            for group in range(groups):
-                if len(cores) < n_core:
-                    cores.append(tree.core_id(group, index))
-        if len(cores) < n_core:
+        if n_core > groups * tree.half:
             raise InfeasibleError(
-                f"need {n_core} cores but only {len(cores)} are reachable from "
-                f"{groups} agg positions"
+                f"need {n_core} cores but only {groups * tree.half} are reachable "
+                f"from {groups} agg positions"
             )
-
-    return ActiveSet(
-        positions=positions,
-        cores=tuple(cores),
-        cross_pods=frozenset(cross_pods),
-    )
+        cores_per_group = tuple(len(range(j, n_core, groups)) for j in range(groups))
+    return ActiveSet(widths=widths, cores_per_group=cores_per_group)
 
 
 def balanced_route(
@@ -354,11 +355,12 @@ def balanced_route(
     load among its own switches (ties: first candidate, position-major).
     Endpoint ToRs are always allowed; a same-rack demand rides its ToR.
 
-    Each distinct pod pair's allowed paths are listed once.  When no
-    demand has a choice, every one takes its pair's only path by lookup
-    and the loop never runs; otherwise the greedy loop visits every
-    demand, adding it to its endpoint ToRs, whose larger load is the
-    floor of each candidate's peak.
+    Each demand's number of allowed paths is array arithmetic over the
+    counts, and a forced demand (one path) takes agg position 0 and core
+    index 0.  Only when some demand has a choice does the greedy loop
+    run: it visits every demand, adding it to its endpoint ToRs, whose
+    larger load is the floor of each candidate's peak, and lists a pod
+    pair's allowed paths (`ActiveSet.paths`) when it first meets it.
     """
     demands = _demand_set(demands)
     by_size = pair_order(demands.src, demands.dst)
@@ -369,20 +371,14 @@ def balanced_route(
     spr, half = tree.servers_per_rack, tree.half
     src_tor, dst_tor = ordered.src // spr, ordered.dst // spr
     inter = (src_tor != dst_tor).nonzero()[0]
-    pods = (src_tor[inter] // half, dst_tor[inter] // half)
-    cores_by_group = active_set.cores_by_group(tree)
-    # Distinct pod pairs by a mask over pair codes, not `np.unique`, whose
-    # first call imports numpy.ma (+1.7 MB peak RSS).
-    codes = pods[0].astype(np.int64) * tree.num_pods + pods[1]
-    seen = np.zeros(tree.num_pods**2, dtype=bool)
-    seen[codes] = True
-    pairs = seen.nonzero()[0]
-    pair_of = pairs.searchsorted(codes)  # each demand's place in `pairs`
-    allowed = [
-        _allowed_paths(tree, active_set, cores_by_group, *divmod(pair, tree.num_pods))
-        for pair in pairs.tolist()
-    ]
-    count = np.array([len(paths) for paths in allowed], dtype=np.int64)[pair_of]
+    pods = np.array((src_tor[inter], dst_tor[inter])) // half
+    width = np.zeros(tree.num_pods, dtype=np.int64)
+    width[list(active_set.widths)] = list(active_set.widths.values())
+    widths = width[pods]
+    # reach[n]: the awake cores behind agg positions 0..n-1
+    reach = np.cumsum((0, *active_set.cores_per_group))
+    shared = np.minimum(widths.min(axis=0), len(reach) - 1)
+    count = np.where(pods[0] == pods[1], widths[0], reach[shared])
     if not count.all():
         j = int(count.argmin())  # the first demand with no path
         i = inter[j]
@@ -391,15 +387,12 @@ def balanced_route(
             f"{int(pods[0][j])} to pod {int(pods[1][j])} for demand "
             f"{ordered.src[i]}->{ordered.dst[i]}"
         )
-    # Every demand starts on its pair's first path; the loop may move it.
     position, index = np.zeros((2, len(src_tor)), dtype=np.int64)
-    position[inter] = np.array([paths[0][0] for paths in allowed], dtype=int)[pair_of]
-    index[inter] = np.array([paths[0][1] for paths in allowed], dtype=int)[pair_of]
 
     if (count > 1).any():
+        allowed = functools.cache(lambda a, b: active_set.paths(tree, a, b))
         gbps = (ordered.rate / MBPS_PER_GBPS).tolist()
         load = [0.0] * tree.num_switches  # every switch's load so far
-        inter_pairs = iter(pair_of.tolist())  # inter-rack demands' pairs, in order
         positions, indexes = [], []
         for a, b, g in zip(src_tor.tolist(), dst_tor.tolist(), gbps):
             load[a] += g
@@ -408,7 +401,7 @@ def balanced_route(
             load[b] += g
             floor = max(load[a], load[b])
             best, best_peak = None, None
-            for candidate in allowed[next(inter_pairs)]:
+            for candidate in allowed(a // half, b // half):
                 peak = floor
                 for sw in candidate[2]:
                     here = load[sw] + g
@@ -423,22 +416,6 @@ def balanced_route(
         position[inter], index[inter] = positions, indexes
     hops = _paths(tree, src_tor, dst_tor, position, index)
     return _finish_plan(timeslot, ordered, hops, params, by_pair=True)
-
-
-def _allowed_paths(tree, active_set, cores_by_group, src_pod, dst_pod):
-    """(position, core index, agg and core switches) of each allowed path."""
-    positions = active_set.positions.get(src_pod, ())
-    if src_pod == dst_pod:
-        return [(j, 0, (tree.agg_id(src_pod, j),)) for j in positions]
-    shared = sorted(set(positions) & set(active_set.positions.get(dst_pod, ())))
-    return [
-        (
-            j, (core - tree.core_base) % tree.half,
-            (tree.agg_id(src_pod, j), core, tree.agg_id(dst_pod, j)),
-        )
-        for j in shared
-        for core in cores_by_group.get(j, ())
-    ]
 
 
 def eer(

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .assignment import STRATEGIES, assign
+from .assignment import SEEDED, STRATEGIES, assign
 from .errors import ConfigError
 from .graphkit import ordered_sum
 from .power import PowerParams, switch_power
@@ -29,7 +29,6 @@ from .workload import (
     demand_table,
     generate_workload,
     load_document,
-    load_workload,
 )
 
 REPORT_FORMAT_VERSION = 1
@@ -63,7 +62,7 @@ class Scenario:
     seed: int = 0
     utilization: float | None = None
     workload_seed: int | None = None
-    workload_path: str | None = None
+    workload_path: str | None = None  # labels the report; jobs are passed in
     horizon: int = 100
     server_capacity: int = 2
     timeslot_seconds: float = 60.0
@@ -95,10 +94,7 @@ class Scenario:
 
     @property
     def stochastic(self) -> bool:
-        return self.route_strategy in DRAWS_PER_SLOT or self.assign_strategy in (
-            "eea",
-            "opt_eea",
-        )
+        return self.route_strategy in DRAWS_PER_SLOT or self.assign_strategy in SEEDED
 
     def describe(self) -> dict:
         return {
@@ -186,12 +182,12 @@ def _resolve_workload(scenario: Scenario, jobs=None):
     if jobs is not None:
         return list(jobs)
     if scenario.workload_path is not None:
-        loaded, _ = load_workload(scenario.workload_path)
-        return loaded
-    if scenario.utilization is None:
         raise ConfigError(
-            "scenario needs an inline utilization, a workload file or explicit jobs"
+            f"workload_path {scenario.workload_path!r} only labels the report; "
+            f"pass the file's jobs to run_scenario"
         )
+    if scenario.utilization is None:
+        raise ConfigError("scenario needs an inline utilization or explicit jobs")
     cfg = WorkloadConfig(
         k=scenario.k,
         target_utilization=scenario.utilization,

@@ -3,7 +3,9 @@
 Each router routes a list of (src, dst, rate) tuples one demand at a
 time, in the order and with the float additions the array routers must
 reproduce bit for bit.  They return `Plan`s for comparison with
-`dcnsim.routing.RoutingPlan`.  The first-fit placements rescan the
+`dcnsim.routing.RoutingPlan`; EER's oracles keep the active set as
+explicit lists (`ListedActiveSet`), which `ListedActiveSet.of` rebuilds
+from `routing.ActiveSet`'s counts.  The first-fit placements rescan the
 servers from the first for every search, where `assignment` resumes a
 cursor.  `run_each_slot` is `run_scenario` as it was before segments:
 it builds, routes and meters every timeslot.  `partition_oracle` cuts
@@ -32,7 +34,7 @@ from dcnsim.assignment import (
 from dcnsim.errors import CapacityError, DomainError, InfeasibleError
 from dcnsim.graphkit import WeightedGraph, ffd_pack, min_k_cut, ordered_sum
 from dcnsim.power import switch_power
-from dcnsim.routing import MBPS_PER_GBPS, ROUTERS, ActiveSet, _pair_key
+from dcnsim.routing import MBPS_PER_GBPS, ROUTERS, _pair_key
 from dcnsim.topology import AGG, CORE, TOR, build_fat_tree
 from dcnsim.workload import demands_at, referential_matrix
 
@@ -105,7 +107,46 @@ def ecmp_oracle(demands, tree, seed, params, timeslot=0) -> Plan:
     return route_each(demands, tree, params, timeslot, choose)
 
 
-def estimate_oracle(demands, tree, params, extra=0) -> ActiveSet:
+@dataclass(frozen=True)
+class ListedActiveSet:
+    """An active set as explicit lists, the oracles' own form.
+
+    `positions` maps each pod to its awake agg positions, in order of the
+    pod's first item; `cores` lists the awake core ids in the order the
+    round robin takes them.
+    """
+
+    positions: dict
+    cores: tuple[int, ...]
+
+    @classmethod
+    def of(cls, active, tree) -> ListedActiveSet:
+        """The lists a `routing.ActiveSet` of counts stands for."""
+        per_group = active.cores_per_group
+        return cls(
+            positions={pod: tuple(range(w)) for pod, w in active.widths.items()},
+            cores=tuple(
+                tree.core_id(group, index)
+                for index in range(tree.half)
+                for group in range(len(per_group))
+                if index < per_group[group]
+            ),
+        )
+
+    def switches(self, tree) -> set[int]:
+        """The ids of every awake agg and core."""
+        aggs = {tree.agg_id(pod, j) for pod, js in self.positions.items() for j in js}
+        return aggs | set(self.cores)
+
+    def cores_by_group(self, tree) -> dict[int, list[int]]:
+        by_group: dict[int, list[int]] = {}
+        for core in self.cores:
+            group = (core - tree.core_base) // tree.half
+            by_group.setdefault(group, []).append(core)
+        return by_group
+
+
+def estimate_oracle(demands, tree, params, extra=0) -> ListedActiveSet:
     cap = params.capacity
     pod_items: dict[int, list[float]] = {}
     core_items: list[float] = []
@@ -165,8 +206,7 @@ def estimate_oracle(demands, tree, params, extra=0) -> ActiveSet:
                 f"need {n_core} cores but only {len(cores)} are reachable from "
                 f"{groups} agg positions"
             )
-    return ActiveSet(positions=positions, cores=tuple(cores),
-                     cross_pods=frozenset(cross_pods))
+    return ListedActiveSet(positions=positions, cores=tuple(cores))
 
 
 def _allowed_paths(tree, active_set, cores_by_group, src, dst):

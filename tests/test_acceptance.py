@@ -18,7 +18,7 @@ from dcnsim.simengine import Scenario, run_scenario, sweep
 from dcnsim.topology import build_fat_tree
 from dcnsim.workload import WorkloadConfig, demands_at, generate_workload
 from linkcheck import loads_from_links
-from oracles import tree_min_cut
+from oracles import ListedActiveSet, tree_min_cut
 
 BENCH = PowerParams(sigma=200.0, mu=1e-4, alpha=2.0, capacity=1000.0)
 
@@ -250,7 +250,7 @@ def test_criterion_07_structural_validation():
                 allowed = None
             else:
                 active, plan = eer(flows, tree, BENCH, timeslot=t)
-                allowed = active.agg_ids(tree) | set(active.cores) | occupied_tors
+                allowed = ListedActiveSet.of(active, tree).switches(tree) | occupied_tors
             checked_plans += 1
             if plan.violations:
                 ok = False

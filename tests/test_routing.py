@@ -18,6 +18,7 @@ from dcnsim.routing import (
 from dcnsim.topology import AGG, TOR, build_fat_tree
 from dcnsim.workload import WorkloadConfig, demands_at, generate_workload
 from linkcheck import link_loads, loads_from_links
+from oracles import ListedActiveSet
 
 PARAMS = PowerParams()  # sigma 200, mu 1e-4, alpha 2, capacity 1000 Gbps
 
@@ -28,9 +29,8 @@ def _plan_energy(plan):
 
 def _full_active_set(tree):
     return ActiveSet(
-        positions={p: tuple(range(tree.half)) for p in range(tree.num_pods)},
-        cores=tuple(range(tree.core_base, tree.num_switches)),
-        cross_pods=frozenset(range(tree.num_pods)),
+        widths={p: tree.half for p in range(tree.num_pods)},
+        cores_per_group=(tree.half,) * tree.half,
     )
 
 
@@ -158,8 +158,8 @@ def test_ecmp_rarely_beats_sp_on_energy():
 def test_estimate_no_inter_rack_traffic_keeps_aggs_asleep():
     tree = build_fat_tree(4)
     active = estimate_active_set([(0, 1, 500.0)], tree, PARAMS)
-    assert active.positions == {}
-    assert active.cores == ()
+    assert active.widths == {}
+    assert active.cores_per_group == ()
 
 
 def test_estimate_agg_count_from_ceiling():
@@ -171,8 +171,8 @@ def test_estimate_agg_count_from_ceiling():
     for i in range(30):
         flows.append((rack0[i % 4], rack1[(i + 1) % 4], rate_each))
     active = estimate_active_set(flows, tree, PARAMS)
-    assert active.positions[0] == (0, 1)
-    assert active.cores == ()
+    assert active.widths[0] == 2
+    assert active.cores_per_group == ()
 
 
 def test_estimate_ffd_confirms_two_for_two_large_flows():
@@ -182,7 +182,7 @@ def test_estimate_ffd_confirms_two_for_two_large_flows():
         (tree.server_id(0, 0, 1), tree.server_id(0, 2, 0), 600_000.0),
     ]
     active = estimate_active_set(flows, tree, PARAMS)
-    assert active.positions[0] == (0, 1)
+    assert active.widths[0] == 2
 
 
 def test_estimate_large_plus_small_fits_one_agg():
@@ -194,7 +194,7 @@ def test_estimate_large_plus_small_fits_one_agg():
             (tree.server_id(0, 0, 1 + i % 3), tree.server_id(0, 2, i % 4), small_total / 10)
         )
     active = estimate_active_set(flows, tree, PARAMS)
-    assert active.positions[0] == (0,)
+    assert active.widths[0] == 1
 
 
 def test_estimate_same_positions_across_cross_pod_pods():
@@ -205,13 +205,9 @@ def test_estimate_same_positions_across_cross_pod_pods():
         (tree.server_id(0, 1, 0), tree.server_id(2, 0, 0), 600_000.0),
     ]
     active = estimate_active_set(flows, tree, PARAMS)
-    assert active.cross_pods == frozenset({0, 1, 2})
-    widths = {active.positions[p] for p in (0, 1, 2)}
-    assert widths == {(0, 1)}
-    # every selected core's group is a selected agg position everywhere
-    for group in active.cores_by_group(tree):
-        for pod in active.cross_pods:
-            assert group in active.positions[pod]
+    assert active.widths == {0: 2, 1: 2, 2: 2}
+    # every group with an awake core is an awake agg position everywhere
+    assert len(active.cores_per_group) <= min(active.widths.values())
 
 
 def test_estimate_cores_round_robin_across_groups():
@@ -222,8 +218,7 @@ def test_estimate_cores_round_robin_across_groups():
     ]
     active = estimate_active_set(flows, tree, PARAMS)
     # 1.8 Tbps cross-pod -> two cores, one per reachable group
-    assert len(active.cores) == 2
-    assert sorted(active.cores_by_group(tree)) == [0, 1]
+    assert active.cores_per_group == (1, 1)
 
 
 def test_estimate_infeasible_single_demand():
@@ -249,11 +244,7 @@ def test_balanced_spreads_equal_demands_over_positions():
     src1 = tree.server_id(0, 1, 0)
     dst0 = tree.server_id(1, 0, 0)
     dst1 = tree.server_id(1, 1, 0)
-    active = ActiveSet(
-        positions={0: (0, 1), 1: (0, 1)},
-        cores=(tree.core_id(0, 0), tree.core_id(1, 0)),
-        cross_pods=frozenset({0, 1}),
-    )
+    active = ActiveSet(widths={0: 2, 1: 2}, cores_per_group=(1, 1))
     plan = balanced_route(
         [(src0, dst0, 500.0), (src1, dst1, 500.0)], tree, active, params=PARAMS
     )
@@ -261,6 +252,19 @@ def test_balanced_spreads_equal_demands_over_positions():
         sw for _, _, _, path in plan.routes for sw in path if tree.layer(sw) == AGG
     }
     assert len(aggs_used) == 4  # both demands took different positions
+
+
+def test_balanced_names_a_demand_with_no_active_path():
+    # pod 1 keeps no agg awake, so the cross-pod demand has no path
+    tree = build_fat_tree(8)
+    src, dst = tree.server_id(0, 0, 0), tree.server_id(1, 0, 0)
+    active = ActiveSet(widths={0: 1}, cores_per_group=(1,))
+    with pytest.raises(InfeasibleError) as err:
+        balanced_route([(src, dst, 100.0)], tree, active, params=PARAMS)
+    message = str(err.value)
+    assert "no active path" in message
+    assert "from pod 0 to pod 1" in message
+    assert f"demand {src}->{dst}" in message
 
 
 def test_balanced_single_demand_takes_first_candidate():
@@ -301,7 +305,7 @@ def test_balanced_is_unsplittable():
 def test_eer_empty_demands_sleep_everything():
     tree = build_fat_tree(4)
     active, plan = eer([], tree, PARAMS)
-    assert active.positions == {} and active.cores == ()
+    assert active.widths == {} and active.cores_per_group == ()
     assert plan.loads == {}
     assert _plan_energy(plan) == 0.0
 
@@ -309,7 +313,7 @@ def test_eer_empty_demands_sleep_everything():
 def test_eer_intra_rack_only_needs_tors():
     tree = build_fat_tree(4)
     active, plan = eer([(0, 1, 300.0), (2, 3, 200.0)], tree, PARAMS)
-    assert active.positions == {} and active.cores == ()
+    assert active.widths == {} and active.cores_per_group == ()
     layers = {tree.layer(sw) for sw in plan.loads}
     assert layers == {TOR}
 
@@ -337,7 +341,7 @@ def test_eer_escalates_once_when_coupling_bites():
     active, plan = eer(flows, tree, PARAMS)
     assert plan.violations == ()
     assert max(plan.loads.values()) <= PARAMS.capacity
-    assert len(active.positions[0]) == 3  # widened by the retry
+    assert active.widths[0] == 3  # widened by the retry
 
 
 def test_eer_fails_early_on_an_overloaded_tor(monkeypatch):
@@ -396,7 +400,7 @@ def test_eer_monotone_in_demands():
         extra_src, extra_dst = rng.choice(tree.num_servers, size=2, replace=False)
         extra = (int(extra_src), int(extra_dst), float(rng.uniform(10, 5000)))
         counts = [
-            len(active.agg_ids(tree)) + len(active.cores)
+            sum(active.widths.values()) + sum(active.cores_per_group)
             for active in (
                 estimate_active_set(flows, tree, PARAMS),
                 estimate_active_set(flows + [extra], tree, PARAMS),
@@ -409,7 +413,7 @@ def test_sleeping_switches_carry_no_load():
     tree, flows = _workload_demands(4, util=0.5, seed=2, t=1)
     active, plan = eer(flows, tree, PARAMS)
     endpoints = {tree.tor_of_server(s) for flow in flows for s in flow[:2]}
-    allowed = active.agg_ids(tree) | set(active.cores) | endpoints
+    allowed = ListedActiveSet.of(active, tree).switches(tree) | endpoints
     for sw, load in plan.loads.items():
         assert sw in allowed
         assert load > 0
@@ -448,9 +452,9 @@ def test_balanced_agg_loads_obey_fewer_is_better():
     # n at and beyond the active count the estimator picked
     tree, flows = _workload_demands(8, util=0.7, seed=5, t=3)
     active, plan = eer(flows, tree, PARAMS)
-    for pod, positions in active.positions.items():
+    for pod, width in active.widths.items():
         load = sum(
-            plan.loads.get(tree.agg_id(pod, j), 0.0) for j in positions
+            plan.loads.get(tree.agg_id(pod, j), 0.0) for j in range(width)
         )
         if load == 0:
             continue

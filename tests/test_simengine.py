@@ -18,7 +18,12 @@ from dcnsim.simengine import (
     sweep,
     table_row,
 )
-from dcnsim.workload import WorkloadConfig, generate_workload, save_workload
+from dcnsim.workload import (
+    WorkloadConfig,
+    generate_workload,
+    load_workload,
+    save_workload,
+)
 
 
 def _scenario(**kw):
@@ -83,8 +88,11 @@ def test_seed_changes_only_stochastic_strategies(tmp_path):
         }
         return fp
 
+    loaded, _ = load_workload(path)
     determinist = [
-        run_scenario(_scenario(workload_path=str(path), utilization=None, seed=s))
+        run_scenario(
+            _scenario(workload_path=str(path), utilization=None, seed=s), jobs=loaded
+        )
         for s in (1, 2, 3)
     ]
     assert payload(determinist[0]) == payload(determinist[1]) == payload(determinist[2])
@@ -94,11 +102,27 @@ def test_seed_changes_only_stochastic_strategies(tmp_path):
             _scenario(
                 assign_strategy="opt_eea", route_strategy="eer",
                 workload_path=str(path), utilization=None, seed=s,
-            )
+            ),
+            jobs=loaded,
         )
         for s in (1, 2, 3, 4)
     ]
     assert len({tuple(r.per_timeslot_watts) for r in stochastic}) > 1
+
+
+def test_a_workload_path_without_its_jobs_is_refused(tmp_path):
+    # the path only labels the report: run_scenario neither reads the
+    # file nor generates a workload the label would misname
+    jobs = generate_workload(
+        WorkloadConfig(k=4, target_utilization=0.5, horizon=12), seed=3
+    )
+    path = tmp_path / "wl.json"
+    save_workload(path, jobs, horizon=12, seed=3)
+    for utilization in (None, 0.5):
+        with pytest.raises(ConfigError, match="only labels the report"):
+            run_scenario(_scenario(workload_path=str(path), utilization=utilization))
+    with pytest.raises(ConfigError, match="utilization or explicit jobs"):
+        run_scenario(_scenario(utilization=None))
 
 
 def test_report_roundtrip(tmp_path):
