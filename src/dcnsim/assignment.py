@@ -12,7 +12,7 @@ pipeline without the super-VM merge (eea).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -82,7 +82,6 @@ class PodClusters:
 
     clusters: list[list[int]]
     overflow: list[int]
-    centers: list[np.ndarray] = field(default_factory=list)
 
 
 # --- super-VM transformation ----------------------------------------------
@@ -174,7 +173,7 @@ def cluster_jobs(
     vectors = [pattern_vector(job, horizon) for job in jobs]
     seed_positions = kmeans_pp_seed(vectors, n_pods, seed=seed)
     clusters = [[jobs[p].id] for p in seed_positions]
-    centers = [vectors[p].copy() for p in seed_positions]
+    centers = [vectors[p] for p in seed_positions]
     member_vecs = [[vectors[p]] for p in seed_positions]
     loads = [jobs[p].slots for p in seed_positions]
 
@@ -195,7 +194,7 @@ def cluster_jobs(
         member_vecs[best].append(vectors[i])
         loads[best] += job.slots
         centers[best] = np.mean(member_vecs[best], axis=0)
-    return PodClusters(clusters=clusters, overflow=overflow, centers=centers)
+    return PodClusters(clusters=clusters, overflow=overflow)
 
 
 # --- rack partitioning ------------------------------------------------------
@@ -278,21 +277,19 @@ def pack_cluster_into_pod(
     job_partitions: Sequence[tuple[Job, Sequence[Sequence[SuperVM]]]],
     racks: Sequence[Sequence[int]],
     server_capacity: int,
-    free=None,
-) -> tuple[dict[tuple[int, int], int], list[str]]:
-    """Pack each job's unit groups into the pod's racks.
+    free,
+) -> dict[tuple[int, int], int]:
+    """Pack each job's unit groups into the pod's racks; returns the placements.
 
     Per job, groups go largest first into the first rack (in the current
     scan order) that can host the whole group on distinct servers; after
     each job the racks re-sort by ascending used-server count.  A group
-    too big for any single rack is split across the emptiest racks, with
-    a warning.  Raises if the pod genuinely cannot hold the cluster.
+    too big for any single rack is split across the emptiest racks.
+    `free` maps each server to its free slots and is updated in place.
+    Raises if the pod genuinely cannot hold the cluster.
     """
-    if free is None:
-        free = {s: server_capacity for rack in racks for s in rack}
     pod = _PodState(racks, server_capacity, free)
     placements: dict[tuple[int, int], int] = {}
-    warnings: list[str] = []
 
     for job, groups in job_partitions:
         ordered = sorted(
@@ -310,17 +307,13 @@ def pack_cluster_into_pod(
                     _commit(placements, free, unit, server)
                 continue
             # Split across the emptiest racks, filling each in turn.
-            warnings.append(
-                f"job {job.id}: group of {sum(u.size for u in group)} slots "
-                f"split across racks"
-            )
             fit = _FirstFit(
                 [s for rack in _by_emptiest(pod) for s in pod.racks[rack]], free
             )
             for unit in sorted(group, key=lambda u: (-u.size, u.members)):
                 _place_unit(unit, job, fit, placements)
         pod.resort()
-    return placements, warnings
+    return placements
 
 
 def _by_emptiest(pod: _PodState) -> list[int]:
@@ -437,10 +430,9 @@ def _pipeline_assign(jobs, tree, seed, horizon, shrink) -> Assignment:
             t_ref = referential_matrix(job)
             groups = partition_into_racks(units, t_ref, tree.racks_per_pod)
             partitions.append((job, [[units[i] for i in g] for g in groups]))
-        placed, _ = pack_cluster_into_pod(
-            partitions, racks, tree.server_capacity, free=free
+        placements.update(
+            pack_cluster_into_pod(partitions, racks, tree.server_capacity, free)
         )
-        placements.update(placed)
 
     # Overflow jobs fill vacant capacity of the cluster pods, then anywhere.
     in_clusters = _FirstFit(

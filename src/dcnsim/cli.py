@@ -1,8 +1,9 @@
 """Command line interface: gen / run / compare / sweep.
 
 A plain key=value config file can pre-fill any option; explicit flags
-win.  Exit codes: 0 success, 2 configuration error or unreadable file,
-3 infeasible placement or routing.
+win, and a key that no subcommand reads is a configuration error.
+Exit codes: 0 success, 2 configuration error or unreadable file, 3
+infeasible placement or routing.
 """
 
 from __future__ import annotations
@@ -35,9 +36,17 @@ EXIT_INFEASIBLE = 3
 SWEEP_UTILIZATIONS = ",".join(f"{u / 100:.2f}" for u in range(5, 96, 10))
 SWEEP_REPEATS = 5
 
+# The keys that some subcommand reads from a config file.  One file may
+# serve gen, run and sweep, so each accepts the keys the others read.
+CONFIG_KEYS = frozenset({
+    "k", "seed", "utilization", "utilizations", "repeats", "horizon",
+    "server_capacity", "workload", "assign", "route", "timeslot_seconds",
+    "sigma", "mu", "alpha", "capacity_gbps",
+})
+
 
 def parse_config_file(path) -> dict:
-    """Read `key = value` lines; '#' starts a comment."""
+    """Read `key = value` lines; '#' starts a comment, '-' in a key reads as '_'."""
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -47,7 +56,10 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"{path}:{lineno}: no subcommand reads the key {key!r}")
+            values[key] = value.strip()
     return values
 
 
@@ -202,8 +214,6 @@ def cmd_sweep(args) -> int:
         utilizations = [float(u) for u in levels.split(",") if u.strip()]
     except ValueError as exc:
         raise ConfigError(f"utilizations {levels!r}: {exc}") from exc
-    if not utilizations:
-        raise ConfigError("sweep needs a non-empty --utilizations list")
     os.makedirs(args.out, exist_ok=True)
     reports, tables = sweep(
         k=k,

@@ -6,13 +6,16 @@ up-down paths:
 * sp_route    - deterministic shortest paths; among the equal-cost
   candidates a fixed symmetric mix of the endpoint ids selects the agg
   position and core, the way static per-pair forwarding tables do.
-* ecmp_route  - per-flow uniform random choice among the candidates.
+* ecmp_route  - per-flow uniform random choice among the candidates,
+  ordered position-major, then by core index.
 * eer         - two phases: size a minimal active switch set from the
   traffic (ceiling plus a first-fit-decreasing feasibility pass), then
   spread whole demands over it greedily, largest first, always taking
   the path that keeps the maximum traversed load lowest.
 
-Every router takes a slot's DemandSet and works on whole arrays.  A
+Every router takes a slot's DemandSet and works on whole arrays; it
+reads every demand's ToR and pod off the tree (`FatTree.tor_of_server`
+and `FatTree.server_pod`), one call each over all endpoints.  A
 same-rack demand rides its ToR alone, so only inter-rack demands reach
 a path choice: sp's pair hash and ecmp's draws are array operations.
 eer sizes its active set with ordered bincounts, and calls the
@@ -139,7 +142,13 @@ def _demand_set(demands) -> DemandSet:
     return DemandSet.of(demands)
 
 
-def _paths(tree: FatTree, src_tor, dst_tor, position, index):
+def _ends(tree: FatTree, demands: DemandSet):
+    """Every demand's (source, destination) ToRs and pods, as two-row arrays."""
+    ends = np.array((demands.src, demands.dst))
+    return tree.tor_of_server(ends), tree.server_pod(ends)
+
+
+def _paths(tree: FatTree, tors, pods, position, index):
     """Every demand's up-down path as one row of five switches, -1 for none.
 
     A same-rack demand's path is its ToR alone.  An inter-rack demand
@@ -147,11 +156,10 @@ def _paths(tree: FatTree, src_tor, dst_tor, position, index):
     through core `index` of that position's group.
     """
     half = tree.half
-    pods = np.array((src_tor, dst_tor)) // half
     up, down = pods * half + (position + tree.agg_base)
     core = position * half + index + tree.core_base
-    hops = np.array((src_tor, up, core, down, dst_tor))
-    hops[1:, src_tor == dst_tor] = -1
+    hops = np.array((tors[0], up, core, down, tors[1]))
+    hops[1:, tors[0] == tors[1]] = -1
     hops[2:4, pods[0] == pods[1]] = -1
     return hops.T
 
@@ -178,15 +186,14 @@ def _finish_plan(timeslot, demands, hops, params, by_pair=False):
 def _route(demands, tree: FatTree, params, timeslot, choose) -> RoutingPlan:
     """Route every demand, in order, on the up-down path `choose` picks.
 
-    `choose(src, dst, src_tor, dst_tor)` returns every demand's agg
-    position and core index, which a same-rack demand (it rides its ToR
-    alone) and, for the core, a same-pod demand ignore.
+    `choose(src, dst, tors, pods)` returns every demand's agg position
+    and core index, which a same-rack demand (it rides its ToR alone)
+    and, for the core, a same-pod demand ignore.
     """
     demands = _demand_set(demands)
-    spr = tree.servers_per_rack
-    src_tor, dst_tor = demands.src // spr, demands.dst // spr
-    position, index = choose(demands.src, demands.dst, src_tor, dst_tor)
-    hops = _paths(tree, src_tor, dst_tor, position, index)
+    tors, pods = _ends(tree, demands)
+    position, index = choose(demands.src, demands.dst, tors, pods)
+    hops = _paths(tree, tors, pods, position, index)
     return _finish_plan(timeslot, demands, hops, params)
 
 
@@ -204,7 +211,7 @@ def sp_route(
     """
     half = tree.half
 
-    def choose(src, dst, src_tor, dst_tor):
+    def choose(src, dst, tors, pods):
         key = _pair_key(src, dst)
         return key % half, (key >> 8) % half
 
@@ -234,18 +241,18 @@ def ecmp_route(
 ) -> RoutingPlan:
     """Equal-cost multipath: seeded uniform path choice per flow.
 
-    Each inter-rack flow draws one index into `FatTree.candidate_paths`'
-    order (position-major, then core index), in demand order, from one
-    `integers` call; it draws the same values as one call per flow.  A
-    same-rack flow has one candidate and draws nothing, as `integers(1)`
-    would leave the generator unchanged.
+    Each inter-rack flow draws one index into its equal-cost paths,
+    ordered position-major, then by core index, in demand order, from
+    one `integers` call; it draws the same values as one call per flow.
+    A same-rack flow has one candidate and draws nothing, as
+    `integers(1)` would leave the generator unchanged.
     """
     rng = np.random.default_rng(seed)
     half = tree.half
 
-    def choose(src, dst, src_tor, dst_tor):
-        same_pod = src_tor // half == dst_tor // half
-        inter = src_tor != dst_tor
+    def choose(src, dst, tors, pods):
+        same_pod = pods[0] == pods[1]
+        inter = tors[0] != tors[1]
         draw = np.zeros(len(src), dtype=np.int64)
         draw[inter] = rng.integers(0, np.where(same_pod, half, half * half)[inter])
         return np.where(same_pod, draw, draw // half), draw % half
@@ -277,21 +284,21 @@ def estimate_active_set(
     """
     cap = params.capacity
     demands = _demand_set(demands)
-    spr, spp = tree.servers_per_rack, tree.servers_per_pod
-    keep = demands.src // spr != demands.dst // spr
-    src, dst = demands.src[keep], demands.dst[keep]
+    tors, pods = _ends(tree, demands)
+    keep = tors[0] != tors[1]
     gbps = demands.rate[keep] / MBPS_PER_GBPS
     over = gbps > cap
     if over.any():
         i = int(over.argmax())
+        src, dst = demands.src[keep][i], demands.dst[keep][i]
         raise InfeasibleError(
-            f"demand {int(src[i])}->{int(dst[i])} of {float(gbps[i])} Gbps "
+            f"demand {int(src)}->{int(dst)} of {float(gbps[i])} Gbps "
             f"exceeds switch capacity {cap}"
         )
     # Each demand's items, as (row, size): its source pod's, then, across
     # pods, its destination pod's and the core's (row num_pods), so every
     # row lists its items in demand order.
-    src_pod, dst_pod = src // spp, dst // spp
+    src_pod, dst_pod = pods[:, keep]
     cross = src_pod != dst_pod
     rows = np.array((src_pod, dst_pod, src_pod))
     rows[2] = core_row = tree.num_pods
@@ -368,40 +375,39 @@ def balanced_route(
     ordered = DemandSet(
         demands.src[by_size], demands.dst[by_size], demands.rate[by_size]
     )
-    spr, half = tree.servers_per_rack, tree.half
-    src_tor, dst_tor = ordered.src // spr, ordered.dst // spr
-    inter = (src_tor != dst_tor).nonzero()[0]
-    pods = np.array((src_tor[inter], dst_tor[inter])) // half
+    tors, pods = _ends(tree, ordered)
+    inter = (tors[0] != tors[1]).nonzero()[0]
+    inter_pods = pods[:, inter]
     width = np.zeros(tree.num_pods, dtype=np.int64)
     width[list(active_set.widths)] = list(active_set.widths.values())
-    widths = width[pods]
+    widths = width[inter_pods]
     # reach[n]: the awake cores behind agg positions 0..n-1
     reach = np.cumsum((0, *active_set.cores_per_group))
     shared = np.minimum(widths.min(axis=0), len(reach) - 1)
-    count = np.where(pods[0] == pods[1], widths[0], reach[shared])
+    count = np.where(inter_pods[0] == inter_pods[1], widths[0], reach[shared])
     if not count.all():
         j = int(count.argmin())  # the first demand with no path
         i = inter[j]
         raise InfeasibleError(
             f"no active path through the aggregation layer from pod "
-            f"{int(pods[0][j])} to pod {int(pods[1][j])} for demand "
+            f"{int(inter_pods[0][j])} to pod {int(inter_pods[1][j])} for demand "
             f"{ordered.src[i]}->{ordered.dst[i]}"
         )
-    position, index = np.zeros((2, len(src_tor)), dtype=np.int64)
+    position, index = np.zeros((2, len(ordered.src)), dtype=np.int64)
 
     if (count > 1).any():
         allowed = functools.cache(lambda a, b: active_set.paths(tree, a, b))
         gbps = (ordered.rate / MBPS_PER_GBPS).tolist()
         load = [0.0] * tree.num_switches  # every switch's load so far
         positions, indexes = [], []
-        for a, b, g in zip(src_tor.tolist(), dst_tor.tolist(), gbps):
+        for a, b, pa, pb, g in zip(*tors.tolist(), *pods.tolist(), gbps):
             load[a] += g
             if a == b:
                 continue
             load[b] += g
             floor = max(load[a], load[b])
             best, best_peak = None, None
-            for candidate in allowed(a // half, b // half):
+            for candidate in allowed(pa, pb):
                 peak = floor
                 for sw in candidate[2]:
                     here = load[sw] + g
@@ -414,7 +420,7 @@ def balanced_route(
             positions.append(best[0])
             indexes.append(best[1])
         position[inter], index[inter] = positions, indexes
-    hops = _paths(tree, src_tor, dst_tor, position, index)
+    hops = _paths(tree, tors, pods, position, index)
     return _finish_plan(timeslot, ordered, hops, params, by_pair=True)
 
 

@@ -28,6 +28,7 @@ from .workload import (
     WorkloadConfig,
     demand_table,
     generate_workload,
+    is_horizon,
     load_document,
 )
 
@@ -79,6 +80,8 @@ class Scenario:
                 f"route strategy must be one of {tuple(ROUTERS)}, "
                 f"got {self.route_strategy!r}"
             )
+        if not is_horizon(self.horizon):
+            raise ConfigError(f"horizon must be an int >= 1, got {self.horizon!r}")
         if not (math.isfinite(self.timeslot_seconds) and self.timeslot_seconds > 0):
             raise ConfigError(
                 f"timeslot_seconds must be finite and > 0, got {self.timeslot_seconds}"
@@ -398,6 +401,10 @@ def sweep(
     Every repeat draws a fresh workload seed; all strategies in the grid
     share that workload, so the comparison is paired per seed.
     """
+    if not utilizations:
+        raise ConfigError("sweep needs at least one utilization")
+    if repeats < 1:
+        raise ConfigError(f"sweep needs repeats >= 1, got {repeats}")
     power = power or PowerParams()
     reports: list[EnergyReport] = []
     for u_index, utilization in enumerate(utilizations):

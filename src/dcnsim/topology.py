@@ -1,4 +1,4 @@
-"""k-ary Fat-Tree construction and structural queries.
+"""k-ary Fat-Tree construction and id arithmetic.
 
 Identity scheme (pod-major, fixed so reports are comparable):
 
@@ -9,8 +9,14 @@ Identity scheme (pod-major, fixed so reports are comparable):
 
 The aggregation switch at position j of every pod connects to the k/2
 core switches of group j, so a core of group j only ever joins the
-position-j aggs of two pods.  Switch-to-switch link capacity is not
-modeled; the per-switch capacity is the binding constraint.
+position-j aggs of two pods.  Between servers in different racks the
+equal-cost up-down paths are one per agg position within a pod and one
+per (agg position, core index) pair across pods; the routers name a
+path by that position and index.  `server_pod` and `tor_of_server`
+take a server id or an integer array of them; no other module of the
+package derives a rack or pod from a server id.  Switch-to-switch link
+capacity is not modeled; the per-switch capacity is the binding
+constraint.
 """
 
 from __future__ import annotations
@@ -56,12 +62,6 @@ class FatTree:
     def server_pod(self, server: int) -> int:
         return server // self.servers_per_pod
 
-    def server_id(self, pod: int, rack: int, slot: int) -> int:
-        return pod * self.servers_per_pod + rack * self.servers_per_rack + slot
-
-    def tor_id(self, pod: int, rack: int) -> int:
-        return pod * self.half + rack
-
     def agg_id(self, pod: int, position: int) -> int:
         return self.agg_base + pod * self.half + position
 
@@ -88,54 +88,6 @@ class FatTree:
     def pod_servers(self, pod: int) -> list[int]:
         base = pod * self.servers_per_pod
         return list(range(base, base + self.servers_per_pod))
-
-    # --- adjacency (for structural checks) -----------------------------
-
-    def switch_neighbors(self, switch: int) -> list[int]:
-        """Adjacent switches of a switch (server links not included)."""
-        kind = self.layer(switch)
-        if kind == TOR:
-            pod = switch // self.half
-            return [self.agg_id(pod, j) for j in range(self.half)]
-        if kind == AGG:
-            local = switch - self.agg_base
-            pod, position = divmod(local, self.half)
-            tors = [self.tor_id(pod, r) for r in range(self.half)]
-            cores = [self.core_id(position, i) for i in range(self.half)]
-            return tors + cores
-        local = switch - self.core_base
-        group = local // self.half
-        return [self.agg_id(pod, group) for pod in range(self.num_pods)]
-
-    # --- path enumeration ----------------------------------------------
-
-    def candidate_paths(self, src_server: int, dst_server: int) -> list[tuple[int, ...]]:
-        """All equal-cost up-down paths between two distinct servers.
-
-        Same rack -> one ToR-only path; same pod -> one path per agg
-        position; cross pod -> one path per (agg position, core) pair.
-        Order is deterministic: position-major, then core index.
-        """
-        self.check_server(src_server)
-        self.check_server(dst_server)
-        if src_server == dst_server:
-            raise DomainError(f"no path between a server and itself ({src_server})")
-        src_pod, dst_pod = self.server_pod(src_server), self.server_pod(dst_server)
-        src_tor, dst_tor = self.tor_of_server(src_server), self.tor_of_server(dst_server)
-        if src_tor == dst_tor:
-            return [(src_tor,)]
-        if src_pod == dst_pod:
-            return [
-                (src_tor, self.agg_id(src_pod, j), dst_tor)
-                for j in range(self.half)
-            ]
-        paths = []
-        for j in range(self.half):
-            up = self.agg_id(src_pod, j)
-            down = self.agg_id(dst_pod, j)
-            for i in range(self.half):
-                paths.append((src_tor, up, self.core_id(j, i), down, dst_tor))
-        return paths
 
 
 def build_fat_tree(k: int, server_capacity: int = 2) -> FatTree:

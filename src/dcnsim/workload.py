@@ -165,8 +165,13 @@ class WorkloadConfig:
             raise ConfigError(
                 f"target_utilization must be within [0, 1], got {self.target_utilization}"
             )
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
+        if not is_horizon(self.horizon):
+            raise ConfigError(f"horizon must be an int >= 1, got {self.horizon!r}")
+
+
+def is_horizon(value) -> bool:
+    """Whether `value` can be a horizon: an int (not a bool) of at least 1."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def generate_workload(cfg: WorkloadConfig, seed: int) -> list[Job]:
@@ -468,4 +473,9 @@ def _workload_of(doc):
         )
         for entry in doc["jobs"]
     ]
-    return jobs, {k: doc.get(k) for k in ("horizon", "seed", "config")}
+    horizon, config = doc["horizon"], doc.get("config")
+    if not is_horizon(horizon):
+        raise ValueError(f"horizon must be an int >= 1, got {horizon!r}")
+    if config is not None and not isinstance(config, dict):
+        raise ValueError(f"config must be an object or null, got {config!r}")
+    return jobs, {"horizon": horizon, "seed": doc.get("seed"), "config": config}

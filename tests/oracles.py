@@ -12,7 +12,10 @@ it builds, routes and meters every timeslot.  `partition_oracle` cuts
 every job, building its rack graph with two `np.ix_` gathers per pair,
 `shrink_oracle` merges super-VMs with nested Python scans for each
 maximum, and `tree_min_cut` reads a pairwise minimum cut off a
-Gomory-Hu tree.
+Gomory-Hu tree.  `candidate_paths` lists a pair's equal-cost up-down
+paths the way a per-pair router would; it and `switch_neighbors` (the
+Fat-Tree's links, for walking it) work from the `server_id` and
+`tor_id` arithmetic of `dcnsim.topology`'s identity scheme.
 """
 
 from __future__ import annotations
@@ -37,6 +40,54 @@ from dcnsim.power import switch_power
 from dcnsim.routing import MBPS_PER_GBPS, ROUTERS, _pair_key
 from dcnsim.topology import AGG, CORE, TOR, build_fat_tree
 from dcnsim.workload import demands_at, referential_matrix
+
+
+def server_id(tree, pod, rack, slot) -> int:
+    return pod * tree.servers_per_pod + rack * tree.servers_per_rack + slot
+
+
+def tor_id(tree, pod, rack) -> int:
+    return pod * tree.half + rack
+
+
+def switch_neighbors(tree, switch) -> list[int]:
+    """Adjacent switches of a switch (server links not included)."""
+    kind = tree.layer(switch)
+    if kind == TOR:
+        pod = switch // tree.half
+        return [tree.agg_id(pod, j) for j in range(tree.half)]
+    if kind == AGG:
+        pod, position = divmod(switch - tree.agg_base, tree.half)
+        tors = [tor_id(tree, pod, r) for r in range(tree.half)]
+        cores = [tree.core_id(position, i) for i in range(tree.half)]
+        return tors + cores
+    group = (switch - tree.core_base) // tree.half
+    return [tree.agg_id(pod, group) for pod in range(tree.num_pods)]
+
+
+def candidate_paths(tree, src, dst) -> list[tuple[int, ...]]:
+    """All equal-cost up-down paths between two distinct servers.
+
+    Same rack -> one ToR-only path; same pod -> one path per agg
+    position; cross pod -> one path per (agg position, core) pair.
+    Order is deterministic: position-major, then core index.
+    """
+    tree.check_server(src)
+    tree.check_server(dst)
+    if src == dst:
+        raise DomainError(f"no path between a server and itself ({src})")
+    src_pod, dst_pod = tree.server_pod(src), tree.server_pod(dst)
+    src_tor, dst_tor = tree.tor_of_server(src), tree.tor_of_server(dst)
+    if src_tor == dst_tor:
+        return [(src_tor,)]
+    if src_pod == dst_pod:
+        return [(src_tor, tree.agg_id(src_pod, j), dst_tor) for j in range(tree.half)]
+    return [
+        (src_tor, tree.agg_id(src_pod, j), tree.core_id(j, i),
+         tree.agg_id(dst_pod, j), dst_tor)
+        for j in range(tree.half)
+        for i in range(tree.half)
+    ]
 
 
 @dataclass

@@ -125,20 +125,29 @@ def test_cluster_single_job():
     clusters = cluster_jobs([job], 1, pod_slot_capacity=8, horizon=10, seed=0)
     assert clusters.clusters == [[0]]
     assert clusters.overflow == []
-    from dcnsim.workload import pattern_vector
-
-    assert np.allclose(clusters.centers[0], pattern_vector(job, 10))
 
 
-def test_cluster_center_is_mean_of_members():
-    a = _window_job(0, 0, 4)
-    b = _window_job(1, 0, 4, rate=30.0)
-    clusters = cluster_jobs([a, b], 1, pod_slot_capacity=8, horizon=6, seed=1)
-    assert sorted(clusters.clusters[0]) == [0, 1]
-    from dcnsim.workload import pattern_vector
+def test_cluster_center_is_mean_of_members(monkeypatch):
+    # Over a one-slot horizon a job's pattern is its rate.  Seeds 0 and
+    # 10 open clusters 0 and 1; the 4-slot job of rate 1 goes first and
+    # joins the more dissimilar cluster 1, whose center becomes 5.5.
+    # The probe then joins whichever center lies farther from its rate:
+    # 4 -> cluster 0 (a center left at 10 would draw it to 1), 2 ->
+    # cluster 1 (a center moved to the newest member, 1, would send it
+    # to 0).
+    import dcnsim.assignment as assignment
 
-    mean = (pattern_vector(a, 6) + pattern_vector(b, 6)) / 2
-    assert np.allclose(clusters.centers[0], mean)
+    monkeypatch.setattr(assignment, "kmeans_pp_seed", lambda vectors, k, seed: [0, 1])
+    for probe_rate, joins in ((4.0, 0), (2.0, 1)):
+        jobs = [
+            _window_job(0, 0, 0, rate=0.0),
+            _window_job(1, 0, 0, rate=10.0),
+            _window_job(2, 0, 0, n=4, rate=1.0),
+            _window_job(3, 0, 0, rate=probe_rate),
+        ]
+        clusters = cluster_jobs(jobs, 2, pod_slot_capacity=100, horizon=1, seed=0)
+        assert clusters.clusters[1][:2] == [1, 2]
+        assert 3 in clusters.clusters[joins], probe_rate
 
 
 def test_identical_patterns_split_across_clusters():
@@ -199,17 +208,16 @@ def test_partition_clamps_to_unit_count():
 # --- packing -------------------------------------------------------------------
 
 
-def _unit_set(job_id, count, size=1):
-    return [SuperVM(job_id, (i,), size) for i in range(count)]
+def _all_free(servers, capacity=2):
+    return {s: capacity for s in servers}
 
 
 def test_pack_single_set_lands_in_first_rack():
     job = Job(id=0, vm_count=2)
     units = single_vm_units(job)
-    placements, warns = pack_cluster_into_pod(
-        [(job, [units])], racks=[[0, 1], [2, 3]], server_capacity=2
+    placements = pack_cluster_into_pod(
+        [(job, [units])], [[0, 1], [2, 3]], 2, _all_free([0, 1, 2, 3])
     )
-    assert warns == []
     assert set(placements.values()) <= {0, 1}
 
 
@@ -220,8 +228,7 @@ def test_pack_resorts_racks_between_jobs():
     jobs = [Job(id=i, vm_count=n) for i, n in enumerate((3, 2, 1))]
     partitions = [(job, [single_vm_units(job)]) for job in jobs]
     racks = [[0, 1, 2, 3], [4, 5, 6, 7]]
-    placements, warns = pack_cluster_into_pod(partitions, racks, server_capacity=2)
-    assert warns == []
+    placements = pack_cluster_into_pod(partitions, racks, 2, _all_free(range(8)))
     rack_of = lambda s: 0 if s < 4 else 1
     assert {rack_of(placements[(0, m)]) for m in range(3)} == {0}
     assert {rack_of(placements[(1, m)]) for m in range(2)} == {1}
@@ -231,22 +238,17 @@ def test_pack_resorts_racks_between_jobs():
 def test_pack_distinct_servers_within_group():
     job = Job(id=0, vm_count=3)
     units = single_vm_units(job)
-    placements, _ = pack_cluster_into_pod(
-        [(job, [units])], racks=[[0, 1, 2, 3]], server_capacity=2
-    )
+    placements = pack_cluster_into_pod([(job, [units])], [[0, 1, 2, 3]], 2, _all_free(range(4)))
     servers = [placements[(0, m)] for m in range(3)]
     assert len(set(servers)) == 3
 
 
-def test_pack_splits_oversized_group_with_warning():
+def test_pack_splits_oversized_group_across_racks():
     # five server-sized units cannot fit one rack of four servers
     job = Job(id=0, vm_count=10)
     units = [SuperVM(0, (2 * i, 2 * i + 1), 2) for i in range(5)]
     racks = [[0, 1, 2, 3], [4, 5, 6, 7]]
-    placements, warns = pack_cluster_into_pod(
-        [(job, [units])], racks, server_capacity=2
-    )
-    assert len(warns) == 1 and "split" in warns[0]
+    placements = pack_cluster_into_pod([(job, [units])], racks, 2, _all_free(range(8)))
     rack_of = lambda s: 0 if s < 4 else 1
     used_racks = {rack_of(s) for s in placements.values()}
     assert used_racks == {0, 1}
@@ -258,7 +260,7 @@ def test_pack_overflow_raises():
     job = Job(id=0, vm_count=6)
     units = [SuperVM(0, (2 * i, 2 * i + 1), 2) for i in range(3)]
     with pytest.raises(InfeasibleError):
-        pack_cluster_into_pod([(job, [units])], racks=[[0, 1]], server_capacity=2)
+        pack_cluster_into_pod([(job, [units])], [[0, 1]], 2, _all_free([0, 1]))
 
 
 # --- strategies -----------------------------------------------------------------

@@ -93,6 +93,9 @@ def test_config_error_exit_code(tmp_path):
     ("{not json", "not valid JSON"),
     ('{"version": 1, "horizon": 10}', "lacks the key 'jobs'"),
     ('{"version": 1, "horizon": 10, "jobs": [1]}', "is malformed"),
+    ('{"version": 1, "horizon": "abc", "jobs": []}', "horizon must be an int >= 1"),
+    ('{"version": 1, "horizon": 10, "config": "x", "jobs": []}',
+     "config must be an object or null"),
 ])
 def test_bad_workload_file_is_a_config_error(tmp_path, capsys, text, cause):
     wl = tmp_path / "bad.json"
@@ -123,6 +126,42 @@ def test_bad_utilizations_are_a_config_error(tmp_path, capsys):
                  "--out", str(tmp_path / "sw")]) == 2
     assert capsys.readouterr().err.startswith("config error: utilizations 'a,b'")
     assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("flags, cause", [
+    (["--repeats", "0"], "repeats >= 1, got 0"),
+    (["--utilizations", ","], "at least one utilization"),
+])
+def test_sweep_needs_a_level_and_a_repeat(tmp_path, capsys, flags, cause):
+    assert main(["sweep", "--k", "4", "--horizon", "4", *flags,
+                 "--out", str(tmp_path / "sw")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sweep needs ") and cause in err
+    assert not list((tmp_path / "sw").glob("*"))
+
+
+def test_a_config_key_no_subcommand_reads_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("k = 4\nutilization = 0.3\nsigmaa = 5\n")
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(cfg) in err and "'sigmaa'" in err
+    assert not out.exists()
+
+
+def test_one_config_file_serves_gen_run_and_sweep(tmp_path):
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(
+        "k = 4\nutilization = 0.3\nutilizations = 0.3\nrepeats = 1\n"
+        "horizon = 4\nseed = 2\nassign = greedy\nroute = sp\nsigma = 150\n"
+    )
+    wl = tmp_path / "wl.json"
+    assert main(["gen", "--config", str(cfg), "--out", str(wl)]) == 0
+    assert main(["run", "--config", str(cfg), "--workload", str(wl),
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert load_report(tmp_path / "r.json").scenario["power"]["sigma"] == 150.0
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")]) == 0
 
 
 def test_unwritable_report_path_exits_2(tmp_path, capsys, monkeypatch):

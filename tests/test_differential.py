@@ -36,6 +36,7 @@ from dcnsim.topology import build_fat_tree
 from dcnsim.workload import Job, Transfer, demand_table, demands_at, referential_matrix
 from oracles import (
     ListedActiveSet,
+    candidate_paths,
     ecmp_oracle,
     eer_oracle,
     partition_oracle,
@@ -68,7 +69,7 @@ def ecmp_reference(demands, tree, seed):
     rng = np.random.default_rng(seed)
     routes, loads = [], {}
     for src, dst, rate in demands:
-        paths = tree.candidate_paths(src, dst)
+        paths = candidate_paths(tree, src, dst)
         path = paths[int(rng.integers(len(paths)))]
         routes.append((src, dst, rate, path))
         for sw in path:

@@ -18,7 +18,7 @@ from dcnsim.routing import (
 from dcnsim.topology import AGG, TOR, build_fat_tree
 from dcnsim.workload import WorkloadConfig, demands_at, generate_workload
 from linkcheck import link_loads, loads_from_links
-from oracles import ListedActiveSet
+from oracles import ListedActiveSet, candidate_paths, server_id, switch_neighbors, tor_id
 
 PARAMS = PowerParams()  # sigma 200, mu 1e-4, alpha 2, capacity 1000 Gbps
 
@@ -51,8 +51,8 @@ def _workload_demands(k, util, seed, t=0, horizon=20):
 def test_sp_intra_rack_uses_only_the_tor():
     tree = build_fat_tree(4)
     plan = sp_route([(0, 1, 100.0)], tree, params=PARAMS)
-    assert plan.routes[0][3] == (tree.tor_id(0, 0),)
-    assert plan.loads == {tree.tor_id(0, 0): 0.1}
+    assert plan.routes[0][3] == (tor_id(tree, 0, 0),)
+    assert plan.loads == {tor_id(tree, 0, 0): 0.1}
 
 
 def test_sp_empty_demands():
@@ -78,7 +78,7 @@ def test_sp_paths_are_valid_shortest_paths():
         src, dst = rng.choice(tree.num_servers, size=2, replace=False)
         (route,) = sp_route([(int(src), int(dst), 5.0)], tree, params=PARAMS).routes
         path = route[3]
-        candidates = set(tree.candidate_paths(int(src), int(dst)))
+        candidates = set(candidate_paths(tree, int(src), int(dst)))
         assert path in candidates
         shortest = min(len(p) for p in candidates)
         assert len(path) == shortest
@@ -109,7 +109,7 @@ def test_sp_reports_capacity_violations():
     tree = build_fat_tree(4)
     over = 1.2e6  # 1200 Gbps on a 1000 Gbps switch
     plan = sp_route([(0, 1, over)], tree, params=PARAMS, timeslot=4)
-    assert plan.violations == (tree.tor_id(0, 0),)
+    assert plan.violations == (tor_id(tree, 0, 0),)
     assert plan.timeslot == 4
 
 
@@ -120,13 +120,13 @@ def test_ecmp_single_path_demand_ignores_seed():
     tree = build_fat_tree(4)
     for seed in range(5):
         plan = ecmp_route([(0, 1, 10.0)], tree, seed=seed, params=PARAMS)
-        assert plan.routes[0][3] == (tree.tor_id(0, 0),)
+        assert plan.routes[0][3] == (tor_id(tree, 0, 0),)
 
 
 def test_ecmp_uniform_over_candidate_paths():
     tree = build_fat_tree(4)
     src, dst = 0, 15
-    paths = tree.candidate_paths(src, dst)
+    paths = candidate_paths(tree, src, dst)
     counts = {p: 0 for p in paths}
     trials = 10_000
     for seed in range(trials):
@@ -178,8 +178,8 @@ def test_estimate_agg_count_from_ceiling():
 def test_estimate_ffd_confirms_two_for_two_large_flows():
     tree = build_fat_tree(8)
     flows = [
-        (tree.server_id(0, 0, 0), tree.server_id(0, 1, 0), 600_000.0),
-        (tree.server_id(0, 0, 1), tree.server_id(0, 2, 0), 600_000.0),
+        (server_id(tree, 0, 0, 0), server_id(tree, 0, 1, 0), 600_000.0),
+        (server_id(tree, 0, 0, 1), server_id(tree, 0, 2, 0), 600_000.0),
     ]
     active = estimate_active_set(flows, tree, PARAMS)
     assert active.widths[0] == 2
@@ -187,11 +187,11 @@ def test_estimate_ffd_confirms_two_for_two_large_flows():
 
 def test_estimate_large_plus_small_fits_one_agg():
     tree = build_fat_tree(8)
-    flows = [(tree.server_id(0, 0, 0), tree.server_id(0, 1, 0), 600_000.0)]
+    flows = [(server_id(tree, 0, 0, 0), server_id(tree, 0, 1, 0), 600_000.0)]
     small_total = 300_000.0
     for i in range(10):
         flows.append(
-            (tree.server_id(0, 0, 1 + i % 3), tree.server_id(0, 2, i % 4), small_total / 10)
+            (server_id(tree, 0, 0, 1 + i % 3), server_id(tree, 0, 2, i % 4), small_total / 10)
         )
     active = estimate_active_set(flows, tree, PARAMS)
     assert active.widths[0] == 1
@@ -201,8 +201,8 @@ def test_estimate_same_positions_across_cross_pod_pods():
     tree = build_fat_tree(8)
     flows = [
         # pod 0 needs two aggs; pods 1 and 2 are light
-        (tree.server_id(0, 0, 0), tree.server_id(1, 0, 0), 600_000.0),
-        (tree.server_id(0, 1, 0), tree.server_id(2, 0, 0), 600_000.0),
+        (server_id(tree, 0, 0, 0), server_id(tree, 1, 0, 0), 600_000.0),
+        (server_id(tree, 0, 1, 0), server_id(tree, 2, 0, 0), 600_000.0),
     ]
     active = estimate_active_set(flows, tree, PARAMS)
     assert active.widths == {0: 2, 1: 2, 2: 2}
@@ -213,8 +213,8 @@ def test_estimate_same_positions_across_cross_pod_pods():
 def test_estimate_cores_round_robin_across_groups():
     tree = build_fat_tree(8)
     flows = [
-        (tree.server_id(0, 0, 0), tree.server_id(1, 0, 0), 900_000.0),
-        (tree.server_id(0, 1, 0), tree.server_id(1, 1, 0), 900_000.0),
+        (server_id(tree, 0, 0, 0), server_id(tree, 1, 0, 0), 900_000.0),
+        (server_id(tree, 0, 1, 0), server_id(tree, 1, 1, 0), 900_000.0),
     ]
     active = estimate_active_set(flows, tree, PARAMS)
     # 1.8 Tbps cross-pod -> two cores, one per reachable group
@@ -240,10 +240,10 @@ def test_eer_rejects_a_negative_rate():
 
 def test_balanced_spreads_equal_demands_over_positions():
     tree = build_fat_tree(4)
-    src0 = tree.server_id(0, 0, 0)
-    src1 = tree.server_id(0, 1, 0)
-    dst0 = tree.server_id(1, 0, 0)
-    dst1 = tree.server_id(1, 1, 0)
+    src0 = server_id(tree, 0, 0, 0)
+    src1 = server_id(tree, 0, 1, 0)
+    dst0 = server_id(tree, 1, 0, 0)
+    dst1 = server_id(tree, 1, 1, 0)
     active = ActiveSet(widths={0: 2, 1: 2}, cores_per_group=(1, 1))
     plan = balanced_route(
         [(src0, dst0, 500.0), (src1, dst1, 500.0)], tree, active, params=PARAMS
@@ -257,7 +257,7 @@ def test_balanced_spreads_equal_demands_over_positions():
 def test_balanced_names_a_demand_with_no_active_path():
     # pod 1 keeps no agg awake, so the cross-pod demand has no path
     tree = build_fat_tree(8)
-    src, dst = tree.server_id(0, 0, 0), tree.server_id(1, 0, 0)
+    src, dst = server_id(tree, 0, 0, 0), server_id(tree, 1, 0, 0)
     active = ActiveSet(widths={0: 1}, cores_per_group=(1,))
     with pytest.raises(InfeasibleError) as err:
         balanced_route([(src, dst, 100.0)], tree, active, params=PARAMS)
@@ -271,7 +271,7 @@ def test_balanced_single_demand_takes_first_candidate():
     tree = build_fat_tree(4)
     active = _full_active_set(tree)
     plan = balanced_route([(0, 15, 100.0)], tree, active, params=PARAMS)
-    assert plan.routes[0][3] == tree.candidate_paths(0, 15)[0]
+    assert plan.routes[0][3] == candidate_paths(tree, 0, 15)[0]
 
 
 def test_balanced_beats_ecmp_max_load():
@@ -334,9 +334,9 @@ def test_eer_escalates_once_when_coupling_bites():
     # one flow; the retry widens the set and the plan comes out clean
     tree = build_fat_tree(8)
     flows = [
-        (tree.server_id(0, 0, 0), tree.server_id(1, 0, 0), 600_000.0),
-        (tree.server_id(0, 1, 0), tree.server_id(2, 0, 0), 600_000.0),
-        (tree.server_id(1, 1, 0), tree.server_id(2, 1, 0), 600_000.0),
+        (server_id(tree, 0, 0, 0), server_id(tree, 1, 0, 0), 600_000.0),
+        (server_id(tree, 0, 1, 0), server_id(tree, 2, 0, 0), 600_000.0),
+        (server_id(tree, 1, 1, 0), server_id(tree, 2, 1, 0), 600_000.0),
     ]
     active, plan = eer(flows, tree, PARAMS)
     assert plan.violations == ()
@@ -375,9 +375,9 @@ def test_eer_names_the_switches_a_failed_retry_leaves_over_capacity(monkeypatch)
     )
     tree = build_fat_tree(8)
     flows = [
-        (tree.server_id(0, 0, 0), tree.server_id(1, 0, 0), 600_000.0),
-        (tree.server_id(0, 1, 0), tree.server_id(2, 0, 0), 600_000.0),
-        (tree.server_id(1, 1, 0), tree.server_id(2, 1, 0), 600_000.0),
+        (server_id(tree, 0, 0, 0), server_id(tree, 1, 0, 0), 600_000.0),
+        (server_id(tree, 0, 1, 0), server_id(tree, 2, 0, 0), 600_000.0),
+        (server_id(tree, 1, 1, 0), server_id(tree, 2, 1, 0), 600_000.0),
     ]
     active = estimate(flows, tree, PARAMS)
     jammed = balanced_route(flows, tree, active, params=PARAMS).violations
@@ -444,7 +444,7 @@ def test_flow_conservation_paths_connect_endpoints():
             assert path[0] == tree.tor_of_server(src)
             assert path[-1] == tree.tor_of_server(dst)
             for a, b in zip(path, path[1:]):
-                assert b in tree.switch_neighbors(a)
+                assert b in switch_neighbors(tree, a)
 
 
 def test_balanced_agg_loads_obey_fewer_is_better():
@@ -479,6 +479,6 @@ def test_link_loads_include_server_links():
     tree = build_fat_tree(4)
     plan = sp_route([(0, 1, 100.0)], tree, params=PARAMS)
     per_link = link_loads(plan)
-    tor = tree.tor_id(0, 0)
+    tor = tor_id(tree, 0, 0)
     assert per_link[frozenset((("host", 0), ("switch", tor)))] == 0.1
     assert per_link[frozenset((("switch", tor), ("host", 1)))] == 0.1

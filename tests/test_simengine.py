@@ -198,6 +198,13 @@ def test_sweep_arity_and_pairing():
     assert base_rows[0]["ratio_to_baseline"] == 1.0
 
 
+def test_sweep_needs_a_level_and_a_repeat():
+    with pytest.raises(ConfigError, match="repeats >= 1, got 0"):
+        sweep(4, [0.3], 0)
+    with pytest.raises(ConfigError, match="at least one utilization"):
+        sweep(4, [], 1)
+
+
 def test_sweep_energy_grows_with_utilization():
     reports, tables = sweep(
         k=4, utilizations=[0.2, 0.5, 0.8], repeats=3, base_seed=1, horizon=10,
@@ -221,6 +228,10 @@ def test_scenario_validation():
         Scenario(k=4, assign_strategy="greedy", route_strategy="nope")
     with pytest.raises(ConfigError):
         run_scenario(Scenario(k=4, assign_strategy="greedy", route_strategy="sp"))
+    for horizon in (-5, 0, 2.5, "abc", True):
+        with pytest.raises(ConfigError, match="horizon must be an int >= 1"):
+            Scenario(k=4, assign_strategy="greedy", route_strategy="sp",
+                     horizon=horizon)
 
 
 def test_violations_are_recorded_not_fatal_for_baselines():
