@@ -20,6 +20,7 @@ from .power import PowerParams
 from .routing import ROUTERS
 from .simengine import (
     Scenario,
+    check_sweep,
     load_report,
     run_scenario,
     save_report,
@@ -214,17 +215,20 @@ def cmd_sweep(args) -> int:
         utilizations = [float(u) for u in levels.split(",") if u.strip()]
     except ValueError as exc:
         raise ConfigError(f"utilizations {levels!r}: {exc}") from exc
-    os.makedirs(args.out, exist_ok=True)
-    reports, tables = sweep(
+    cells = dict(
         k=k,
         utilizations=utilizations,
         repeats=_option(args, cfg, "repeats", int, SWEEP_REPEATS),
-        power=_power_from(args, cfg),
         **_present(
-            base_seed=_option(args, cfg, "seed", int),
             horizon=_option(args, cfg, "horizon", int),
             server_capacity=_option(args, cfg, "server_capacity", int),
         ),
+    )
+    power = _power_from(args, cfg)
+    check_sweep(**cells)  # before the output directory exists, not after
+    os.makedirs(args.out, exist_ok=True)
+    reports, tables = sweep(
+        **cells, power=power, **_present(base_seed=_option(args, cfg, "seed", int))
     )
     for index, report in enumerate(reports):
         sc = report.scenario

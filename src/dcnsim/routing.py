@@ -25,14 +25,17 @@ number of allowed paths is array arithmetic; a forced demand (one path)
 takes agg position 0 and core index 0, and the greedy loop runs only
 when some demand has a choice.  sp and ecmp share one routing core and
 differ only in its choice.  Switch loads come from one ordered
-bincount over every path's switches.  Demand rates arrive in Mbps;
-switch loads are kept in Gbps.  Every plan lists its switches over
-capacity; eer treats them as errors since it controls its own active
-set.
+bincount over every path's switches; a plan keeps them as two arrays,
+switch ids in order of first load and their Gbps, and builds the
+switch -> load dict, like the routes, only when read.  Demand rates
+arrive in Mbps; switch loads are kept in Gbps.  Every plan lists its
+switches over capacity; eer treats them as errors since it controls
+its own active set.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass
 from typing import Mapping
@@ -85,23 +88,39 @@ class ActiveSet:
 class RoutingPlan:
     """Per-switch loads of one timeslot and the route of every demand.
 
-    `loads` lists each switch in the order it first carries load.  A
-    router keeps its path choices as arrays, `paths` = (demands in
-    routing order, hops, by_pair): row i of `hops` holds demand i's
+    `switches` and `gbps` are arrays: every switch on some demand's path,
+    in the order it first carries load, and its load in Gbps (0.0 for a
+    switch whose demands' rates all round to nothing).  `loads`, the
+    dict switch -> Gbps in that order, is built from them when first
+    read.  A router keeps its path choices as arrays, `paths` = (demands
+    in routing order, hops, by_pair): row i of `hops` holds demand i's
     source ToR, up agg, core, down agg and destination ToR, -1 where its
     path has none, and the routes list the demands in routing order, or
     stably sorted by (src, dst) if `by_pair`.  `routes`, one (src, dst,
     rate Mbps, switch path) tuple per demand, is built from them when
-    first read; a plan built by hand passes its routes instead.
+    first read.  A plan built by hand passes its `loads` dict and its
+    routes instead.
     """
 
-    def __init__(self, timeslot: int, loads: Mapping[int, float],
-                 violations: tuple[int, ...] = (), routes=None, paths=None):
+    def __init__(self, timeslot: int, loads: Mapping[int, float] | None = None,
+                 violations: tuple[int, ...] = (), routes=None, paths=None,
+                 switches=None, gbps=None):
         self.timeslot = timeslot
-        self.loads = loads  # switch -> Gbps
+        if loads is not None:
+            switches = np.fromiter(loads, dtype=np.int64, count=len(loads))
+            gbps = np.fromiter(loads.values(), dtype=float, count=len(loads))
+        self.switches = switches  # int64 switch ids, in order of first load
+        self.gbps = gbps  # each switch's load in Gbps
         self.violations = violations
+        self._loads = loads
         self._routes = routes
         self._paths = paths
+
+    @property
+    def loads(self) -> Mapping[int, float]:
+        if self._loads is None:
+            self._loads = dict(zip(self.switches.tolist(), self.gbps.tolist()))
+        return self._loads
 
     @property
     def routes(self) -> tuple[tuple[int, int, float, tuple[int, ...]], ...]:
@@ -121,11 +140,12 @@ class RoutingPlan:
     def at(self, timeslot: int) -> RoutingPlan:
         """This plan for another timeslot with the same demands.
 
-        The copy shares the loads, violations and path choices (and the
-        routes, once read) instead of copying them.
+        The copy shares the load arrays, violations and path choices
+        (and the loads and routes, once read) instead of copying them.
         """
-        return RoutingPlan(timeslot, self.loads, self.violations,
-                           self._routes, self._paths)
+        plan = copy.copy(self)
+        plan.timeslot = timeslot
+        return plan
 
     def rows(self) -> list[tuple[int, int, int, float, list[int]]]:
         """Flat export: (timeslot, src, dst, rate Mbps, switch path)."""
@@ -169,17 +189,24 @@ def _finish_plan(timeslot, demands, hops, params, by_pair=False):
 
     `bincount` adds in input order from 0.0, so each switch's load sums
     its demands' rates in routing order, as adding them one by one would.
+    The plan lists the switches in order of first load: each switch's
+    first position in the path sequence, found by `minimum.at`, and
+    those distinct positions sorted.
     """
     on_path = hops >= 0
     switches = hops[on_path]  # row by row: in routing order
     gbps = np.repeat(demands.rate / MBPS_PER_GBPS, on_path.sum(axis=1))
     sums = np.bincount(switches, weights=gbps)
-    seen = list(dict.fromkeys(switches.tolist()))  # in order of first load
+    first = np.full(len(sums), len(switches))
+    np.minimum.at(first, switches, np.arange(len(switches)))
+    seen = (first < len(switches)).nonzero()[0]
+    seen = seen[first[seen].argsort(kind="stable")]
     return RoutingPlan(
         timeslot,
-        loads=dict(zip(seen, sums[seen].tolist())),
         violations=tuple((sums > params.max_load()).nonzero()[0].tolist()),
         paths=(demands, hops, by_pair),
+        switches=seen,
+        gbps=sums[seen],
     )
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .assignment import SEEDED, STRATEGIES, assign
 from .errors import ConfigError
 from .graphkit import ordered_sum
-from .power import PowerParams, switch_power
+from .power import PowerParams, switch_powers
 from .routing import DRAWS_PER_SLOT, ROUTERS
 from .topology import AGG, CORE, TOR, build_fat_tree
 from .workload import (
@@ -33,6 +33,12 @@ from .workload import (
 )
 
 REPORT_FORMAT_VERSION = 1
+
+# The report's switch layers, in `layer_breakdown` order, and their bins
+# in `_meter`'s bincount; bin SLOT_BIN sums one slot's watts.
+LAYERS = (TOR, AGG, CORE)
+LAYER_BINS = np.arange(len(LAYERS))
+SLOT_BIN = len(LAYERS)
 
 STRATEGY_GRID = (
     ("greedy", "sp"),
@@ -214,14 +220,23 @@ def _check_windows(jobs, horizon: int) -> None:
                 )
 
 
-def _meter(plan, tree, params):
-    """(layer, watts) per switch in plan order, the slot's watts, active count."""
-    by_switch = [
-        (tree.layer(sw), switch_power(load, params))
-        for sw, load in plan.loads.items()
-    ]
-    watts = ordered_sum(p for _, p in by_switch)
-    return by_switch, watts, sum(1 for load in plan.loads.values() if load > 0)
+def _meter(plan, layer_of, totals, slots, params):
+    """The layer totals after `slots` slots of `plan`, its slot's watts, active count.
+
+    One ordered bincount adds, in input order from 0.0: bins 0-2 (ToR,
+    agg, core) start from the running `totals` and take the plan's
+    switches' watts, in plan order, once per slot; bin 3 takes them once,
+    as one slot's sum.  That is what adding switch by switch, slot by
+    slot, adds.  A switch at load 0.0 costs nothing and is not active.
+    """
+    watts = switch_powers(plan.gbps, params)
+    layers = layer_of[plan.switches]
+    sums = np.bincount(
+        np.concatenate((LAYER_BINS, *[layers] * slots, np.full(len(watts), SLOT_BIN))),
+        weights=np.concatenate((totals, *[watts] * (slots + 1))),
+        minlength=SLOT_BIN + 1,
+    )
+    return sums[:SLOT_BIN], float(sums[SLOT_BIN]), int(np.count_nonzero(plan.gbps))
 
 
 def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
@@ -231,13 +246,15 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
     (`DemandTable.segments`); within a segment the active transfers, and
     so the demands, do not change.  The demand table maps every VM pair
     to its server pair once per run, since VMs never move; each segment
-    gathers its demands from it.  sp and eer route the
-    segment's first slot and reuse that plan for its other slots; ecmp,
-    whose draws are seeded per slot (`routing.DRAWS_PER_SLOT`), routes
-    every slot.  The report is the same as routing every slot afresh:
-    a reused slot adds its switches' watts to the layer totals in the
-    same order.  `on_plan`, when given, still receives one RoutingPlan
-    per timeslot, carrying that slot's `timeslot` (route inspection).
+    gathers its demands from it.  sp and eer route the segment's first
+    slot and reuse that plan for its other slots; ecmp, whose draws are
+    seeded per slot (`routing.DRAWS_PER_SLOT`), routes every slot.  Each
+    plan is metered once, when the slots it covers end, by one ordered
+    bincount over its switches' watts (`_meter`).  The report is the
+    same as routing and metering every slot afresh: a reused slot adds
+    its switches' watts to the layer totals in the same order.
+    `on_plan`, when given, still receives one RoutingPlan per timeslot,
+    carrying that slot's `timeslot` (route inspection).
 
     A transfer window that ends past the horizon is a ConfigError.
     Baseline routers may overload switches at extreme load; those
@@ -257,29 +274,30 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
     )
     placement.validate(jobs, tree)
     route = ROUTERS[scenario.route_strategy]
-    route_each_slot = scenario.route_strategy in DRAWS_PER_SLOT
+    step = 1 if scenario.route_strategy in DRAWS_PER_SLOT else scenario.horizon
+    # Each switch's bin in _meter: its layer's index in LAYERS.
+    layer_of = np.repeat(LAYER_BINS, (tree.num_tors, tree.num_aggs, tree.num_cores))
 
     per_slot_watts: list[float] = []
     active_counts: list[int] = []
     violations: dict[int, tuple[int, ...]] = {}
-    layer_totals = {TOR: 0.0, AGG: 0.0, CORE: 0.0}
+    layer_totals = np.zeros(len(LAYERS))
     table = demand_table(jobs, placement)
     for first, stop in table.segments(scenario.horizon):
         demands = table.at(first)
-        for t in range(first, stop):
-            if t == first or route_each_slot:
-                plan = route(demands, tree, params, t, scenario.seed)
-                by_switch, watts, active = _meter(plan, tree, params)
-            elif on_plan is not None:
-                plan = plan.at(t)
+        for start in range(first, stop, step):
+            end = min(start + step, stop)
+            plan = route(demands, tree, params, start, scenario.seed)
             if plan.violations:
-                violations[t] = plan.violations
+                violations.update(dict.fromkeys(range(start, end), plan.violations))
             if on_plan is not None:
-                on_plan(plan)
-            for layer, p in by_switch:
-                layer_totals[layer] += p
-            per_slot_watts.append(watts)
-            active_counts.append(active)
+                for t in range(start, end):
+                    on_plan(plan if t == start else plan.at(t))
+            layer_totals, watts, active = _meter(
+                plan, layer_of, layer_totals, end - start, params
+            )
+            per_slot_watts += [watts] * (end - start)
+            active_counts += [active] * (end - start)
         # Free this segment's demands and plan before the next builds its own.
         del demands, plan
 
@@ -288,7 +306,7 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
         scenario=scenario.describe(),
         total_energy_wt=float(ordered_sum(per_slot_watts)),
         per_timeslot_watts=tuple(per_slot_watts),
-        layer_breakdown={layer: float(v) for layer, v in layer_totals.items()},
+        layer_breakdown=dict(zip(LAYERS, layer_totals.tolist())),
         active_switches=tuple(active_counts),
         runtime_ms=runtime_ms,
         violations=violations,
@@ -386,6 +404,29 @@ def derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
+def check_sweep(
+    k: int,
+    utilizations: Sequence[float],
+    repeats: int,
+    horizon: int = 100,
+    server_capacity: int = 2,
+) -> None:
+    """Raise ConfigError unless `sweep` can run these arguments' cells.
+
+    A sweep needs a utilization and a repeat, and every level's workload
+    config and the tree must be valid; `sweep` checks this before its
+    first cell, and a caller can check it before preparing any output.
+    """
+    if not utilizations:
+        raise ConfigError("sweep needs at least one utilization")
+    if repeats < 1:
+        raise ConfigError(f"sweep needs repeats >= 1, got {repeats}")
+    for utilization in utilizations:
+        WorkloadConfig(k=k, target_utilization=utilization, horizon=horizon,
+                       server_capacity=server_capacity)
+    build_fat_tree(k, server_capacity=server_capacity)
+
+
 def sweep(
     k: int,
     utilizations: Sequence[float],
@@ -401,10 +442,7 @@ def sweep(
     Every repeat draws a fresh workload seed; all strategies in the grid
     share that workload, so the comparison is paired per seed.
     """
-    if not utilizations:
-        raise ConfigError("sweep needs at least one utilization")
-    if repeats < 1:
-        raise ConfigError(f"sweep needs repeats >= 1, got {repeats}")
+    check_sweep(k, utilizations, repeats, horizon, server_capacity)
     power = power or PowerParams()
     reports: list[EnergyReport] = []
     for u_index, utilization in enumerate(utilizations):

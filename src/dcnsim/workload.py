@@ -171,7 +171,11 @@ class WorkloadConfig:
 
 def is_horizon(value) -> bool:
     """Whether `value` can be a horizon: an int (not a bool) of at least 1."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    return _is_int(value) and value >= 1
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def generate_workload(cfg: WorkloadConfig, seed: int) -> list[Job]:
@@ -256,18 +260,20 @@ class DemandTable:
 
     A unit is one job over a stretch of slots in which its set of active
     transfers does not change; unit u sends the job's summed matrix of
-    those transfers over slots start[u]..end[u].  Row i is one positive
-    entry of a unit's matrix whose two VMs sit on different servers: it
-    carries rate[i] Mbps from server src[i] to dst[i] while unit[i] is
-    active.  Rows are stably ordered by (src, dst) once; within a pair
-    they keep job order, then row-major (source VM, destination VM)
-    order, which is the order `at` adds them in.
+    those transfers over slots start[u]..end[u].  Server pair p runs
+    from server `src[p]` to `dst[p]`; the pairs are distinct and ordered
+    by (src, dst).  Row i is one positive entry of a unit's matrix whose
+    two VMs sit on different servers: it carries rate[i] Mbps over pair
+    pair[i] while unit[i] is active.  Rows are stably ordered by (src,
+    dst) once; within a pair they keep job order, then row-major (source
+    VM, destination VM) order, which is the order `at` adds them in.
     """
 
     start: np.ndarray  # int64 per unit
     end: np.ndarray  # int64 per unit
-    src: np.ndarray  # uint16 per row (server ids fit 16 bits, k <= 48)
-    dst: np.ndarray  # uint16 per row
+    src: np.ndarray  # uint16 per pair (server ids fit 16 bits, k <= 48)
+    dst: np.ndarray  # uint16 per pair
+    pair: np.ndarray  # uint16 per row (int32 past 65,536 pairs)
     rate: np.ndarray  # float64 per row
     unit: np.ndarray  # uint16 per row (int32 past 65,536 units)
 
@@ -279,25 +285,20 @@ class DemandTable:
     def at(self, t: int) -> DemandSet:
         """Server-to-server demands of the units active at slot t.
 
-        The kept rows are already in pair order; each pair's rate adds
-        its VM-pair rates in row order, starting from 0.0.  Another
-        order may change the last bits of the rates and so of every
-        energy total.
+        One bincount by pair id adds each pair's VM-pair rates in row
+        order, starting from 0.0.  Another order may change the last
+        bits of the rates and so of every energy total.  Every row's
+        rate is positive, so a pair is present exactly when its sum is.
         """
-        keep = ((self.start <= t) & (t <= self.end))[self.unit]
-        src, dst, rate = self.src[keep], self.dst[keep], self.rate[keep]
-        if not len(src):
+        keep = ((self.start <= t) & (t <= self.end)).take(self.unit)
+        pair = self.pair[keep]
+        if not len(pair):  # an empty bincount is int64
             empty = np.empty(0, dtype=np.int64)
             return DemandSet(empty, empty, np.empty(0))
-        first = np.empty(len(src), dtype=bool)
-        first[0] = True
-        first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-        group = first.cumsum()
-        group -= 1
-        rate = np.bincount(group, weights=rate)
-        return DemandSet(
-            src[first].astype(np.int64), dst[first].astype(np.int64), rate
-        )
+        rate = np.bincount(pair, weights=self.rate[keep], minlength=len(self.src))
+        present = rate > 0
+        return DemandSet(self.src[present].astype(np.int64),
+                         self.dst[present].astype(np.int64), rate[present])
 
 
 def demand_table(
@@ -324,7 +325,7 @@ def demand_table(
     src = np.empty(rows, dtype=np.uint16)
     dst = np.empty(rows, dtype=np.uint16)
     rate = np.empty(rows)
-    unit = np.empty(rows, dtype=np.uint16 if len(units) <= 1 << 16 else np.int32)
+    unit = np.empty(rows, dtype=_index_dtype(len(units)))
     begin = 0
     for u, (hosts, matrix, sent) in enumerate(units):
         row, col = sent.nonzero()
@@ -343,8 +344,22 @@ def demand_table(
         order = columns[key].argsort(kind="stable")
         for i, column in enumerate(columns):
             columns[i] = column[order]
-    return DemandTable(np.array(starts, dtype=np.int64),
-                       np.array(ends, dtype=np.int64), *columns)
+    src, dst, rate, unit = columns
+    first = np.empty(rows, dtype=bool)
+    first[:1] = True
+    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    heads = first.nonzero()[0]  # each pair's first row
+    pair = np.arange(len(heads), dtype=_index_dtype(len(heads)))
+    pair = pair.repeat(np.diff(heads, append=rows))
+    return DemandTable(
+        np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64),
+        src[heads], dst[heads], pair, rate, unit,
+    )
+
+
+def _index_dtype(count: int):
+    """The narrowest dtype that numbers `count` items: uint16, else int32."""
+    return np.uint16 if count <= 1 << 16 else np.int32
 
 
 def _hosts(job: Job, assignment) -> np.ndarray:
@@ -473,9 +488,14 @@ def _workload_of(doc):
         )
         for entry in doc["jobs"]
     ]
-    horizon, config = doc["horizon"], doc.get("config")
+    horizon, seed, config = doc["horizon"], doc.get("seed"), doc.get("config")
     if not is_horizon(horizon):
         raise ValueError(f"horizon must be an int >= 1, got {horizon!r}")
+    if seed is not None and not _is_int(seed):
+        raise ValueError(f"seed must be an int or null, got {seed!r}")
     if config is not None and not isinstance(config, dict):
         raise ValueError(f"config must be an object or null, got {config!r}")
-    return jobs, {"horizon": horizon, "seed": doc.get("seed"), "config": config}
+    utilization = (config or {}).get("utilization")
+    if utilization is not None and type(utilization) not in (int, float):
+        raise ValueError(f"utilization must be a number or absent, got {utilization!r}")
+    return jobs, {"horizon": horizon, "seed": seed, "config": config}

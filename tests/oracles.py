@@ -8,14 +8,16 @@ explicit lists (`ListedActiveSet`), which `ListedActiveSet.of` rebuilds
 from `routing.ActiveSet`'s counts.  The first-fit placements rescan the
 servers from the first for every search, where `assignment` resumes a
 cursor.  `run_each_slot` is `run_scenario` as it was before segments:
-it builds, routes and meters every timeslot.  `partition_oracle` cuts
-every job, building its rack graph with two `np.ix_` gathers per pair,
-`shrink_oracle` merges super-VMs with nested Python scans for each
-maximum, and `tree_min_cut` reads a pairwise minimum cut off a
-Gomory-Hu tree.  `candidate_paths` lists a pair's equal-cost up-down
-paths the way a per-pair router would; it and `switch_neighbors` (the
-Fat-Tree's links, for walking it) work from the `server_id` and
-`tor_id` arithmetic of `dcnsim.topology`'s identity scheme.
+it builds, routes and meters every timeslot, switch by switch, with
+`switch_power_each`, the power curve in Python floats.
+`partition_oracle` cuts every job, building its rack graph with two
+`np.ix_` gathers per pair, `shrink_oracle` merges super-VMs with nested
+Python scans for each maximum, and `tree_min_cut` reads a pairwise
+minimum cut off a Gomory-Hu tree.  `candidate_paths` lists a pair's
+equal-cost up-down paths the way a per-pair router would; it and
+`switch_neighbors` (the Fat-Tree's links, for walking it) work from the
+`server_id` and `tor_id` arithmetic of `dcnsim.topology`'s identity
+scheme.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from dcnsim.assignment import (
 )
 from dcnsim.errors import CapacityError, DomainError, InfeasibleError
 from dcnsim.graphkit import WeightedGraph, ffd_pack, min_k_cut, ordered_sum
-from dcnsim.power import switch_power
 from dcnsim.routing import MBPS_PER_GBPS, ROUTERS, _pair_key
 from dcnsim.topology import AGG, CORE, TOR, build_fat_tree
 from dcnsim.workload import demands_at, referential_matrix
@@ -481,6 +482,13 @@ def tree_min_cut(tree, u: int, v: int) -> float:
     return cut
 
 
+def switch_power_each(load, params) -> float:
+    """One switch's watts at `load` Gbps, in Python floats; 0.0 at no load."""
+    if load == 0:
+        return 0.0
+    return params.sigma + params.mu * load**params.alpha
+
+
 def run_each_slot(scenario, jobs=None, on_plan=None):
     """The report `run_scenario` gives, from demands and a plan per slot.
 
@@ -507,7 +515,7 @@ def run_each_slot(scenario, jobs=None, on_plan=None):
             on_plan(plan)
         watts = 0.0
         for sw, load in plan.loads.items():
-            p = switch_power(load, params)
+            p = switch_power_each(load, params)
             watts += p
             layer_totals[tree.layer(sw)] += p
         per_slot_watts.append(watts)

@@ -96,6 +96,10 @@ def test_config_error_exit_code(tmp_path):
     ('{"version": 1, "horizon": "abc", "jobs": []}', "horizon must be an int >= 1"),
     ('{"version": 1, "horizon": 10, "config": "x", "jobs": []}',
      "config must be an object or null"),
+    ('{"version": 1, "horizon": 10, "seed": "x", "jobs": []}',
+     "seed must be an int or null"),
+    ('{"version": 1, "horizon": 10, "config": {"utilization": "abc"}, "jobs": []}',
+     "utilization must be a number"),
 ])
 def test_bad_workload_file_is_a_config_error(tmp_path, capsys, text, cause):
     wl = tmp_path / "bad.json"
@@ -137,7 +141,18 @@ def test_sweep_needs_a_level_and_a_repeat(tmp_path, capsys, flags, cause):
                  "--out", str(tmp_path / "sw")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: sweep needs ") and cause in err
-    assert not list((tmp_path / "sw").glob("*"))
+    assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("flags, cause", [
+    (["--k", "5"], "k must be even"),
+    (["--k", "4", "--utilizations", "1.5"], "target_utilization must be within"),
+    (["--k", "4", "--server-capacity", "0"], "server_capacity must be >= 1"),
+])
+def test_a_sweep_that_cannot_run_leaves_no_directory(tmp_path, capsys, flags, cause):
+    assert main(["sweep", "--horizon", "4", *flags, "--out", str(tmp_path / "sw")]) == 2
+    assert cause in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
 
 
 def test_a_config_key_no_subcommand_reads_is_a_config_error(tmp_path, capsys):

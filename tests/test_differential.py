@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import dcnsim.assignment as assignment
 import dcnsim.routing as routing
 from dcnsim.errors import DomainError, SimulationError
-from dcnsim.power import PowerParams
+from dcnsim.power import PowerParams, switch_powers
 from dcnsim.assignment import (
     STRATEGIES,
     SuperVM,
@@ -43,6 +43,7 @@ from oracles import (
     run_each_slot,
     shrink_oracle,
     sp_oracle,
+    switch_power_each,
 )
 
 HORIZON = 6
@@ -399,6 +400,15 @@ OVERLAPPING = [
 ]
 
 
+# Job 0 sends 5e-324 Mbps per VM pair, which rounds to 0.0 Gbps: its
+# switches carry load 0.0 in slots 0-1; from slot 2 job 1's traffic
+# shares ToR 1 with it.
+UNDERFLOW = [
+    Job(id=0, vm_count=6, transfers=(Transfer(0, 3, _matrix(6, 5e-324)),)),
+    Job(id=1, vm_count=3, transfers=(Transfer(2, 5, _matrix(3, 40.0)),)),
+]
+
+
 def _scenario(k, assign_name, route_name, horizon, power=PowerParams(), seed=5):
     return Scenario(k=k, assign_strategy=assign_name, route_strategy=route_name,
                     seed=seed, horizon=horizon, power=power)
@@ -454,6 +464,7 @@ def _runs(scenario, jobs):
 @example((_scenario(4, "greedy", "sp", 8), OVERLAPPING))
 @example((_scenario(4, "greedy", "ecmp", 8), OVERLAPPING))
 @example((_scenario(6, "opt_eea", "eer", 8, LOW_STARTUP), OVERLAPPING))
+@example((_scenario(4, "greedy", "sp", 6), UNDERFLOW))
 def test_segment_loop_matches_the_per_slot_loop(case):
     scenario, jobs = case
     (got, got_plans), (want, want_plans) = _runs(scenario, jobs)
@@ -461,6 +472,39 @@ def test_segment_loop_matches_the_per_slot_loop(case):
     assert got_plans == want_plans
     if isinstance(want, dict):
         assert [plan[0] for plan in got_plans] == list(range(scenario.horizon))
+
+
+@SETTINGS
+@given(
+    st.lists(st.one_of(st.just(0.0), st.just(5e-324), st.floats(0.0, 3000.0)),
+             max_size=30),
+    st.sampled_from([PowerParams(), LOW_STARTUP, PowerParams(alpha=2.5),
+                     PowerParams(sigma=0.0, mu=0.3, alpha=1.7)]),
+)
+# numpy's power gives 2846.831024813296**2 one bit off Python's.
+@example([2846.831024813296, 0.0, 5e-324], PowerParams())
+def test_switch_powers_match_the_python_float_curve(loads, params):
+    watts = switch_powers(np.array(loads, dtype=float), params)
+    assert watts.dtype == np.float64
+    assert [w.hex() for w in watts.tolist()] == [
+        switch_power_each(load, params).hex() for load in loads
+    ]
+
+
+def test_a_switch_at_zero_load_costs_nothing_and_is_not_active():
+    """UNDERFLOW really lists switches at load 0.0, so its pinned example
+    above compares the zero-load rule with `run_each_slot`."""
+    plans = []
+    report = run_scenario(_scenario(4, "greedy", "sp", 6), UNDERFLOW,
+                          on_plan=plans.append)
+    # Servers 0-2 (racks 0 and 1) host job 0, servers 3-4 (racks 1 and 2) job 1.
+    idle = plans[0].loads
+    assert set(idle.values()) == {0.0} and {0, 1} < set(idle)
+    assert report.per_timeslot_watts[:2] == (0.0, 0.0)
+    assert report.active_switches[:2] == (0, 0)
+    loaded = plans[2].loads
+    assert loaded[0] == 0.0 and loaded[1] > 0.0
+    assert report.active_switches[2] == sum(load > 0 for load in loaded.values())
 
 
 def test_eer_failure_in_a_later_segment_names_its_slot():
