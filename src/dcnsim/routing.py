@@ -13,24 +13,34 @@ up-down paths:
   spread whole demands over it greedily, largest first, always taking
   the path that keeps the maximum traversed load lowest.
 
-Every router takes a slot's DemandSet and works on whole arrays; it
-reads every demand's ToR and pod off the tree (`FatTree.tor_of_server`
-and `FatTree.server_pod`), one call each over all endpoints.  A
-same-rack demand rides its ToR alone, so only inter-rack demands reach
-a path choice: sp's pair hash and ecmp's draws are array operations.
-eer sizes its active set with ordered bincounts, and calls the
-first-fit-decreasing packer only for a pod or core layer whose flows
-do not fit one switch.  Its active set is counts, so each demand's
-number of allowed paths is array arithmetic; a forced demand (one path)
-takes agg position 0 and core index 0, and the greedy loop runs only
-when some demand has a choice.  sp and ecmp share one routing core and
-differ only in its choice.  Switch loads come from one ordered
-bincount over every path's switches; a plan keeps them as two arrays,
-switch ids in order of first load and their Gbps, and builds the
-switch -> load dict, like the routes, only when read.  Demand rates
-arrive in Mbps; switch loads are kept in Gbps.  Every plan lists its
-switches over capacity; eer treats them as errors since it controls
-its own active set.
+Every router takes a slot's DemandSet and works on whole arrays.  A
+set not read from a run's demand table is checked first: a server
+outside the tree or a negative or non-finite rate is a DomainError.
+A same-rack demand rides its ToR alone, so only inter-rack demands
+reach a path choice.  Every path is one row of five switch ids, -1
+where it has none.
+
+sp's path is a pure function of the server pair, so it builds one row
+per pair of the run's demand table, once per run, and each slot
+gathers its pairs' rows by pair id (`DemandSet.pair_rows`).  ecmp and
+eer read each demand's ToR and pod off the tree in every slot
+(`FatTree.tor_of_server` and `FatTree.server_pod`, one call each over
+all endpoints): ecmp's draws are per slot, and eer's choices depend on
+the slot's loads.  eer sizes its active set with ordered bincounts, and
+calls the first-fit-decreasing packer only for a pod or core layer
+whose flows do not fit one switch.  Its active set is counts, so each
+demand's number of allowed paths is array arithmetic; a forced demand
+(one path) takes agg position 0 and core index 0, and the greedy loop
+runs only when some demand has a choice.  It orders demands largest
+first with numpy's default sort and sorts stably only when two rates
+tie, since without ties every sort gives the stable order.
+
+Switch loads come from one ordered bincount over every path's
+switches; a plan keeps them as two arrays, switch ids in order of first
+load and their Gbps, and builds the switch -> load dict, like the
+routes, only when read.  Demand rates arrive in Mbps; switch loads are
+kept in Gbps.  Every plan lists its switches over capacity; eer treats
+them as errors since it controls its own active set.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import CapacityError, InfeasibleError
+from .errors import CapacityError, DomainError, InfeasibleError
 from .graphkit import ffd_one_bin, ffd_pack
 from .power import PowerParams
 from .topology import TOR, FatTree
@@ -155,11 +165,36 @@ class RoutingPlan:
         ]
 
 
-def _demand_set(demands) -> DemandSet:
-    """A DemandSet as given, or one of hand-built (src, dst, rate) tuples."""
-    if isinstance(demands, DemandSet):
+def _demand_set(demands, tree: FatTree) -> DemandSet:
+    """A DemandSet as given, or one of hand-built (src, dst, rate) tuples.
+
+    A set not read from a run's demand table is checked first: a server
+    outside the tree, or a negative or non-finite rate, is a DomainError
+    naming the first demand that has one.  A table's sets are valid by
+    construction.
+    """
+    if not isinstance(demands, DemandSet):
+        demands = DemandSet.of(demands)
+    if demands.table is not None:
         return demands
-    return DemandSet.of(demands)
+    ends = np.array((demands.src, demands.dst))
+    outside = ((ends < 0) | (ends >= tree.num_servers)).any(axis=0)
+    bad = outside | ~(np.isfinite(demands.rate) & (demands.rate >= 0))
+    if bad.any():
+        i = int(bad.argmax())
+        src, dst = ends[:, i].tolist()
+        rate = float(demands.rate[i])
+        what = f"demand {i} ({src}->{dst}, {rate} Mbps)"
+        if outside[i]:
+            server = src if not 0 <= src < tree.num_servers else dst
+            raise DomainError(
+                f"{what}: server {server} is not one of the tree's "
+                f"{tree.num_servers} servers"
+            )
+        if rate < 0:
+            raise DomainError(f"{what} has negative size")
+        raise DomainError(f"{what} has a non-finite rate")
+    return demands
 
 
 def _ends(tree: FatTree, demands: DemandSet):
@@ -193,9 +228,10 @@ def _finish_plan(timeslot, demands, hops, params, by_pair=False):
     first position in the path sequence, found by `minimum.at`, and
     those distinct positions sorted.
     """
-    on_path = hops >= 0
-    switches = hops[on_path]  # row by row: in routing order
-    gbps = np.repeat(demands.rate / MBPS_PER_GBPS, on_path.sum(axis=1))
+    switches = hops[hops >= 0]  # row by row: in routing order
+    # 1, 3 or 5 hops: a same-rack path has no up agg, a same-pod one no core.
+    hop_count = 1 + 2 * (hops[:, 1] >= 0) + 2 * (hops[:, 2] >= 0)
+    gbps = np.repeat(demands.rate / MBPS_PER_GBPS, hop_count)
     sums = np.bincount(switches, weights=gbps)
     first = np.full(len(sums), len(switches))
     np.minimum.at(first, switches, np.arange(len(switches)))
@@ -210,20 +246,6 @@ def _finish_plan(timeslot, demands, hops, params, by_pair=False):
     )
 
 
-def _route(demands, tree: FatTree, params, timeslot, choose) -> RoutingPlan:
-    """Route every demand, in order, on the up-down path `choose` picks.
-
-    `choose(src, dst, tors, pods)` returns every demand's agg position
-    and core index, which a same-rack demand (it rides its ToR alone)
-    and, for the core, a same-pod demand ignore.
-    """
-    demands = _demand_set(demands)
-    tors, pods = _ends(tree, demands)
-    position, index = choose(demands.src, demands.dst, tors, pods)
-    hops = _paths(tree, tors, pods, position, index)
-    return _finish_plan(timeslot, demands, hops, params)
-
-
 def sp_route(
     demands: DemandSet, tree: FatTree, params: PowerParams, timeslot: int = 0
 ) -> RoutingPlan:
@@ -235,14 +257,24 @@ def sp_route(
     full graph lands on one arbitrary-but-stable tie per pair: the two
     directions of a flow pair always ride the same switches, while
     different pairs fan out across positions.
+
+    The path is a pure function of the server pair, so a set read from
+    a run's demand table gathers its pairs' rows, built once per run
+    (`DemandSet.pair_rows`); a hand-built set builds its own.
     """
+    demands = _demand_set(demands, tree)
+    hops = demands.pair_rows(("sp", tree.k), functools.partial(_sp_paths, tree))
+    return _finish_plan(timeslot, demands, hops, params)
+
+
+def _sp_paths(tree: FatTree, src, dst):
+    """sp's path of each server pair: `_paths` rows of int16 switch ids."""
+    ends = np.array((src, dst), dtype=np.int64)
+    key = _pair_key(src, dst)
     half = tree.half
-
-    def choose(src, dst, tors, pods):
-        key = _pair_key(src, dst)
-        return key % half, (key >> 8) % half
-
-    return _route(demands, tree, params, timeslot, choose)
+    hops = _paths(tree, tree.tor_of_server(ends), tree.server_pod(ends),
+                  key % half, (key >> 8) % half)
+    return hops.astype(np.int16, order="C")
 
 
 def _pair_key(a, b):
@@ -274,17 +306,17 @@ def ecmp_route(
     A same-rack flow has one candidate and draws nothing, as
     `integers(1)` would leave the generator unchanged.
     """
+    demands = _demand_set(demands, tree)
     rng = np.random.default_rng(seed)
     half = tree.half
-
-    def choose(src, dst, tors, pods):
-        same_pod = pods[0] == pods[1]
-        inter = tors[0] != tors[1]
-        draw = np.zeros(len(src), dtype=np.int64)
-        draw[inter] = rng.integers(0, np.where(same_pod, half, half * half)[inter])
-        return np.where(same_pod, draw, draw // half), draw % half
-
-    return _route(demands, tree, params, timeslot, choose)
+    tors, pods = _ends(tree, demands)
+    same_pod = pods[0] == pods[1]
+    inter = tors[0] != tors[1]
+    draw = np.zeros(len(demands.src), dtype=np.int64)
+    draw[inter] = rng.integers(0, np.where(same_pod, half, half * half)[inter])
+    position = np.where(same_pod, draw, draw // half)
+    hops = _paths(tree, tors, pods, position, draw % half)
+    return _finish_plan(timeslot, demands, hops, params)
 
 
 # --- energy-efficient routing -------------------------------------------
@@ -310,7 +342,7 @@ def estimate_active_set(
     layers are packed by `ffd_pack`.
     """
     cap = params.capacity
-    demands = _demand_set(demands)
+    demands = _demand_set(demands, tree)
     tors, pods = _ends(tree, demands)
     keep = tors[0] != tors[1]
     gbps = demands.rate[keep] / MBPS_PER_GBPS
@@ -396,9 +428,8 @@ def balanced_route(
     larger load is the floor of each candidate's peak, and lists a pod
     pair's allowed paths (`ActiveSet.paths`) when it first meets it.
     """
-    demands = _demand_set(demands)
-    by_size = pair_order(demands.src, demands.dst)
-    by_size = by_size[(-demands.rate[by_size]).argsort(kind="stable")]
+    demands = _demand_set(demands, tree)
+    by_size = _by_size(demands)
     ordered = DemandSet(
         demands.src[by_size], demands.dst[by_size], demands.rate[by_size]
     )
@@ -451,6 +482,25 @@ def balanced_route(
     return _finish_plan(timeslot, ordered, hops, params, by_pair=True)
 
 
+def _by_size(demands: DemandSet) -> np.ndarray:
+    """EER's demand order: largest rate first, ties by (src, dst).
+
+    That is `pair_order` followed by a stable sort of the negated rates.
+    A set already strictly ordered by (src, dst), as `DemandTable.at`
+    gives, skips `pair_order`.  Without two equal rates every sort gives
+    the one stable order, so the stable sort runs only on a tie.
+    """
+    src, dst = demands.src, demands.dst
+    pair = (src.astype(np.int64) << 16) | dst  # server ids fit 16 bits
+    by_pair = None if (pair[1:] > pair[:-1]).all() else pair_order(src, dst)
+    size = -demands.rate if by_pair is None else -demands.rate[by_pair]
+    order = size.argsort()
+    ranked = size[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        order = size.argsort(kind="stable")
+    return order if by_pair is None else by_pair[order]
+
+
 def eer(
     demands: DemandSet, tree: FatTree, params: PowerParams, timeslot: int = 0
 ) -> tuple[ActiveSet, RoutingPlan]:
@@ -462,7 +512,7 @@ def eer(
     overloaded ToR fails at once: its load is fixed by the placement,
     not the routing.
     """
-    demands = _demand_set(demands)
+    demands = _demand_set(demands, tree)
     active = estimate_active_set(demands, tree, params)
     plan = balanced_route(demands, tree, active, params, timeslot)
     tors = [sw for sw in plan.violations if tree.layer(sw) == TOR]

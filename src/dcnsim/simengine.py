@@ -246,7 +246,11 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
     (`DemandTable.segments`); within a segment the active transfers, and
     so the demands, do not change.  The demand table maps every VM pair
     to its server pair once per run, since VMs never move; each segment
-    gathers its demands from it.  sp and eer route the segment's first
+    gathers its demands from it, flipping only the rows of the units
+    that start or end at the segment's edge.  The demands carry the
+    table and their pair ids, so sp builds its path for each of the
+    table's pairs once per run and each segment gathers its pairs' rows
+    (`DemandSet.pair_rows`).  sp and eer route the segment's first
     slot and reuse that plan for its other slots; ecmp, whose draws are
     seeded per slot (`routing.DRAWS_PER_SLOT`), routes every slot.  Each
     plan is metered once, when the slots it covers end, by one ordered

@@ -9,7 +9,7 @@ can sleep.  Workload files are versioned JSON and round-trip losslessly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -107,12 +107,29 @@ class DemandSet:
     """Server-to-server demands (Mbps) for one timeslot as three arrays.
 
     Demand i runs from server `src[i]` to `dst[i]` (src != dst) at
-    `rate[i]` Mbps.
+    `rate[i]` Mbps.  A set read from a run's demand table (`DemandTable.at`)
+    also carries that table and each demand's pair id in it, so a router
+    whose choice is a pure function of the server pair derives its rows
+    once per run (`pair_rows`).  A hand-built set has neither: it is its
+    own pair table, with ids 0..n-1.
     """
 
     src: np.ndarray  # int64
     dst: np.ndarray  # int64
     rate: np.ndarray  # float64
+    pair: np.ndarray | None = None  # each demand's pair id in `table`
+    table: DemandTable | None = field(default=None, repr=False)
+
+    def pair_rows(self, key, build):
+        """Row i of `build(src, dst)` for each demand i's server pair.
+
+        A set read from a table gathers the rows that the table builds
+        once for all its pairs (`DemandTable.pair_rows`); a hand-built set
+        builds them over its own pairs.
+        """
+        if self.table is None:
+            return build(self.src, self.dst)
+        return self.table.pair_rows(key, build).take(self.pair, axis=0)
 
     @classmethod
     def of(cls, flows) -> DemandSet:
@@ -264,9 +281,16 @@ class DemandTable:
     from server `src[p]` to `dst[p]`; the pairs are distinct and ordered
     by (src, dst).  Row i is one positive entry of a unit's matrix whose
     two VMs sit on different servers: it carries rate[i] Mbps over pair
-    pair[i] while unit[i] is active.  Rows are stably ordered by (src,
-    dst) once; within a pair they keep job order, then row-major (source
-    VM, destination VM) order, which is the order `at` adds them in.
+    pair[i].  Rows are stably ordered by (src, dst) once; within a pair
+    they keep job order, then row-major (source VM, destination VM)
+    order, which is the order `at` adds them in.  Unit u's rows are
+    `unit_rows[unit_first[u]:unit_first[u + 1]]`.
+
+    `at` keeps the rows of the units active at the slot it last read and
+    flips only the rows of units whose activity changed since, so
+    consecutive segments touch only the units that start or end between
+    them.  `pair_rows` keeps what a router derives per pair (sp's paths)
+    for the run.
     """
 
     start: np.ndarray  # int64 per unit
@@ -275,7 +299,15 @@ class DemandTable:
     dst: np.ndarray  # uint16 per pair
     pair: np.ndarray  # uint16 per row (int32 past 65,536 pairs)
     rate: np.ndarray  # float64 per row
-    unit: np.ndarray  # uint16 per row (int32 past 65,536 units)
+    unit_rows: np.ndarray  # uint16 row ids grouped by unit (int32 past 65,536 rows)
+    unit_first: tuple[int, ...]  # per unit, then the row count
+    _keep: np.ndarray = field(init=False, repr=False)  # bool per row
+    _active: np.ndarray = field(init=False, repr=False)  # bool per unit
+    _rows: dict = field(init=False, repr=False, default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_keep", np.zeros(len(self.pair), dtype=bool))
+        object.__setattr__(self, "_active", np.zeros(len(self.start), dtype=bool))
 
     def segments(self, horizon: int):
         """[first, stop) runs of the horizon's slots in which no unit starts or ends."""
@@ -290,15 +322,30 @@ class DemandTable:
         bits of the rates and so of every energy total.  Every row's
         rate is positive, so a pair is present exactly when its sum is.
         """
-        keep = ((self.start <= t) & (t <= self.end)).take(self.unit)
+        active = (self.start <= t) & (t <= self.end)
+        changed = (active != self._active).nonzero()[0].tolist()
+        if changed:
+            first, rows = self.unit_first, self.unit_rows
+            flip = np.concatenate([rows[first[u]:first[u + 1]] for u in changed])
+            self._keep[flip] ^= True
+            self._active[:] = active
+        keep = self._keep
         pair = self.pair[keep]
         if not len(pair):  # an empty bincount is int64
             empty = np.empty(0, dtype=np.int64)
-            return DemandSet(empty, empty, np.empty(0))
+            return DemandSet(empty, empty, np.empty(0), empty, self)
         rate = np.bincount(pair, weights=self.rate[keep], minlength=len(self.src))
-        present = rate > 0
+        present = (rate > 0).nonzero()[0]
         return DemandSet(self.src[present].astype(np.int64),
-                         self.dst[present].astype(np.int64), rate[present])
+                         self.dst[present].astype(np.int64), rate[present],
+                         present, self)
+
+    def pair_rows(self, key, build):
+        """`build(src, dst)` over every pair of the table, built once per key."""
+        rows = self._rows.get(key)
+        if rows is None:
+            rows = self._rows[key] = build(self.src, self.dst)
+        return rows
 
 
 def demand_table(
@@ -351,9 +398,11 @@ def demand_table(
     heads = first.nonzero()[0]  # each pair's first row
     pair = np.arange(len(heads), dtype=_index_dtype(len(heads)))
     pair = pair.repeat(np.diff(heads, append=rows))
+    unit_first = (0, *np.cumsum(np.bincount(unit, minlength=len(starts))).tolist())
     return DemandTable(
         np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64),
-        src[heads], dst[heads], pair, rate, unit,
+        src[heads], dst[heads], pair, rate,
+        unit.argsort(kind="stable").astype(_index_dtype(rows)), unit_first,
     )
 
 

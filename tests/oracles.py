@@ -17,7 +17,11 @@ minimum cut off a Gomory-Hu tree.  `candidate_paths` lists a pair's
 equal-cost up-down paths the way a per-pair router would; it and
 `switch_neighbors` (the Fat-Tree's links, for walking it) work from the
 `server_id` and `tor_id` arithmetic of `dcnsim.topology`'s identity
-scheme.
+scheme.  `sp_segment_oracle` is sp as an array call that builds every
+demand's path afresh, where `sp_route` gathers per-pair rows built once
+per run; `by_size_oracle` is EER's demand order by `pair_order` and a
+stable sort; `table_at_oracle` is `DemandTable.at` as a pass that tests
+every row, where `at` flips only the units whose activity changed.
 """
 
 from __future__ import annotations
@@ -38,9 +42,9 @@ from dcnsim.assignment import (
 )
 from dcnsim.errors import CapacityError, DomainError, InfeasibleError
 from dcnsim.graphkit import WeightedGraph, ffd_pack, min_k_cut, ordered_sum
-from dcnsim.routing import MBPS_PER_GBPS, ROUTERS, _pair_key
+from dcnsim.routing import MBPS_PER_GBPS, ROUTERS, RoutingPlan, _pair_key
 from dcnsim.topology import AGG, CORE, TOR, build_fat_tree
-from dcnsim.workload import demands_at, referential_matrix
+from dcnsim.workload import DemandSet, demands_at, pair_order, referential_matrix
 
 
 def server_id(tree, pod, rack, slot) -> int:
@@ -144,6 +148,40 @@ def sp_oracle(demands, tree, params, timeslot=0) -> Plan:
         return key % half, (key >> 8) % half
 
     return route_each(demands, tree, params, timeslot, choose)
+
+
+def sp_segment_oracle(demands, tree, params, timeslot=0) -> RoutingPlan:
+    """sp as one segment's array call: every demand's ToRs, pods, pair hash
+    and five-switch path built afresh from its endpoints, in int64, and
+    each path's hop count summed from its row."""
+    if not isinstance(demands, DemandSet):
+        demands = DemandSet.of(demands)
+    ends = np.array((demands.src, demands.dst))
+    tors, pods = tree.tor_of_server(ends), tree.server_pod(ends)
+    key = _pair_key(demands.src, demands.dst)
+    half = tree.half
+    position, index = key % half, (key >> 8) % half
+    up, down = pods * half + (position + tree.agg_base)
+    core = position * half + index + tree.core_base
+    hops = np.array((tors[0], up, core, down, tors[1]))
+    hops[1:, tors[0] == tors[1]] = -1
+    hops[2:4, pods[0] == pods[1]] = -1
+    hops = hops.T
+    on_path = hops >= 0
+    switches = hops[on_path]
+    gbps = np.repeat(demands.rate / MBPS_PER_GBPS, on_path.sum(axis=1))
+    sums = np.bincount(switches, weights=gbps)
+    first = np.full(len(sums), len(switches))
+    np.minimum.at(first, switches, np.arange(len(switches)))
+    seen = (first < len(switches)).nonzero()[0]
+    seen = seen[first[seen].argsort(kind="stable")]
+    return RoutingPlan(
+        timeslot,
+        violations=tuple((sums > params.max_load()).nonzero()[0].tolist()),
+        paths=(demands, hops, False),
+        switches=seen,
+        gbps=sums[seen],
+    )
 
 
 def ecmp_oracle(demands, tree, seed, params, timeslot=0) -> Plan:
@@ -301,6 +339,13 @@ def balanced_oracle(demands, tree, active_set, params, timeslot=0) -> Plan:
         _add_path(loads, best, gbps)
     routes.sort(key=lambda r: (r[0], r[1]))
     return _finish_plan(timeslot, routes, loads, params)
+
+
+def by_size_oracle(src, dst, rate) -> np.ndarray:
+    """EER's demand order as `pair_order` and then a stable sort of the
+    negated rates, whatever the input order and however many rates tie."""
+    by_pair = pair_order(src, dst)
+    return by_pair[(-rate[by_pair]).argsort(kind="stable")]
 
 
 def eer_oracle(demands, tree, params, timeslot=0, on_estimate=None):
@@ -480,6 +525,19 @@ def tree_min_cut(tree, u: int, v: int) -> float:
             break
         cut = min(cut, tree.weight[node])
     return cut
+
+
+def table_at_oracle(table, t) -> DemandSet:
+    """`DemandTable.at` as a pass over every row: each row's unit tested
+    at t, then the kept rows summed by pair id."""
+    unit = np.empty(len(table.pair), dtype=np.int64)
+    unit[table.unit_rows] = np.arange(len(table.start)).repeat(np.diff(table.unit_first))
+    keep = ((table.start <= t) & (t <= table.end)).take(unit)
+    rate = np.bincount(table.pair[keep].astype(np.int64), weights=table.rate[keep],
+                       minlength=len(table.src)).astype(float)  # int64 when empty
+    present = (rate > 0).nonzero()[0]
+    return DemandSet(table.src[present].astype(np.int64),
+                     table.dst[present].astype(np.int64), rate[present], present)
 
 
 def switch_power_each(load, params) -> float:

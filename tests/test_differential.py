@@ -33,9 +33,17 @@ from dcnsim.errors import InfeasibleError
 from dcnsim.routing import MBPS_PER_GBPS, ROUTERS, ecmp_route, eer, sp_route
 from dcnsim.simengine import Scenario, run_scenario
 from dcnsim.topology import build_fat_tree
-from dcnsim.workload import Job, Transfer, demand_table, demands_at, referential_matrix
+from dcnsim.workload import (
+    DemandSet,
+    Job,
+    Transfer,
+    demand_table,
+    demands_at,
+    referential_matrix,
+)
 from oracles import (
     ListedActiveSet,
+    by_size_oracle,
     candidate_paths,
     ecmp_oracle,
     eer_oracle,
@@ -43,7 +51,9 @@ from oracles import (
     run_each_slot,
     shrink_oracle,
     sp_oracle,
+    sp_segment_oracle,
     switch_power_each,
+    table_at_oracle,
 )
 
 HORIZON = 6
@@ -147,8 +157,8 @@ def test_demands_match_the_per_entry_loop(case):
 
 
 @st.composite
-def placed_workloads(draw):
-    """(jobs, assignment) over HORIZON slots at k = 4, 6 or 8.
+def tree_workloads(draw):
+    """(tree, jobs, assignment) over HORIZON slots at k = 4, 6 or 8.
 
     Jobs have zero to three transfers whose windows lean towards slot 0
     and the last slot, so they overlap; matrices hold zeros; VMs take one
@@ -171,7 +181,12 @@ def placed_workloads(draw):
                         vm_resource=draw(st.integers(1, 3))))
         for m in range(n):
             assignment[(job_id, m)] = draw(st.sampled_from(pool))
-    return jobs, assignment
+    return tree, jobs, assignment
+
+
+def placed_workloads():
+    """(jobs, assignment) of `tree_workloads`."""
+    return tree_workloads().map(lambda case: case[1:])
 
 
 def _pair_flows(rates, n=2):
@@ -623,3 +638,140 @@ def _column_tie():
 def test_merge_matches_the_nested_scan(case):
     job, capacity = case
     assert shrink_to_super_vms(job, capacity) == shrink_oracle(job, capacity)
+
+
+# --- per-run pair rows, EER's demand order and the unit-flip gather --------
+
+
+def _plan_bits(plan):
+    """A plan's slot, switches, Gbps bits, violations and routes."""
+    return (plan.timeslot, plan.switches.tolist(),
+            [gbps.hex() for gbps in plan.gbps.tolist()], plan.violations, plan.routes)
+
+
+@SETTINGS
+@given(tree_workloads(), st.sampled_from([1000.0, 1.0]))
+def test_sp_pair_rows_match_the_segment_oracle(case, capacity):
+    tree, jobs, assignment = case
+    params = PowerParams(capacity=capacity)
+    table = demand_table(jobs, assignment)
+    for first, _ in table.segments(HORIZON):
+        demands = table.at(first)
+        assert _plan_bits(sp_route(demands, tree, params, first)) == _plan_bits(
+            sp_segment_oracle(demands, tree, params, first))
+
+
+@SETTINGS
+@given(slot_demands(), st.integers(0, 99))
+def test_sp_on_a_hand_built_set_matches_the_segment_oracle(case, t):
+    tree, demands = case
+    params = PowerParams(capacity=1.0)
+    assert _plan_bits(sp_route(demands, tree, params, t)) == _plan_bits(
+        sp_segment_oracle(demands, tree, params, t))
+
+
+def test_sp_rows_are_kept_per_tree():
+    # Servers 0-15 exist at k=4 and k=6, on different racks and pods.
+    job = Job(id=0, vm_count=4, transfers=(Transfer(0, 1, _matrix(4, 50.0)),))
+    table = demand_table([job], {(0, m): 5 * m for m in range(4)})
+    params = PowerParams()
+    for k in (4, 6, 4):
+        tree, demands = build_fat_tree(k), table.at(0)
+        assert _plan_bits(sp_route(demands, tree, params)) == _plan_bits(
+            sp_segment_oracle(demands, tree, params))
+
+
+TIED_RATES = (0.5, 50.0, 300.0)
+
+
+@st.composite
+def tied_demands(draw):
+    """(tree, demands) whose rates take three values, so most of them tie.
+
+    The set is hand-built in any order with repeated pairs, or strictly
+    ordered by (src, dst), the order `DemandTable.at` gives.
+    """
+    tree = build_fat_tree(draw(st.sampled_from([4, 6, 8])))
+    last = tree.num_servers - 1
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, last), st.integers(0, last)).filter(
+            lambda p: p[0] != p[1]),
+        max_size=60,
+    ))
+    if draw(st.booleans()):
+        pairs = sorted(set(pairs))
+    rates = draw(st.lists(st.sampled_from(TIED_RATES), min_size=len(pairs),
+                          max_size=len(pairs)))
+    return tree, DemandSet.of([(s, d, r) for (s, d), r in zip(pairs, rates)])
+
+
+def _tied_by_hand():
+    """40 unordered demands at k=8, some pairs repeated, three rates."""
+    rng = np.random.default_rng(7)
+    pairs = [tuple(rng.choice(128, size=2, replace=False).tolist()) for _ in range(36)]
+    pairs += pairs[:4]
+    rates = rng.choice(TIED_RATES, size=len(pairs)).tolist()
+    return build_fat_tree(8), DemandSet.of(
+        [(s, d, r) for (s, d), r in zip(pairs, rates)])
+
+
+def _tied_from_table():
+    """A slot read from a demand table: 56 pairs, every rate 50 Mbps."""
+    job = Job(id=0, vm_count=8, transfers=(Transfer(0, 0, _matrix(8, 50.0)),))
+    table = demand_table([job], {(0, m): 9 * m for m in range(8)})
+    return build_fat_tree(8), table.at(0)
+
+
+@SETTINGS
+@given(tied_demands())
+@example(_tied_by_hand())
+@example(_tied_from_table())
+def test_eer_orders_tied_demands_by_pair_order_and_a_stable_sort(case):
+    tree, demands = case
+    want = by_size_oracle(demands.src, demands.dst, demands.rate)
+    assert routing._by_size(demands).tolist() == want.tolist()
+    params = PowerParams()
+    assert _outcome(lambda: _plan(eer(demands, tree, params, 0)[1])) == _outcome(
+        lambda: _plan(eer_oracle(demands.flows, tree, params, 0)[1]))
+
+
+def _assert_gathered(demands, want, table):
+    """`demands` are `want`'s, bit for bit, read from `table` with pair ids."""
+    for name in ("src", "dst", "rate", "pair"):
+        got, expected = getattr(demands, name), getattr(want, name)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    assert demands.table is table
+
+
+def _job(job_id, windows, n=3, rate=40.0):
+    return Job(id=job_id, vm_count=n,
+               transfers=tuple(Transfer(a, b, _matrix(n, rate)) for a, b in windows))
+
+
+# Job 0 runs in slot 2 alone; job 1 from slot 0, and again in the last
+# slot; job 2's windows overlap on slot 1; slots 3 and 4 carry nothing.
+EDGE_UNITS = (
+    [_job(0, [(2, 2)]), _job(1, [(0, 1), (HORIZON - 1, HORIZON - 1)]),
+     _job(2, [(0, 1), (1, 2)], rate=0.7)],
+    {(j, m): 5 * j + 2 * m for j in range(3) for m in range(3)},
+)
+
+
+@SETTINGS
+@given(placed_workloads(), st.permutations(range(HORIZON)))
+@example(EDGE_UNITS, list(range(HORIZON)))
+@example(EDGE_UNITS, list(reversed(range(HORIZON))))
+def test_unit_flip_gather_matches_the_full_row_pass(case, order):
+    jobs, assignment = case
+    table = demand_table(jobs, assignment)
+    for first, _ in table.segments(HORIZON):  # the order a run reads
+        _assert_gathered(table.at(first), table_at_oracle(table, first), table)
+    for t in order:  # any order of slots
+        _assert_gathered(table.at(t), table_at_oracle(table, t), table)
+
+
+def test_edge_units_cover_one_slot_units_both_ends_and_empty_segments():
+    table = demand_table(*EDGE_UNITS)
+    assert (table.start == table.end).any()
+    assert table.start.min() == 0 and table.end.max() == HORIZON - 1
+    assert [len(table.at(t).src) for t in (3, 4)] == [0, 0]

@@ -1,13 +1,16 @@
 """Shortest path, ECMP, active-set estimation and balanced routing."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from dcnsim.errors import CapacityError, DomainError, InfeasibleError
 from dcnsim.power import PowerParams, switch_power
+import dcnsim.routing as routing
 from dcnsim.routing import (
+    ROUTERS,
     ActiveSet,
     balanced_route,
     ecmp_route,
@@ -16,7 +19,7 @@ from dcnsim.routing import (
     sp_route,
 )
 from dcnsim.topology import AGG, TOR, build_fat_tree
-from dcnsim.workload import WorkloadConfig, demands_at, generate_workload
+from dcnsim.workload import DemandSet, WorkloadConfig, demands_at, generate_workload
 from linkcheck import link_loads, loads_from_links
 from oracles import ListedActiveSet, candidate_paths, server_id, switch_neighbors, tor_id
 
@@ -63,7 +66,7 @@ def test_sp_empty_demands():
 
 def test_sp_is_deterministic_and_symmetric_per_pair():
     tree = build_fat_tree(8)
-    a, b = 3, 250
+    a, b = 3, 125
     p1 = sp_route([(a, b, 10.0)], tree, params=PARAMS).routes[0][3]
     p2 = sp_route([(a, b, 10.0)], tree, params=PARAMS).routes[0][3]
     back = sp_route([(b, a, 10.0)], tree, params=PARAMS).routes[0][3]
@@ -233,6 +236,26 @@ def test_eer_rejects_a_negative_rate():
         eer([(0, 8, -5.0)], tree, PARAMS)
     with pytest.raises(DomainError, match="negative size"):
         estimate_active_set([(0, 2, 300.0), (1, 3, -5.0)], tree, PARAMS)
+
+
+@pytest.mark.parametrize("router", sorted(ROUTERS))
+@pytest.mark.parametrize("flow, message", [
+    ((0, 16, 5.0), "demand 1 (0->16, 5.0 Mbps): server 16 is not one of the "
+                   "tree's 16 servers"),
+    ((-1, 3, 5.0), "demand 1 (-1->3, 5.0 Mbps): server -1 is not one"),
+    ((3, 12, -5.0), "demand 1 (3->12, -5.0 Mbps) has negative size"),
+    ((3, 12, math.nan), "demand 1 (3->12, nan Mbps) has a non-finite rate"),
+    ((3, 12, math.inf), "demand 1 (3->12, inf Mbps) has a non-finite rate"),
+])
+def test_routers_name_a_demand_outside_the_tree_or_with_a_bad_rate(
+    monkeypatch, router, flow, message
+):
+    # At k=4 (16 servers), server 16 once rode agg 8 as its ToR.
+    tree = build_fat_tree(4)
+    monkeypatch.setattr(routing, "_paths", lambda *args: pytest.fail("path built"))
+    for demands in ([(0, 1, 1.0), flow], DemandSet.of([(0, 1, 1.0), flow])):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            ROUTERS[router](demands, tree, PARAMS, 0, 1)
 
 
 # --- balanced routing -------------------------------------------------------------

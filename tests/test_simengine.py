@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import dcnsim.routing as routing
 from dcnsim.errors import ConfigError
 from dcnsim.power import PowerParams, switch_power
 from dcnsim.simengine import (
@@ -172,6 +173,18 @@ def test_compare_requires_baseline():
     report = run_scenario(_scenario(route_strategy="ecmp"))
     with pytest.raises(ConfigError):
         compare([report])
+
+
+def test_sp_builds_each_pair_path_once_per_run(monkeypatch):
+    built = []
+    paths = routing._sp_paths
+    monkeypatch.setattr(routing, "_sp_paths", lambda tree, src, dst: (
+        built.append(len(src)) or paths(tree, src, dst)))
+    plans = []
+    report = run_scenario(_scenario(k=8, horizon=30), on_plan=plans.append)
+    assert len(built) == 1 and len(plans) == 30
+    assert built[0] == len({(s, d) for plan in plans for s, d, _, _ in plan.routes})
+    assert report.total_energy_wt > 0
 
 
 def test_eer_is_never_worse_than_sp_for_the_same_assignment():
