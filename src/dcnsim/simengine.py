@@ -30,6 +30,7 @@ from .workload import (
     generate_workload,
     is_horizon,
     load_document,
+    repeated_id,
 )
 
 REPORT_FORMAT_VERSION = 1
@@ -209,8 +210,11 @@ def _resolve_workload(scenario: Scenario, jobs=None):
     return generate_workload(cfg, workload_seed)
 
 
-def _check_windows(jobs, horizon: int) -> None:
-    """Reject a transfer window that ends past the last timeslot."""
+def _check_jobs(jobs, horizon: int) -> None:
+    """Reject a repeated job id, or a transfer window that ends past the
+    last timeslot."""
+    if (job_id := repeated_id(jobs)) is not None:
+        raise ConfigError(f"job id {job_id!r} is repeated")
     for job in jobs:
         for tr in job.transfers:
             if tr.end >= horizon:
@@ -246,10 +250,10 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
     (`DemandTable.segments`); within a segment the active transfers, and
     so the demands, do not change.  The demand table maps every VM pair
     to its server pair once per run, since VMs never move; each segment
-    gathers its demands from it, flipping only the rows of the units
-    that start or end at the segment's edge.  The demands carry the
-    table and their pair ids, so sp builds its path for each of the
-    table's pairs once per run and each segment gathers its pairs' rows
+    reads its demands from it at the segment's first slot, summing the
+    rows of the units active there.  The demands carry the table and
+    their pair ids, so sp builds its path for each of the table's pairs
+    once per run and each segment gathers its pairs' rows
     (`DemandSet.pair_rows`).  sp and eer route the segment's first
     slot and reuse that plan for its other slots; ecmp, whose draws are
     seeded per slot (`routing.DRAWS_PER_SLOT`), routes every slot.  Each
@@ -260,7 +264,8 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
     `on_plan`, when given, still receives one RoutingPlan per timeslot,
     carrying that slot's `timeslot` (route inspection).
 
-    A transfer window that ends past the horizon is a ConfigError.
+    A transfer window that ends past the horizon, or a job id that two
+    jobs share, is a ConfigError.
     Baseline routers may overload switches at extreme load; those
     timeslots are flagged in the report instead of aborting the run.
     The energy-efficient router controls its own active set, so a
@@ -269,7 +274,7 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
     started = time.perf_counter()
     tree = build_fat_tree(scenario.k, server_capacity=scenario.server_capacity)
     jobs = _resolve_workload(scenario, jobs)
-    _check_windows(jobs, scenario.horizon)
+    _check_jobs(jobs, scenario.horizon)
     params = scenario.power
 
     placement = assign(

@@ -9,6 +9,7 @@ can sleep.  Workload files are versioned JSON and round-trip losslessly.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -25,9 +26,10 @@ DIST_MAX = 1e12
 class Transfer:
     """One communication-intensive window: [start, end] timeslots, rate matrix.
 
-    Transfers compare field by field, matrices by value, and hash by
-    their window and matrix shape, so a `Job` holding them compares and
-    hashes too.
+    `start` and `end` are Python ints (not bools), as a workload file
+    stores them.  Transfers compare field by field, matrices by value,
+    and hash by their window and matrix shape, so a `Job` holding them
+    compares and hashes too.
     """
 
     start: int
@@ -36,6 +38,9 @@ class Transfer:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
+        for name, value in (("start", self.start), ("end", self.end)):
+            if not _is_int(value):
+                raise DomainError(f"transfer {name} must be an int, got {value!r}")
         if self.start > self.end:
             raise DomainError(f"transfer window [{self.start}, {self.end}] is empty")
         if self.start < 0:
@@ -195,6 +200,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def repeated_id(jobs: Sequence[Job]):
+    """An id that two of `jobs` share, or None.  A placement keys VMs by
+    (job id, VM index), so two jobs with one id would lose VMs."""
+    counts = Counter(job.id for job in jobs)
+    return next((job_id for job_id, n in counts.items() if n > 1), None)
+
+
 def generate_workload(cfg: WorkloadConfig, seed: int) -> list[Job]:
     """Draw jobs until the requested slots first reach the target utilization.
 
@@ -281,33 +293,22 @@ class DemandTable:
     from server `src[p]` to `dst[p]`; the pairs are distinct and ordered
     by (src, dst).  Row i is one positive entry of a unit's matrix whose
     two VMs sit on different servers: it carries rate[i] Mbps over pair
-    pair[i].  Rows are stably ordered by (src, dst) once; within a pair
-    they keep job order, then row-major (source VM, destination VM)
-    order, which is the order `at` adds them in.  Unit u's rows are
-    `unit_rows[unit_first[u]:unit_first[u + 1]]`.
+    pair[i].  Rows come unit by unit, in job order, and row-major
+    (source VM, destination VM) within a unit: unit u owns the next
+    size[u] rows.  That is the order `at` adds them in.
 
-    `at` keeps the rows of the units active at the slot it last read and
-    flips only the rows of units whose activity changed since, so
-    consecutive segments touch only the units that start or end between
-    them.  `pair_rows` keeps what a router derives per pair (sp's paths)
-    for the run.
+    `at` is a pure function of the slot.  `pair_rows` keeps what a
+    router derives per pair (sp's paths) for the run.
     """
 
     start: np.ndarray  # int64 per unit
     end: np.ndarray  # int64 per unit
+    size: np.ndarray  # int64 rows per unit
     src: np.ndarray  # uint16 per pair (server ids fit 16 bits, k <= 48)
     dst: np.ndarray  # uint16 per pair
     pair: np.ndarray  # uint16 per row (int32 past 65,536 pairs)
     rate: np.ndarray  # float64 per row
-    unit_rows: np.ndarray  # uint16 row ids grouped by unit (int32 past 65,536 rows)
-    unit_first: tuple[int, ...]  # per unit, then the row count
-    _keep: np.ndarray = field(init=False, repr=False)  # bool per row
-    _active: np.ndarray = field(init=False, repr=False)  # bool per unit
     _rows: dict = field(init=False, repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_keep", np.zeros(len(self.pair), dtype=bool))
-        object.__setattr__(self, "_active", np.zeros(len(self.start), dtype=bool))
 
     def segments(self, horizon: int):
         """[first, stop) runs of the horizon's slots in which no unit starts or ends."""
@@ -322,14 +323,7 @@ class DemandTable:
         bits of the rates and so of every energy total.  Every row's
         rate is positive, so a pair is present exactly when its sum is.
         """
-        active = (self.start <= t) & (t <= self.end)
-        changed = (active != self._active).nonzero()[0].tolist()
-        if changed:
-            first, rows = self.unit_first, self.unit_rows
-            flip = np.concatenate([rows[first[u]:first[u + 1]] for u in changed])
-            self._keep[flip] ^= True
-            self._active[:] = active
-        keep = self._keep
+        keep = ((self.start <= t) & (t <= self.end)).repeat(self.size)
         pair = self.pair[keep]
         if not len(pair):  # an empty bincount is int64
             empty = np.empty(0, dtype=np.int64)
@@ -355,8 +349,9 @@ def demand_table(
 
     VM pairs co-hosted on one server emit nothing (their traffic never
     reaches a NIC).  A VM of a listed job without a server is a
-    DomainError.  The rows fill preallocated compact arrays, and each
-    unsorted array is freed as soon as its sorted copy exists.
+    DomainError.  The rows fill preallocated compact arrays in the order
+    they are built; only the pair ids come from a sort of the rows'
+    server pairs.
     """
     starts, ends, units = [], [], []
     for job in jobs:
@@ -368,41 +363,32 @@ def demand_table(
             starts.append(first)
             ends.append(last)
             units.append((hosts, matrix, sent))
-    rows = sum(int(np.count_nonzero(sent)) for _, _, sent in units)
+    size = np.array([np.count_nonzero(sent) for _, _, sent in units], dtype=np.int64)
+    rows = int(size.sum())
     src = np.empty(rows, dtype=np.uint16)
     dst = np.empty(rows, dtype=np.uint16)
     rate = np.empty(rows)
-    unit = np.empty(rows, dtype=_index_dtype(len(units)))
     begin = 0
-    for u, (hosts, matrix, sent) in enumerate(units):
+    for hosts, matrix, sent in units:
         row, col = sent.nonzero()
         stop = begin + len(row)
         src[begin:stop] = hosts[row]
         dst[begin:stop] = hosts[col]
         rate[begin:stop] = matrix[row, col]
-        unit[begin:stop] = u
         begin = stop
     del units
-    # `pair_order`'s two stable radix passes, by dst and then by src, each
-    # applied at once so that no unsorted column outlives its sorted copy.
-    columns = [src, dst, rate, unit]
-    del src, dst, rate, unit
-    for key in (1, 0):
-        order = columns[key].argsort(kind="stable")
-        for i, column in enumerate(columns):
-            columns[i] = column[order]
-    src, dst, rate, unit = columns
+    order = pair_order(src, dst)
+    src, dst = src[order], dst[order]  # the rows' pairs, sorted
     first = np.empty(rows, dtype=bool)
     first[:1] = True
     first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-    heads = first.nonzero()[0]  # each pair's first row
-    pair = np.arange(len(heads), dtype=_index_dtype(len(heads)))
-    pair = pair.repeat(np.diff(heads, append=rows))
-    unit_first = (0, *np.cumsum(np.bincount(unit, minlength=len(starts))).tolist())
+    heads = first.nonzero()[0]  # each pair's first sorted row
+    pair = np.empty(rows, dtype=_index_dtype(len(heads)))
+    pair[order] = np.arange(len(heads), dtype=pair.dtype).repeat(
+        np.diff(heads, append=rows))
     return DemandTable(
-        np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64),
+        np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64), size,
         src[heads], dst[heads], pair, rate,
-        unit.argsort(kind="stable").astype(_index_dtype(rows)), unit_first,
     )
 
 
@@ -538,6 +524,8 @@ def _workload_of(doc):
         for entry in doc["jobs"]
     ]
     horizon, seed, config = doc["horizon"], doc.get("seed"), doc.get("config")
+    if (job_id := repeated_id(jobs)) is not None:
+        raise ValueError(f"job id {job_id!r} is repeated")
     if not is_horizon(horizon):
         raise ValueError(f"horizon must be an int >= 1, got {horizon!r}")
     if seed is not None and not _is_int(seed):

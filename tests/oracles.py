@@ -20,8 +20,7 @@ equal-cost up-down paths the way a per-pair router would; it and
 scheme.  `sp_segment_oracle` is sp as an array call that builds every
 demand's path afresh, where `sp_route` gathers per-pair rows built once
 per run; `by_size_oracle` is EER's demand order by `pair_order` and a
-stable sort; `table_at_oracle` is `DemandTable.at` as a pass that tests
-every row, where `at` flips only the units whose activity changed.
+stable sort.
 """
 
 from __future__ import annotations
@@ -527,19 +526,6 @@ def tree_min_cut(tree, u: int, v: int) -> float:
     return cut
 
 
-def table_at_oracle(table, t) -> DemandSet:
-    """`DemandTable.at` as a pass over every row: each row's unit tested
-    at t, then the kept rows summed by pair id."""
-    unit = np.empty(len(table.pair), dtype=np.int64)
-    unit[table.unit_rows] = np.arange(len(table.start)).repeat(np.diff(table.unit_first))
-    keep = ((table.start <= t) & (t <= table.end)).take(unit)
-    rate = np.bincount(table.pair[keep].astype(np.int64), weights=table.rate[keep],
-                       minlength=len(table.src)).astype(float)  # int64 when empty
-    present = (rate > 0).nonzero()[0]
-    return DemandSet(table.src[present].astype(np.int64),
-                     table.dst[present].astype(np.int64), rate[present], present)
-
-
 def switch_power_each(load, params) -> float:
     """One switch's watts at `load` Gbps, in Python floats; 0.0 at no load."""
     if load == 0:
@@ -554,7 +540,7 @@ def run_each_slot(scenario, jobs=None, on_plan=None):
     """
     tree = build_fat_tree(scenario.k, server_capacity=scenario.server_capacity)
     jobs = simengine._resolve_workload(scenario, jobs)
-    simengine._check_windows(jobs, scenario.horizon)
+    simengine._check_jobs(jobs, scenario.horizon)
     params = scenario.power
     placement = assign(
         scenario.assign_strategy, jobs, tree,

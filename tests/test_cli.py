@@ -89,6 +89,14 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", "--route", "sp", "--assign", "greedy", "--out", str(out)]) == 2
 
 
+def _jobs_text(*jobs):
+    """A workload file's text holding a two-VM job per (id, window start)."""
+    return json.dumps({"version": 1, "horizon": 10, "jobs": [
+        {"id": job_id, "vm_count": 2,
+         "transfers": [{"start": start, "end": 9, "matrix": [[0, 1], [1, 0]]}]}
+        for job_id, start in jobs]})
+
+
 @pytest.mark.parametrize("text, cause", [
     ("{not json", "not valid JSON"),
     ('{"version": 1, "horizon": 10}', "lacks the key 'jobs'"),
@@ -100,6 +108,9 @@ def test_config_error_exit_code(tmp_path):
      "seed must be an int or null"),
     ('{"version": 1, "horizon": 10, "config": {"utilization": "abc"}, "jobs": []}',
      "utilization must be a number"),
+    (_jobs_text((0, 7.5)), "transfer start must be an int, got 7.5"),
+    (_jobs_text((0, True)), "transfer start must be an int, got True"),
+    (_jobs_text((0, 0), (1, 2), (0, 4)), "job id 0 is repeated"),
 ])
 def test_bad_workload_file_is_a_config_error(tmp_path, capsys, text, cause):
     wl = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 """Scenario runs, reports, comparisons and sweeps."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -167,6 +168,13 @@ def test_ratio_against_a_zero_baseline():
 def test_compare_labels_rows_with_a_zero_workload_seed():
     report = run_scenario(_scenario(seed=7, workload_seed=0))
     assert compare([report])["rows"][0]["seed"] == 0
+
+
+def test_jobs_sharing_an_id_are_a_config_error():
+    jobs = generate_workload(WorkloadConfig(k=4, target_utilization=0.4, horizon=12), 1)
+    jobs[-1] = dataclasses.replace(jobs[-1], id=jobs[0].id)
+    with pytest.raises(ConfigError, match=f"job id {jobs[0].id} is repeated"):
+        run_scenario(_scenario(), jobs)
 
 
 def test_compare_requires_baseline():

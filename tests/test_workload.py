@@ -243,6 +243,14 @@ def test_transfer_validation():
         Job(id=0, vm_count=3, transfers=(Transfer(0, 1, _matrix(2)),))
 
 
+@pytest.mark.parametrize("start, end, name", [
+    (0.5, 2, "start"), (True, 2, "start"), (0, 2.0, "end"), (0, np.int64(2), "end"),
+])
+def test_a_transfer_window_needs_int_slots(start, end, name):
+    with pytest.raises(DomainError, match=f"transfer {name} must be an int"):
+        Transfer(start, end, _matrix(2))
+
+
 def test_jobs_and_transfers_compare_and_hash_by_value():
     def job(rate=10.0, end=1, vm_resource=1):
         return Job(id=3, vm_count=2, vm_resource=vm_resource,
