@@ -1,9 +1,11 @@
 """Command line interface: gen / run / compare / sweep.
 
-A plain key=value config file can pre-fill any option; explicit flags
-win, and a key that no subcommand reads is a configuration error.
-Exit codes: 0 success, 2 configuration error or unreadable file, 3
-infeasible placement or routing.
+`OPTIONS` declares each option that a flag or a key=value config file
+can set.  One file may serve gen, run and sweep; a key not in `OPTIONS`,
+or a value that does not cast, is a configuration error naming the file
+and line, even for a key the subcommand does not use.  A flag wins over
+the file, the file over the default.  Exit codes: 0 success, 2
+configuration error or unreadable file, 3 infeasible placement or routing.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import csv
 import json
 import os
 import sys
+from collections import namedtuple
 
 from .assignment import STRATEGIES
 from .errors import CapacityError, ConfigError, InfeasibleError, SimulationError
@@ -37,17 +40,38 @@ EXIT_INFEASIBLE = 3
 SWEEP_UTILIZATIONS = ",".join(f"{u / 100:.2f}" for u in range(5, 96, 10))
 SWEEP_REPEATS = 5
 
-# The keys that some subcommand reads from a config file.  One file may
-# serve gen, run and sweep, so each accepts the keys the others read.
-CONFIG_KEYS = frozenset({
-    "k", "seed", "utilization", "utilizations", "repeats", "horizon",
-    "server_capacity", "workload", "assign", "route", "timeslot_seconds",
-    "sigma", "mu", "alpha", "capacity_gbps",
-})
+# An option's type casts its flag and config values, its default holds when
+# neither gives one, and its help and choices go to its flag.  OPTIONS
+# keys each by config key and flag dest (--server-capacity sets
+# server_capacity).  The defaults are the library's, but for the CLI's
+# own: greedy/sp and the sweep's levels and repeats.  `run` replaces a
+# defaulted horizon with its workload file's.
+Option = namedtuple("Option", "type default help choices", defaults=(None,) * 3)
+OPTIONS = {
+    "k": Option(int),
+    "seed": Option(int, Scenario.seed),  # unseeded, gen draws what run draws
+    "utilization": Option(float),
+    "utilizations": Option(
+        str, SWEEP_UTILIZATIONS, "comma separated; default 0.05..0.95 step 0.10"
+    ),
+    "repeats": Option(int, SWEEP_REPEATS, f"default {SWEEP_REPEATS}"),
+    "horizon": Option(int, WorkloadConfig.horizon),
+    "server_capacity": Option(int, WorkloadConfig.server_capacity),
+    "workload": Option(str, help="workload file (else --utilization generates)"),
+    "assign": Option(str, "greedy", choices=STRATEGIES),
+    "route": Option(str, "sp", choices=ROUTERS),
+    "timeslot_seconds": Option(float, Scenario.timeslot_seconds),
+    "sigma": Option(float, PowerParams.sigma),
+    "mu": Option(float, PowerParams.mu),
+    "alpha": Option(float, PowerParams.alpha),
+    "capacity_gbps": Option(float, PowerParams.capacity),
+}
+POWER_OPTIONS = ("sigma", "mu", "alpha", "capacity_gbps")
 
 
 def parse_config_file(path) -> dict:
-    """Read `key = value` lines; '#' starts a comment, '-' in a key reads as '_'."""
+    """Read `key = value` lines, each value cast and checked as `OPTIONS`
+    says; '#' starts a comment, '-' in a key reads as '_'."""
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -57,29 +81,27 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in CONFIG_KEYS:
+            key, value = key.strip().replace("-", "_"), value.strip()
+            if key not in OPTIONS:
                 raise ConfigError(f"{path}:{lineno}: no subcommand reads the key {key!r}")
-            values[key] = value.strip()
+            option = OPTIONS[key]
+            try:
+                values[key] = option.type(value)
+                if option.choices and values[key] not in option.choices:
+                    raise ValueError(f"not one of {tuple(option.choices)}")
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {key} = {value!r}: {exc}") from exc
     return values
 
 
-def _option(args, cfg, name, cast, default=None):
-    """Flag > config file > default."""
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    if name in cfg:
-        try:
-            return cast(cfg[name])
-        except ValueError as exc:
-            raise ConfigError(f"config value {name}={cfg[name]!r}: {exc}") from exc
-    return default
-
-
-def _present(**values) -> dict:
-    """The values that are set; an unset option keeps its library default."""
-    return {name: value for name, value in values.items() if value is not None}
+def _with_config(args) -> set:
+    """Set each of the subcommand's options that no flag set from the
+    --config file, else to its default; returns the names defaulted."""
+    cfg = parse_config_file(args.config) if args.config else {}
+    unset = {name for name in OPTIONS if getattr(args, name, 0) is None}
+    for name in unset:
+        setattr(args, name, cfg.get(name, OPTIONS[name].default))
+    return unset - cfg.keys()
 
 
 def _check_writable(path) -> None:
@@ -91,77 +113,52 @@ def _check_writable(path) -> None:
         os.remove(path)
 
 
-def _power_from(args, cfg) -> PowerParams:
-    return PowerParams(**_present(
-        sigma=_option(args, cfg, "sigma", float),
-        mu=_option(args, cfg, "mu", float),
-        alpha=_option(args, cfg, "alpha", float),
-        capacity=_option(args, cfg, "capacity_gbps", float),
-    ))
+def _power_from(args) -> PowerParams:
+    return PowerParams(
+        sigma=args.sigma, mu=args.mu, alpha=args.alpha, capacity=args.capacity_gbps
+    )
 
 
 def cmd_gen(args) -> int:
-    cfg = parse_config_file(args.config) if args.config else {}
-    k = _option(args, cfg, "k", int)
-    utilization = _option(args, cfg, "utilization", float)
-    # Unseeded, gen draws the workload that an unseeded `run` draws.
-    seed = _option(args, cfg, "seed", int, Scenario.seed)
-    if k is None or utilization is None:
+    _with_config(args)
+    if args.k is None or args.utilization is None:
         raise ConfigError("gen needs --k and --utilization")
     wl_cfg = WorkloadConfig(
-        k=k, target_utilization=utilization, **_present(
-            horizon=_option(args, cfg, "horizon", int),
-            server_capacity=_option(args, cfg, "server_capacity", int),
-        ),
+        k=args.k, target_utilization=args.utilization,
+        horizon=args.horizon, server_capacity=args.server_capacity,
     )
-    jobs = generate_workload(wl_cfg, seed)
-    save_workload(
-        args.out, jobs, horizon=wl_cfg.horizon, seed=seed,
-        config={
-            "k": k, "utilization": utilization,
-            "server_capacity": wl_cfg.server_capacity,
-        },
-    )
+    jobs = generate_workload(wl_cfg, args.seed)
+    save_workload(args.out, jobs, horizon=wl_cfg.horizon, seed=args.seed, config={
+        "k": args.k, "utilization": args.utilization,
+        "server_capacity": wl_cfg.server_capacity,
+    })
     print(f"wrote {len(jobs)} jobs ({sum(j.slots for j in jobs)} slots) to {args.out}")
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    cfg = parse_config_file(args.config) if args.config else {}
-    k = _option(args, cfg, "k", int)
-    if k is None:
+    defaulted = _with_config(args)
+    if args.k is None:
         raise ConfigError("run needs --k")
-    workload_path = _option(args, cfg, "workload", str)
-    utilization = _option(args, cfg, "utilization", float)
-    horizon = _option(args, cfg, "horizon", int)
     jobs = workload_seed = None
-    if workload_path:
-        jobs, meta = load_workload(workload_path)
+    if args.workload:
+        jobs, meta = load_workload(args.workload)
         # Label the report with the file's provenance so comparison
         # tables carry the utilization and generating seed.
         workload_seed = meta["seed"]
-        if utilization is None:
-            utilization = (meta["config"] or {}).get("utilization")
-        if horizon is None:
-            horizon = meta["horizon"]
+        if args.utilization is None:
+            args.utilization = (meta["config"] or {}).get("utilization")
+        if "horizon" in defaulted:
+            args.horizon = meta["horizon"]
     scenario = Scenario(
-        k=k,
-        assign_strategy=_option(args, cfg, "assign", str, "greedy"),
-        route_strategy=_option(args, cfg, "route", str, "sp"),
-        utilization=utilization,
-        workload_seed=workload_seed,
-        workload_path=workload_path,
-        power=_power_from(args, cfg),
-        **_present(
-            seed=_option(args, cfg, "seed", int),
-            horizon=horizon,
-            server_capacity=_option(args, cfg, "server_capacity", int),
-            timeslot_seconds=_option(args, cfg, "timeslot_seconds", float),
-        ),
+        k=args.k, assign_strategy=args.assign, route_strategy=args.route,
+        seed=args.seed, utilization=args.utilization, workload_seed=workload_seed,
+        workload_path=args.workload, horizon=args.horizon,
+        server_capacity=args.server_capacity, timeslot_seconds=args.timeslot_seconds,
+        power=_power_from(args),
     )
     _check_writable(args.out)  # before the run, not after it
-    route_writer = None
-    route_fh = None
+    route_writer = route_fh = None
     if args.dump_routes:
         route_fh = open(args.dump_routes, "w", newline="")
         writer = csv.writer(route_fh)
@@ -206,31 +203,22 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = parse_config_file(args.config) if args.config else {}
-    k = _option(args, cfg, "k", int)
-    if k is None:
+    _with_config(args)
+    if args.k is None:
         raise ConfigError("sweep needs --k")
-    levels = _option(args, cfg, "utilizations", str, SWEEP_UTILIZATIONS)
     try:
-        utilizations = [float(u) for u in levels.split(",") if u.strip()]
+        utilizations = [float(u) for u in args.utilizations.split(",") if u.strip()]
     except ValueError as exc:
-        raise ConfigError(f"utilizations {levels!r}: {exc}") from exc
+        raise ConfigError(f"utilizations {args.utilizations!r}: {exc}") from exc
     cells = dict(
-        k=k,
-        utilizations=utilizations,
-        repeats=_option(args, cfg, "repeats", int, SWEEP_REPEATS),
-        **_present(
-            horizon=_option(args, cfg, "horizon", int),
-            server_capacity=_option(args, cfg, "server_capacity", int),
-        ),
+        k=args.k, utilizations=utilizations, repeats=args.repeats, base_seed=args.seed,
+        horizon=args.horizon, server_capacity=args.server_capacity,
     )
-    power = _power_from(args, cfg)
+    power = _power_from(args)
     check_sweep(**cells)  # before the output directory exists, not after
     os.makedirs(args.out, exist_ok=True)
-    reports, tables = sweep(
-        **cells, power=power, **_present(base_seed=_option(args, cfg, "seed", int))
-    )
-    for index, report in enumerate(reports):
+    reports, tables = sweep(**cells, power=power)
+    for report in reports:
         sc = report.scenario
         name = f"{sc['label']}_u{sc['utilization']:.2f}_s{sc['workload_seed']}.json"
         save_report(report, os.path.join(args.out, name))
@@ -247,6 +235,14 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _add_options(parser, *names) -> None:
+    """Add the flag of each named option; an absent flag leaves it None."""
+    for name in names:
+        option = OPTIONS[name]
+        parser.add_argument("--" + name.replace("_", "-"), type=option.type,
+                            choices=option.choices, help=option.help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dcnsim",
@@ -255,33 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic workload file")
-    gen.add_argument("--k", type=int)
-    gen.add_argument("--utilization", type=float)
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--horizon", type=int)
-    gen.add_argument("--server-capacity", dest="server_capacity", type=int)
-    gen.add_argument("--config")
-    gen.add_argument("--out", required=True)
-    gen.set_defaults(func=cmd_gen)
+    _add_options(gen, "k", "utilization", "seed", "horizon", "server_capacity")
 
     run = sub.add_parser("run", help="run one scenario and write its report")
-    run.add_argument("--workload", help="workload file (else --utilization generates)")
-    run.add_argument("--assign", choices=STRATEGIES)
-    run.add_argument("--route", choices=ROUTERS)
-    run.add_argument("--k", type=int)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--utilization", type=float)
-    run.add_argument("--horizon", type=int)
-    run.add_argument("--server-capacity", dest="server_capacity", type=int)
-    run.add_argument("--timeslot-seconds", dest="timeslot_seconds", type=float)
-    run.add_argument("--sigma", type=float)
-    run.add_argument("--mu", type=float)
-    run.add_argument("--alpha", type=float)
-    run.add_argument("--capacity-gbps", dest="capacity_gbps", type=float)
+    _add_options(
+        run, "workload", "assign", "route", "k", "seed", "utilization", "horizon",
+        "server_capacity", "timeslot_seconds", *POWER_OPTIONS,
+    )
     run.add_argument("--dump-routes", help="also write per-timeslot routes as CSV")
-    run.add_argument("--config")
-    run.add_argument("--out", required=True)
-    run.set_defaults(func=cmd_run)
 
     cmp_ = sub.add_parser("compare", help="tabulate reports against a baseline")
     cmp_.add_argument("--reports", nargs="+", required=True)
@@ -290,21 +267,15 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.set_defaults(func=cmd_compare)
 
     sw = sub.add_parser("sweep", help="strategy grid over utilization levels")
-    sw.add_argument("--k", type=int)
-    sw.add_argument(
-        "--utilizations", help="comma separated; default 0.05..0.95 step 0.10"
+    _add_options(
+        sw, "k", "utilizations", "repeats", "seed", "horizon", "server_capacity",
+        *POWER_OPTIONS,
     )
-    sw.add_argument("--repeats", type=int, help=f"default {SWEEP_REPEATS}")
-    sw.add_argument("--seed", type=int)
-    sw.add_argument("--horizon", type=int)
-    sw.add_argument("--server-capacity", dest="server_capacity", type=int)
-    sw.add_argument("--sigma", type=float)
-    sw.add_argument("--mu", type=float)
-    sw.add_argument("--alpha", type=float)
-    sw.add_argument("--capacity-gbps", dest="capacity_gbps", type=float)
-    sw.add_argument("--config")
-    sw.add_argument("--out", required=True)
-    sw.set_defaults(func=cmd_sweep)
+
+    for configurable, func in ((gen, cmd_gen), (run, cmd_run), (sw, cmd_sweep)):
+        configurable.add_argument("--config")
+        configurable.add_argument("--out", required=True)
+        configurable.set_defaults(func=func)
     return parser
 
 

@@ -29,6 +29,7 @@ from .workload import (
     demand_table,
     generate_workload,
     is_horizon,
+    is_seed,
     load_document,
     repeated_id,
 )
@@ -89,6 +90,10 @@ class Scenario:
             )
         if not is_horizon(self.horizon):
             raise ConfigError(f"horizon must be an int >= 1, got {self.horizon!r}")
+        for name in ("seed", "workload_seed"):
+            value = getattr(self, name)
+            if value is not None and not is_seed(value):
+                raise ConfigError(f"{name} must be an int >= 0 or None, got {value!r}")
         if not (math.isfinite(self.timeslot_seconds) and self.timeslot_seconds > 0):
             raise ConfigError(
                 f"timeslot_seconds must be finite and > 0, got {self.timeslot_seconds}"
@@ -417,23 +422,25 @@ def check_sweep(
     k: int,
     utilizations: Sequence[float],
     repeats: int,
+    base_seed: int = 0,
     horizon: int = 100,
     server_capacity: int = 2,
 ) -> None:
     """Raise ConfigError unless `sweep` can run these arguments' cells.
 
-    A sweep needs a utilization and a repeat, and every level's workload
-    config and the tree must be valid; `sweep` checks this before its
-    first cell, and a caller can check it before preparing any output.
+    A sweep needs a utilization, a repeat, a seed and a valid workload
+    config per level; `sweep` checks this before its first cell, and a
+    caller can check it before preparing any output.
     """
     if not utilizations:
         raise ConfigError("sweep needs at least one utilization")
     if repeats < 1:
         raise ConfigError(f"sweep needs repeats >= 1, got {repeats}")
+    if not is_seed(base_seed):
+        raise ConfigError(f"sweep needs a seed that is an int >= 0, got {base_seed!r}")
     for utilization in utilizations:
         WorkloadConfig(k=k, target_utilization=utilization, horizon=horizon,
                        server_capacity=server_capacity)
-    build_fat_tree(k, server_capacity=server_capacity)
 
 
 def sweep(
@@ -451,7 +458,7 @@ def sweep(
     Every repeat draws a fresh workload seed; all strategies in the grid
     share that workload, so the comparison is paired per seed.
     """
-    check_sweep(k, utilizations, repeats, horizon, server_capacity)
+    check_sweep(k, utilizations, repeats, base_seed, horizon, server_capacity)
     power = power or PowerParams()
     reports: list[EnergyReport] = []
     for u_index, utilization in enumerate(utilizations):

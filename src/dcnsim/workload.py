@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .topology import FatTree
 
 # Distance sentinel for identical traffic patterns (the inverse-norm
 # distance is singular there); large enough to dominate any real value.
@@ -73,7 +74,11 @@ class Transfer:
 
 @dataclass(frozen=True)
 class Job:
-    """A job: n VMs (each needing vm_resource slots) plus its transfers."""
+    """A job: n VMs (each needing vm_resource slots) plus its transfers.
+
+    `id` is an int and the two counts are ints >= 1, none of them a bool,
+    as a workload file stores them.
+    """
 
     id: int
     vm_count: int
@@ -82,10 +87,13 @@ class Job:
 
     def __post_init__(self):
         object.__setattr__(self, "transfers", tuple(self.transfers))
-        if self.vm_count < 1:
-            raise DomainError(f"job {self.id}: vm_count must be >= 1")
-        if self.vm_resource < 1:
-            raise DomainError(f"job {self.id}: vm_resource must be >= 1")
+        if not _is_int(self.id):
+            raise DomainError(f"job id must be an int, got {self.id!r}")
+        for name in ("vm_count", "vm_resource"):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 1):
+                raise DomainError(
+                    f"job {self.id}: {name} must be an int >= 1, got {value!r}")
         for tr in self.transfers:
             if tr.matrix.shape != (self.vm_count, self.vm_count):
                 raise DomainError(
@@ -181,8 +189,7 @@ class WorkloadConfig:
     server_capacity: int = 2
 
     def __post_init__(self):
-        if self.k % 2 != 0 or not (4 <= self.k <= 48):
-            raise ConfigError(f"k must be even and within [4, 48], got {self.k}")
+        FatTree(self.k, self.server_capacity)  # checks the tree's dimensions
         if not (0.0 <= self.target_utilization <= 1.0):
             raise ConfigError(
                 f"target_utilization must be within [0, 1], got {self.target_utilization}"
@@ -194,6 +201,11 @@ class WorkloadConfig:
 def is_horizon(value) -> bool:
     """Whether `value` can be a horizon: an int (not a bool) of at least 1."""
     return _is_int(value) and value >= 1
+
+
+def is_seed(value) -> bool:
+    """Whether `value` can seed a draw: an int (not a bool) of at least 0."""
+    return _is_int(value) and value >= 0
 
 
 def _is_int(value) -> bool:
@@ -211,8 +223,11 @@ def generate_workload(cfg: WorkloadConfig, seed: int) -> list[Job]:
     """Draw jobs until the requested slots first reach the target utilization.
 
     Deterministic given (cfg, seed): one RNG stream, fixed draw order per
-    job (vm count, window start, window fraction, rate matrix).
+    job (vm count, window start, window fraction, rate matrix).  A seed
+    that is not an int >= 0 is a ConfigError.
     """
+    if not is_seed(seed):
+        raise ConfigError(f"seed must be an int >= 0, got {seed!r}")
     total_slots = (cfg.k**3 // 4) * cfg.server_capacity
     pod_slots = (cfg.k**2 // 4) * cfg.server_capacity
     target = cfg.target_utilization * total_slots
@@ -528,8 +543,8 @@ def _workload_of(doc):
         raise ValueError(f"job id {job_id!r} is repeated")
     if not is_horizon(horizon):
         raise ValueError(f"horizon must be an int >= 1, got {horizon!r}")
-    if seed is not None and not _is_int(seed):
-        raise ValueError(f"seed must be an int or null, got {seed!r}")
+    if seed is not None and not is_seed(seed):
+        raise ValueError(f"seed must be an int or null, and not negative; got {seed!r}")
     if config is not None and not isinstance(config, dict):
         raise ValueError(f"config must be an object or null, got {config!r}")
     utilization = (config or {}).get("utilization")

@@ -1,11 +1,12 @@
 """CLI subcommands, config files and exit codes."""
 
+import argparse
 import csv
 import json
 
 import pytest
 
-from dcnsim.cli import main
+from dcnsim.cli import OPTIONS, build_parser, main
 from dcnsim.simengine import TABLE_COLUMNS, Scenario, load_report
 from dcnsim.workload import WorkloadConfig, generate_workload, load_workload
 
@@ -97,6 +98,13 @@ def _jobs_text(*jobs):
         for job_id, start in jobs]})
 
 
+def _job_text(**fields):
+    """A workload file's text holding one two-VM job with `fields` set."""
+    job = {"id": 0, "vm_count": 2, "vm_resource": 1,
+           "transfers": [{"start": 0, "end": 9, "matrix": [[0, 1], [1, 0]]}]}
+    return json.dumps({"version": 1, "horizon": 10, "jobs": [{**job, **fields}]})
+
+
 @pytest.mark.parametrize("text, cause", [
     ("{not json", "not valid JSON"),
     ('{"version": 1, "horizon": 10}', "lacks the key 'jobs'"),
@@ -111,6 +119,11 @@ def _jobs_text(*jobs):
     (_jobs_text((0, 7.5)), "transfer start must be an int, got 7.5"),
     (_jobs_text((0, True)), "transfer start must be an int, got True"),
     (_jobs_text((0, 0), (1, 2), (0, 4)), "job id 0 is repeated"),
+    (_job_text(vm_resource=1.5), "vm_resource must be an int >= 1, got 1.5"),
+    (_job_text(vm_resource=True), "vm_resource must be an int >= 1, got True"),
+    (_job_text(vm_count=2.0), "vm_count must be an int >= 1, got 2.0"),
+    (_job_text(id="a"), "job id must be an int, got 'a'"),
+    ('{"version": 1, "horizon": 10, "seed": -1, "jobs": []}', "not negative; got -1"),
 ])
 def test_bad_workload_file_is_a_config_error(tmp_path, capsys, text, cause):
     wl = tmp_path / "bad.json"
@@ -337,3 +350,88 @@ def test_eer_tor_overload_exit_code(tmp_path, capsys):
                  "--route", "eer", "--sigma", "0.01", "--mu", "1",
                  "--capacity-gbps", "0.3", "--out", str(out)]) == 3
     assert "ToR switches [0] at t=1" in capsys.readouterr().err
+
+
+# Each subcommand's flags, by dest and in help order.
+FLAGS = {
+    "gen": ["k", "utilization", "seed", "horizon", "server_capacity", "config", "out"],
+    "run": ["workload", "assign", "route", "k", "seed", "utilization", "horizon",
+            "server_capacity", "timeslot_seconds", "sigma", "mu", "alpha",
+            "capacity_gbps", "dump_routes", "config", "out"],
+    "compare": ["reports", "baseline", "out"],
+    "sweep": ["k", "utilizations", "repeats", "seed", "horizon", "server_capacity",
+              "sigma", "mu", "alpha", "capacity_gbps", "config", "out"],
+}
+
+
+def _subparsers():
+    (action,) = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_every_option_has_a_flag_and_a_config_key():
+    flags = {name: [a.dest for a in sub._actions if a.dest != "help"]
+             for name, sub in _subparsers().items()}
+    assert flags == FLAGS
+    backed = {dest for dests in flags.values() for dest in dests} - {
+        "config", "out", "dump_routes", "reports", "baseline"}
+    assert backed == set(OPTIONS)
+    for sub in _subparsers().values():
+        for action in sub._actions:
+            if action.dest in OPTIONS:
+                assert action.type is OPTIONS[action.dest].type
+                assert action.default is None
+
+
+@pytest.mark.parametrize("text, line, cause", [
+    ("k = four\n", 1, "k = 'four'"),
+    ("k = 4\nrepeats = x\n", 2, "repeats = 'x'"),
+    ("k = 4\nhorizon = 2.5\n", 2, "horizon = '2.5'"),
+    ("k = 4\nroute = spp\n", 2, "route = 'spp': not one of"),
+])
+@pytest.mark.parametrize("command", ["gen", "run", "sweep"])
+def test_a_config_value_that_does_not_cast_is_a_config_error(
+        tmp_path, capsys, text, line, cause, command):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}:{line}: ") and cause in err
+    assert not out.exists()
+
+
+def test_a_config_horizon_beats_the_workload_files(tmp_path):
+    wl = tmp_path / "wl.json"
+    assert main(["gen", "--k", "4", "--utilization", "0.3", "--seed", "2",
+                 "--horizon", "6", "--out", str(wl)]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"k = 4\nworkload = {wl}\nhorizon = 8\n")
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert load_report(out).scenario["horizon"] == 8
+    assert main(["run", "--config", str(cfg), "--horizon", "7", "--out", str(out)]) == 0
+    assert load_report(out).scenario["horizon"] == 7
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["gen", "--k", "4", "--utilization", "0.4", "--seed", "-1"],
+     "seed must be an int >= 0, got -1"),
+    (["run", "--k", "4", "--utilization", "0.4", "--route", "ecmp", "--seed", "-1"],
+     "seed must be an int >= 0 or None, got -1"),
+    (["run", "--k", "4", "--utilization", "0.4", "--assign", "opt_eea",
+      "--route", "eer", "--seed", "-1"], "seed must be an int >= 0 or None, got -1"),
+    (["sweep", "--k", "4", "--utilizations", "0.4", "--repeats", "1", "--horizon", "4",
+      "--seed", "-1"], "sweep needs a seed that is an int >= 0, got -1"),
+    (["gen", "--k", "4", "--utilization", "0.4", "--server-capacity", "0"],
+     "server_capacity must be >= 1, got 0"),
+    (["gen", "--k", "4", "--utilization", "0.4", "--server-capacity", "-2"],
+     "server_capacity must be >= 1, got -2"),
+])
+def test_a_negative_seed_or_empty_server_is_a_config_error(
+        tmp_path, capsys, argv, cause):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {cause}\n"
+    assert not out.exists()

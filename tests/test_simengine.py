@@ -13,6 +13,7 @@ from dcnsim.simengine import (
     STRATEGY_GRID,
     EnergyReport,
     Scenario,
+    check_sweep,
     compare,
     load_report,
     run_scenario,
@@ -224,6 +225,19 @@ def test_sweep_needs_a_level_and_a_repeat():
         sweep(4, [0.3], 0)
     with pytest.raises(ConfigError, match="at least one utilization"):
         sweep(4, [], 1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1), ("seed", True), ("workload_seed", -3), ("workload_seed", 2.0),
+])
+def test_scenario_seeds_are_ints_of_at_least_0(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be an int >= 0 or None"):
+        _scenario(**{field: value})
+
+
+def test_a_sweep_needs_a_seed_of_at_least_0():
+    with pytest.raises(ConfigError, match="seed that is an int >= 0, got -1"):
+        check_sweep(4, [0.3], 1, base_seed=-1)
 
 
 def test_sweep_energy_grows_with_utilization():

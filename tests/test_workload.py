@@ -1,6 +1,7 @@
 """Workload generation, referential matrices, pattern vectors, demands."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -249,6 +250,34 @@ def test_transfer_validation():
 def test_a_transfer_window_needs_int_slots(start, end, name):
     with pytest.raises(DomainError, match=f"transfer {name} must be an int"):
         Transfer(start, end, _matrix(2))
+
+
+@pytest.mark.parametrize("fields, cause", [
+    (dict(id="a"), "job id must be an int, got 'a'"),
+    (dict(id=True), "job id must be an int, got True"),
+    (dict(vm_count=0), "vm_count must be an int >= 1, got 0"),
+    (dict(vm_count=2.0), "vm_count must be an int >= 1, got 2.0"),
+    (dict(vm_resource=1.5), "vm_resource must be an int >= 1, got 1.5"),
+    (dict(vm_resource=True), "vm_resource must be an int >= 1, got True"),
+])
+def test_a_job_needs_an_int_id_and_int_counts(fields, cause):
+    with pytest.raises(DomainError, match=re.escape(cause)):
+        Job(**{"id": 0, "vm_count": 2, **fields})
+
+
+@pytest.mark.parametrize("k, server_capacity, cause", [
+    (5, 2, "k must be even"), (4, 0, "server_capacity must be >= 1"),
+    (4, -2, "server_capacity must be >= 1"),
+])
+def test_a_workload_config_checks_its_tree(k, server_capacity, cause):
+    with pytest.raises(ConfigError, match=cause):
+        WorkloadConfig(k=k, target_utilization=0.5, server_capacity=server_capacity)
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.0, None])
+def test_a_workload_draw_needs_an_int_seed_of_at_least_0(seed):
+    with pytest.raises(ConfigError, match="seed must be an int >= 0"):
+        generate_workload(WorkloadConfig(k=4, target_utilization=0.5), seed)
 
 
 def test_jobs_and_transfers_compare_and_hash_by_value():
