@@ -37,8 +37,23 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
-SWEEP_UTILIZATIONS = ",".join(f"{u / 100:.2f}" for u in range(5, 96, 10))
 SWEEP_REPEATS = 5
+
+
+def levels(text: str) -> tuple[float, ...]:
+    """Comma-separated utilization levels as floats.
+
+    A list that does not cast is a ConfigError, not a ValueError, so
+    argparse hands it on to `main` as a configuration error instead of
+    printing a usage error.
+    """
+    try:
+        return tuple(float(u) for u in text.split(",") if u.strip())
+    except ValueError as exc:
+        raise ConfigError(f"utilizations {text!r}: {exc}") from exc
+
+
+SWEEP_UTILIZATIONS = tuple(u / 100 for u in range(5, 96, 10))
 
 # An option's type casts its flag and config values, its default holds when
 # neither gives one, and its help and choices go to its flag.  OPTIONS
@@ -52,7 +67,7 @@ OPTIONS = {
     "seed": Option(int, Scenario.seed),  # unseeded, gen draws what run draws
     "utilization": Option(float),
     "utilizations": Option(
-        str, SWEEP_UTILIZATIONS, "comma separated; default 0.05..0.95 step 0.10"
+        levels, SWEEP_UTILIZATIONS, "comma separated; default 0.05..0.95 step 0.10"
     ),
     "repeats": Option(int, SWEEP_REPEATS, f"default {SWEEP_REPEATS}"),
     "horizon": Option(int, WorkloadConfig.horizon),
@@ -89,8 +104,10 @@ def parse_config_file(path) -> dict:
                 values[key] = option.type(value)
                 if option.choices and values[key] not in option.choices:
                     raise ValueError(f"not one of {tuple(option.choices)}")
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {key} = {value!r}: {exc}") from exc
+            except (ValueError, ConfigError) as exc:
+                # The line names the key, so a type's own ConfigError gives its cause.
+                cause = exc.__cause__ or exc
+                raise ConfigError(f"{path}:{lineno}: {key} = {value!r}: {cause}") from exc
     return values
 
 
@@ -206,12 +223,8 @@ def cmd_sweep(args) -> int:
     _with_config(args)
     if args.k is None:
         raise ConfigError("sweep needs --k")
-    try:
-        utilizations = [float(u) for u in args.utilizations.split(",") if u.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"utilizations {args.utilizations!r}: {exc}") from exc
     cells = dict(
-        k=args.k, utilizations=utilizations, repeats=args.repeats, base_seed=args.seed,
+        k=args.k, utilizations=args.utilizations, repeats=args.repeats, base_seed=args.seed,
         horizon=args.horizon, server_capacity=args.server_capacity,
     )
     power = _power_from(args)
@@ -281,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)  # a flag's type may raise a ConfigError
         return args.func(args)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -13,46 +13,54 @@ up-down paths:
   spread whole demands over it greedily, largest first, always taking
   the path that keeps the maximum traversed load lowest.
 
-Every router takes a slot's DemandSet and works on whole arrays.  A
-set not read from a run's demand table is checked first: a server
-outside the tree or a negative or non-finite rate is a DomainError.
-A same-rack demand rides its ToR alone, so only inter-rack demands
-reach a path choice.  Every path is one row of five switch ids, -1
-where it has none.
+Every router takes one slot's DemandSet, or a batch: a list of
+DemandSets, with a list of timeslots, one per set.  `run_scenario`
+batches consecutive segments of a run.  A batch gives one result per
+set, each the result of routing that set alone; one set is a batch of
+one, and its result comes unwrapped.  The routers join a batch's sets
+into one set of arrays, set after set, and route them with one pass of
+array calls: each set's rows are offset by its index in the batch, so
+one ordered bincount gives every set's totals and loads, adding what a
+bincount per set adds.  A set not read from a run's demand table is
+checked first: a server outside the tree, a demand from a server to
+itself, or a negative or non-finite rate is a DomainError.  A same-rack
+demand rides its ToR alone, so only inter-rack demands reach a path
+choice.  Every path is one row of five switch ids, -1 where it has none.
 
-sp's path is a pure function of the server pair, so it builds one row
-per pair of the run's demand table, once per run, and each slot
-gathers its pairs' rows by pair id (`DemandSet.pair_rows`).  ecmp and
-eer read each demand's ToR and pod off the tree in every slot
-(`FatTree.tor_of_server` and `FatTree.server_pod`, one call each over
-all endpoints): ecmp's draws are per slot, and eer's choices depend on
-the slot's loads.  eer sizes its active set with ordered bincounts, and
-calls the first-fit-decreasing packer only for a pod or core layer
-whose flows do not fit one switch.  Its active set is counts, so each
-demand's number of allowed paths is array arithmetic; a forced demand
-(one path) takes agg position 0 and core index 0, and the greedy loop
-runs only when some demand has a choice.  It orders demands largest
-first with numpy's default sort and sorts stably only when two rates
-tie, since without ties every sort gives the stable order.
+sp's path is a pure function of the server pair, and so are the ToRs,
+pods and forced path (agg position 0, core index 0) that ecmp and eer
+read.  Each is built once per run, one row per pair of the run's demand
+table, and a batch gathers its pairs' rows by pair id
+(`DemandSet.pair_rows`).  ecmp draws each set's choices from that set's
+own seed.  eer sizes its active sets with ordered bincounts, and calls
+the first-fit-decreasing packer only for a pod or core layer whose
+flows do not fit one switch.  An active set is counts, so each demand's
+number of allowed paths is array arithmetic; a forced demand (one path)
+takes its forced path, and the greedy loop runs over one set's demands
+only when one of them has a choice.  It orders each set's demands
+largest first with numpy's default sort and sorts stably only when two
+rates of a set tie, since without ties every sort gives the stable
+order.  A set whose plan overloads a switch escalates alone.  A batch
+that fails raises the error that its first failing set raises alone.
 
-Switch loads come from one ordered bincount over every path's
-switches; a plan keeps them as two arrays, switch ids in order of first
-load and their Gbps, and builds the switch -> load dict, like the
-routes, only when read.  Demand rates arrive in Mbps; switch loads are
-kept in Gbps.  Every plan lists its switches over capacity; eer treats
-them as errors since it controls its own active set.
+A plan keeps its switch loads as two arrays, switch ids in order of
+first load and their Gbps, and builds the switch -> load dict, like
+the routes, only when read.  Demand rates arrive in Mbps; switch loads
+are kept in Gbps.  Every plan lists its switches over capacity; eer
+treats them as errors since it controls its own active set.
 """
 
 from __future__ import annotations
 
 import copy
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, InfeasibleError
+from .errors import CapacityError, DomainError, InfeasibleError, SimulationError
 from .graphkit import ffd_one_bin, ffd_pack
 from .power import PowerParams
 from .topology import TOR, FatTree
@@ -169,9 +177,10 @@ def _demand_set(demands, tree: FatTree) -> DemandSet:
     """A DemandSet as given, or one of hand-built (src, dst, rate) tuples.
 
     A set not read from a run's demand table is checked first: a server
-    outside the tree, or a negative or non-finite rate, is a DomainError
-    naming the first demand that has one.  A table's sets are valid by
-    construction.
+    outside the tree, a demand from a server to itself (co-hosted
+    traffic never reaches a NIC), or a negative or non-finite rate, is a
+    DomainError naming the first demand that has one.  A table's sets
+    are valid by construction.
     """
     if not isinstance(demands, DemandSet):
         demands = DemandSet.of(demands)
@@ -179,7 +188,8 @@ def _demand_set(demands, tree: FatTree) -> DemandSet:
         return demands
     ends = np.array((demands.src, demands.dst))
     outside = ((ends < 0) | (ends >= tree.num_servers)).any(axis=0)
-    bad = outside | ~(np.isfinite(demands.rate) & (demands.rate >= 0))
+    bad = outside | (ends[0] == ends[1])
+    bad |= ~(np.isfinite(demands.rate) & (demands.rate >= 0))
     if bad.any():
         i = int(bad.argmax())
         src, dst = ends[:, i].tolist()
@@ -191,16 +201,98 @@ def _demand_set(demands, tree: FatTree) -> DemandSet:
                 f"{what}: server {server} is not one of the tree's "
                 f"{tree.num_servers} servers"
             )
+        if src == dst:
+            raise DomainError(f"{what} runs from server {src} to itself")
         if rate < 0:
             raise DomainError(f"{what} has negative size")
         raise DomainError(f"{what} has a non-finite rate")
     return demands
 
 
+def _is_batch(demands) -> bool:
+    """Whether a router's `demands` are a batch: a list of DemandSets."""
+    return isinstance(demands, list) and bool(demands) and isinstance(
+        demands[0], DemandSet)
+
+
+class _Batch:
+    """The demand sets of one router call, checked and joined set after set.
+
+    `demands` holds every set's demands; set j owns rows
+    bounds[j]:bounds[j+1], and `seg` names each row's set.  The joined
+    set keeps the run's demand table and the pair ids when every set
+    comes from that table.  `alone` says the call routes one set, as one
+    set or as a batch of one, so there is nothing to join or offset.
+    """
+
+    def __init__(self, demands, tree: FatTree, timeslot=None):
+        self.single = not _is_batch(demands)
+        sets = [demands] if self.single else demands
+        self.sets = [_demand_set(d, tree) for d in sets]
+        self.slots = [timeslot] if self.single else timeslot
+        sizes = [len(d.src) for d in self.sets]
+        self.bounds = [0, *itertools.accumulate(sizes)]
+        self.alone = len(sizes) == 1
+        if self.alone:
+            self.demands = self.sets[0]
+            self.seg = np.zeros(sizes[0], dtype=np.int64)
+            return
+        self.seg = np.repeat(np.arange(len(sizes)), sizes)
+        table = self.sets[0].table
+        shared = table is not None and all(d.table is table for d in self.sets)
+        self.demands = DemandSet(
+            *(np.concatenate([getattr(d, name) for d in self.sets])
+              for name in ("src", "dst", "rate")),
+            np.concatenate([d.pair for d in self.sets]) if shared else None,
+            table if shared else None,
+        )
+
+    @classmethod
+    def of(cls, demands, tree: FatTree, timeslot=None) -> _Batch:
+        """`demands` as a batch; eer hands its own batch on to its phases."""
+        return demands if isinstance(demands, _Batch) else cls(demands, tree, timeslot)
+
+    def listed(self, result):
+        """A phase's result on this batch, as a list with one item per set."""
+        return [result] if self.single else result
+
+    def result(self, per_set):
+        """The router's result: the one set's, or the list of every set's."""
+        return per_set[0] if self.single else per_set
+
+    def first_failure(self, alone):
+        """While a failed batch's error is handled: `alone(j)` routes set j
+        alone, set by set, so the first set that fails raises its own error."""
+        if not self.alone:
+            for j in range(len(self.sets)):
+                alone(j)
+
+
+def _pair_ends(tree: FatTree, src, dst):
+    """Each server pair's source and destination ToR, then pod, as int16 rows.
+
+    Four int16 make an 8-byte row, which numpy's `take` copies as one
+    item: about four times as fast as rows of 10 bytes.
+    """
+    rows = np.empty((len(src), 4), dtype=np.int16)
+    rows[:, 0], rows[:, 1] = tree.tor_of_server(src), tree.tor_of_server(dst)
+    rows[:, 2], rows[:, 3] = tree.server_pod(src), tree.server_pod(dst)
+    return rows
+
+
 def _ends(tree: FatTree, demands: DemandSet):
     """Every demand's (source, destination) ToRs and pods, as two-row arrays."""
-    ends = np.array((demands.src, demands.dst))
-    return tree.tor_of_server(ends), tree.server_pod(ends)
+    rows = demands.pair_rows(("ends", tree.k), functools.partial(_pair_ends, tree))
+    return rows[:, :2].T, rows[:, 2:].T
+
+
+def _forced_paths(tree: FatTree, src, dst):
+    """Each server pair's path through agg position 0 and core index 0, as
+    int16 `_paths` rows: eer's path for a demand with one allowed path."""
+    ends = np.array((src, dst), dtype=np.int64)
+    zero = np.zeros(len(ends[0]), dtype=np.int64)
+    hops = _paths(tree, tree.tor_of_server(ends), tree.server_pod(ends), zero, zero)
+    return hops.astype(np.int16, order="C")
 
 
 def _paths(tree: FatTree, tors, pods, position, index):
@@ -219,31 +311,58 @@ def _paths(tree: FatTree, tors, pods, position, index):
     return hops.T
 
 
-def _finish_plan(timeslot, demands, hops, params, by_pair=False):
-    """Loads from one ordered bincount over every path's switches.
+def _finish_plans(batch: _Batch, demands, hops, tree: FatTree, params,
+                  by_pair=False):
+    """Each set's plan, from one ordered bincount over every path's switches.
 
-    `bincount` adds in input order from 0.0, so each switch's load sums
-    its demands' rates in routing order, as adding them one by one would.
-    The plan lists the switches in order of first load: each switch's
-    first position in the path sequence, found by `minimum.at`, and
-    those distinct positions sorted.
+    Each set's switch ids are offset by its index in the batch times the
+    tree's switch count, so every set has bins of its own.  `bincount`
+    adds in input order from 0.0, so each switch's load sums its set's
+    demands' rates in routing order, as adding them one by one would.  A
+    plan lists its switches in order of first load: each switch's first
+    position in the path sequence, found by `minimum.at`, and those
+    distinct positions sorted, which also keeps the sets in batch order.
     """
-    switches = hops[hops >= 0]  # row by row: in routing order
+    n_switches = tree.num_switches
+    on_path = hops >= 0
+    ids = hops
+    if not batch.alone:
+        ids = hops + (batch.seg * n_switches).astype(np.int32)[:, None]
+    switches = ids[on_path]  # row by row: in routing order
     # 1, 3 or 5 hops: a same-rack path has no up agg, a same-pod one no core.
-    hop_count = 1 + 2 * (hops[:, 1] >= 0) + 2 * (hops[:, 2] >= 0)
+    hop_count = 1 + 2 * on_path[:, 1] + 2 * on_path[:, 2]
     gbps = np.repeat(demands.rate / MBPS_PER_GBPS, hop_count)
     sums = np.bincount(switches, weights=gbps)
-    first = np.full(len(sums), len(switches))
-    np.minimum.at(first, switches, np.arange(len(switches)))
+    first = np.full(len(sums), len(switches), dtype=np.int32)
+    np.minimum.at(first, switches, np.arange(len(switches), dtype=np.int32))
     seen = (first < len(switches)).nonzero()[0]
     seen = seen[first[seen].argsort(kind="stable")]
-    return RoutingPlan(
-        timeslot,
-        violations=tuple((sums > params.max_load()).nonzero()[0].tolist()),
-        paths=(demands, hops, by_pair),
-        switches=seen,
-        gbps=sums[seen],
-    )
+    over = (sums > params.max_load()).nonzero()[0]
+    loads = sums[seen]
+    if batch.alone:
+        cut, over_cut = [0, len(seen)], [0, len(over)]
+    else:
+        # Set j's ids are j * n_switches and up, and `seen` lists set after set.
+        edges = np.arange(len(batch.sets) + 1) * n_switches
+        cut = np.searchsorted(seen, edges).tolist()
+        over_cut = np.searchsorted(over, edges).tolist()
+        seen %= n_switches
+        over %= n_switches
+    over = over.tolist()
+    rows = batch.bounds
+    plans = []
+    for j, timeslot in enumerate(batch.slots):
+        lo, hi = rows[j], rows[j + 1]
+        part = demands if batch.alone else DemandSet(
+            demands.src[lo:hi], demands.dst[lo:hi], demands.rate[lo:hi])
+        plans.append(RoutingPlan(
+            timeslot,
+            violations=tuple(over[over_cut[j]:over_cut[j + 1]]),
+            paths=(part, hops[lo:hi], by_pair),
+            switches=seen[cut[j]:cut[j + 1]],
+            gbps=loads[cut[j]:cut[j + 1]],
+        ))
+    return plans
 
 
 def sp_route(
@@ -260,11 +379,13 @@ def sp_route(
 
     The path is a pure function of the server pair, so a set read from
     a run's demand table gathers its pairs' rows, built once per run
-    (`DemandSet.pair_rows`); a hand-built set builds its own.
+    (`DemandSet.pair_rows`); a hand-built set builds its own.  Given a
+    batch (a list of sets and a list of timeslots), it returns a plan
+    per set.
     """
-    demands = _demand_set(demands, tree)
-    hops = demands.pair_rows(("sp", tree.k), functools.partial(_sp_paths, tree))
-    return _finish_plan(timeslot, demands, hops, params)
+    batch = _Batch(demands, tree, timeslot)
+    hops = batch.demands.pair_rows(("sp", tree.k), functools.partial(_sp_paths, tree))
+    return batch.result(_finish_plans(batch, batch.demands, hops, tree, params))
 
 
 def _sp_paths(tree: FatTree, src, dst):
@@ -302,21 +423,27 @@ def ecmp_route(
 
     Each inter-rack flow draws one index into its equal-cost paths,
     ordered position-major, then by core index, in demand order, from
-    one `integers` call; it draws the same values as one call per flow.
-    A same-rack flow has one candidate and draws nothing, as
-    `integers(1)` would leave the generator unchanged.
+    one `integers` call per set; it draws the same values as one call
+    per flow.  A same-rack flow has one candidate and draws nothing, as
+    `integers(1)` would leave the generator unchanged.  Given a batch,
+    `seed` lists one seed per set.
     """
-    demands = _demand_set(demands, tree)
-    rng = np.random.default_rng(seed)
+    batch = _Batch(demands, tree, timeslot)
+    seeds = [seed] if batch.single else seed
     half = tree.half
-    tors, pods = _ends(tree, demands)
+    tors, pods = _ends(tree, batch.demands)
     same_pod = pods[0] == pods[1]
-    inter = tors[0] != tors[1]
-    draw = np.zeros(len(demands.src), dtype=np.int64)
-    draw[inter] = rng.integers(0, np.where(same_pod, half, half * half)[inter])
+    inter = (tors[0] != tors[1]).nonzero()[0]
+    high = np.where(same_pod[inter], half, half * half)
+    cut = np.searchsorted(inter, batch.bounds).tolist()
+    draw = np.zeros(len(same_pod), dtype=np.int64)
+    draw[inter] = np.concatenate([
+        np.random.default_rng(set_seed).integers(0, high[lo:hi])
+        for set_seed, lo, hi in zip(seeds, cut, cut[1:])
+    ])
     position = np.where(same_pod, draw, draw // half)
     hops = _paths(tree, tors, pods, position, draw % half)
-    return _finish_plan(timeslot, demands, hops, params)
+    return batch.result(_finish_plans(batch, batch.demands, hops, tree, params))
 
 
 # --- energy-efficient routing -------------------------------------------
@@ -333,7 +460,8 @@ def estimate_active_set(
     with cross-pod traffic all keep the largest of their agg counts, n,
     so the awake cores connect them; the cores are dealt round-robin
     over the n groups.  Same-rack demands need neither.  `extra` widens
-    every count (escalation retry).
+    every count (escalation retry).  Given a batch, it returns an active
+    set per set.
 
     Each layer's total is one ordered bincount over the inter-rack
     demands' items, in the order the flows join each pod's list and the
@@ -341,8 +469,18 @@ def estimate_active_set(
     `ffd_one_bin` decides exactly when FFD needs one bin; only the other
     layers are packed by `ffd_pack`.
     """
+    batch = _Batch.of(demands, tree)
+    try:
+        return batch.result(_estimate(batch, tree, params, extra))
+    except SimulationError:
+        batch.first_failure(
+            lambda j: estimate_active_set(batch.sets[j], tree, params, extra=extra))
+        raise
+
+
+def _estimate(batch: _Batch, tree: FatTree, params: PowerParams, extra: int):
     cap = params.capacity
-    demands = _demand_set(demands, tree)
+    demands = batch.demands
     tors, pods = _ends(tree, demands)
     keep = tors[0] != tors[1]
     gbps = demands.rate[keep] / MBPS_PER_GBPS
@@ -356,58 +494,84 @@ def estimate_active_set(
         )
     # Each demand's items, as (row, size): its source pod's, then, across
     # pods, its destination pod's and the core's (row num_pods), so every
-    # row lists its items in demand order.
+    # row lists its items in demand order.  Set j's rows are offset by
+    # j * (num_pods + 1).
+    core_row = tree.num_pods
+    per_set = core_row + 1
     src_pod, dst_pod = pods[:, keep]
     cross = src_pod != dst_pod
-    rows = np.array((src_pod, dst_pod, src_pod))
-    rows[2] = core_row = tree.num_pods
-    rows = rows.T[cross[:, None] | [True, False, False]]
+    item_rows = np.array((src_pod, dst_pod, src_pod), dtype=np.int64)
+    item_rows[2] = core_row
+    if not batch.alone:
+        item_rows += batch.seg[keep] * per_set
+    rows = item_rows.T[cross[:, None] | [True, False, False]]
     sizes = gbps.repeat(np.where(cross, 3, 1))
-    totals = np.bincount(rows, weights=sizes, minlength=core_row + 1).tolist()
-    one_bin = ffd_one_bin(rows, sizes, cap, core_row + 1).tolist()
+    n_rows = len(batch.sets) * per_set
+    totals = np.bincount(rows, weights=sizes, minlength=n_rows)
+    present = np.bincount(rows, minlength=n_rows) > 0
+    one_bin = ffd_one_bin(rows, sizes, cap, n_rows)
+    bins = one_bin.astype(np.int64)
+    for row in (present & ~one_bin).nonzero()[0].tolist():
+        bins[row] = len(ffd_pack(sizes[rows == row].tolist(), cap))
+    # Each row's count: its total's ceiling over the capacity, taken with
+    # Python's float `//`, raised to the bins FFD needs.
+    need = np.array([max(int(-(-total // cap)), n)
+                     for total, n in zip(totals.tolist(), bins.tolist())])
+    need = need.reshape(-1, per_set)
+    crossing = np.zeros(n_rows, dtype=bool)  # the pods cross-pod demands join
+    crossing[item_rows[:2, cross]] = True
+    crossing = crossing.reshape(-1, per_set)[:, :core_row]
+    present = present.reshape(-1, per_set)
 
-    def needed(row):
-        bins = 1 if one_bin[row] else len(ffd_pack(sizes[rows == row].tolist(), cap))
-        return int(max(-(-totals[row] // cap), bins))
+    half = tree.half
+    agg_need = np.minimum(half, need[:, :core_row] + extra)
+    has_core = present[:, core_row]
+    n_core = np.where(has_core, np.minimum(tree.num_cores, need[:, core_row] + extra), 0)
+    shared = np.where(crossing, agg_need, 0).max(axis=1)
+    widths = np.where(crossing, np.maximum(agg_need, shared[:, None]), agg_need)
+    groups = np.maximum(shared, 1)
+    # Each set's rows in order of their first item, set after set.
+    first = np.full(n_rows, len(rows))
+    np.minimum.at(first, rows, np.arange(len(rows)))
+    listed = np.flatnonzero(present)
+    listed = listed[first[listed].argsort()]
 
-    agg_need: dict[int, int] = {}
-    for pod in dict.fromkeys(rows.tolist()):  # in order of first item
-        if pod == core_row:
-            continue
-        n_agg = needed(pod)
-        if n_agg > tree.half:
-            raise InfeasibleError(
-                f"pod {pod} needs {n_agg} aggregation switches for "
-                f"{totals[pod]:.1f} Gbps but only has {tree.half}"
-            )
-        agg_need[pod] = min(tree.half, n_agg + extra)
-
-    n_core = 0
-    if cross.any():
-        n_core = needed(core_row)
-        if n_core > tree.num_cores:
+    too_wide = present[:, :core_row] & (need[:, :core_row] > half)
+    too_many = has_core & (need[:, core_row] > tree.num_cores)
+    unreachable = n_core > groups * half
+    failing = too_wide.any(axis=1) | too_many | unreachable
+    if failing.any():
+        j = int(failing.argmax())
+        totals = totals.reshape(-1, per_set)[j].tolist()
+        for row in listed[listed // per_set == j].tolist():
+            pod = row % per_set
+            if pod != core_row and too_wide[j, pod]:
+                raise InfeasibleError(
+                    f"pod {pod} needs {int(need[j, pod])} aggregation switches "
+                    f"for {totals[pod]:.1f} Gbps but only has {half}"
+                )
+        if too_many[j]:
             raise InfeasibleError(
                 f"cross-pod traffic {totals[core_row]:.1f} Gbps needs "
-                f"{n_core} cores but only {tree.num_cores} exist"
+                f"{int(need[j, core_row])} cores but only {tree.num_cores} exist"
             )
-        n_core = min(tree.num_cores, n_core + extra)
+        raise InfeasibleError(
+            f"need {int(n_core[j])} cores but only {int(groups[j]) * half} are "
+            f"reachable from {int(groups[j])} agg positions"
+        )
 
-    cross_pods = set(np.concatenate((src_pod[cross], dst_pod[cross])).tolist())
-    shared = max((agg_need[p] for p in cross_pods), default=0)
-    widths = {
-        pod: max(need, shared) if pod in cross_pods else need
-        for pod, need in agg_need.items()
-    }
-    cores_per_group = ()
-    if n_core:
-        groups = max(shared, 1)
-        if n_core > groups * tree.half:
-            raise InfeasibleError(
-                f"need {n_core} cores but only {groups * tree.half} are reachable "
-                f"from {groups} agg positions"
-            )
-        cores_per_group = tuple(len(range(j, n_core, groups)) for j in range(groups))
-    return ActiveSet(widths=widths, cores_per_group=cores_per_group)
+    listed = listed[listed % per_set != core_row]
+    set_of, pod_of = np.divmod(listed, per_set)
+    cut = np.searchsorted(set_of, np.arange(len(batch.sets) + 1)).tolist()
+    pod_of, width_of = pod_of.tolist(), widths[set_of, pod_of].tolist()
+    return [
+        ActiveSet(
+            widths=dict(zip(pod_of[lo:hi], width_of[lo:hi])),
+            cores_per_group=tuple(len(range(j, cores, n)) for j in range(n))
+            if cores else (),
+        )
+        for lo, hi, cores, n in zip(cut, cut[1:], n_core.tolist(), groups.tolist())
+    ]
 
 
 def balanced_route(
@@ -420,29 +584,38 @@ def balanced_route(
     takes the allowed candidate path that minimizes the resulting maximum
     load among its own switches (ties: first candidate, position-major).
     Endpoint ToRs are always allowed; a same-rack demand rides its ToR.
+    Given a batch, `active_set` lists one active set per set.
 
     Each demand's number of allowed paths is array arithmetic over the
-    counts, and a forced demand (one path) takes agg position 0 and core
-    index 0.  Only when some demand has a choice does the greedy loop
-    run: it visits every demand, adding it to its endpoint ToRs, whose
-    larger load is the floor of each candidate's peak, and lists a pod
-    pair's allowed paths (`ActiveSet.paths`) when it first meets it.
+    counts, and a forced demand (one path) takes its forced path.  Only
+    a set in which some demand has a choice runs the greedy loop
+    (`_greedy`) over its demands.
     """
-    demands = _demand_set(demands, tree)
-    by_size = _by_size(demands)
+    batch = _Batch.of(demands, tree, timeslot)
+    actives = batch.listed(active_set)
+    demands = batch.demands
+    by_size = _by_size(batch)
     ordered = DemandSet(
-        demands.src[by_size], demands.dst[by_size], demands.rate[by_size]
+        demands.src[by_size], demands.dst[by_size], demands.rate[by_size],
+        None if demands.pair is None else demands.pair[by_size], demands.table,
     )
     tors, pods = _ends(tree, ordered)
+    hops = ordered.pair_rows(("forced", tree.k), functools.partial(_forced_paths, tree))
     inter = (tors[0] != tors[1]).nonzero()[0]
     inter_pods = pods[:, inter]
-    width = np.zeros(tree.num_pods, dtype=np.int64)
-    width[list(active_set.widths)] = list(active_set.widths.values())
-    widths = width[inter_pods]
-    # reach[n]: the awake cores behind agg positions 0..n-1
-    reach = np.cumsum((0, *active_set.cores_per_group))
-    shared = np.minimum(widths.min(axis=0), len(reach) - 1)
-    count = np.where(inter_pods[0] == inter_pods[1], widths[0], reach[shared])
+    # Each set's width per pod, and reach[j, n]: set j's awake cores
+    # behind agg positions 0..n-1.
+    groups = max(len(active.cores_per_group) for active in actives)
+    width = np.zeros((len(actives), tree.num_pods), dtype=np.int64)
+    reach = np.zeros((len(actives), groups + 1), dtype=np.int64)
+    for j, active in enumerate(actives):
+        width[j, list(active.widths)] = list(active.widths.values())
+        reach[j, 1:] = list(itertools.accumulate(
+            active.cores_per_group + (0,) * (groups - len(active.cores_per_group))))
+    set_of = batch.seg[inter]  # by_size keeps every set's rows in place
+    widths = width[set_of, inter_pods]
+    shared = np.minimum(widths.min(axis=0), groups)
+    count = np.where(inter_pods[0] == inter_pods[1], widths[0], reach[set_of, shared])
     if not count.all():
         j = int(count.argmin())  # the first demand with no path
         i = inter[j]
@@ -451,54 +624,86 @@ def balanced_route(
             f"{int(inter_pods[0][j])} to pod {int(inter_pods[1][j])} for demand "
             f"{ordered.src[i]}->{ordered.dst[i]}"
         )
-    position, index = np.zeros((2, len(ordered.src)), dtype=np.int64)
-
-    if (count > 1).any():
-        allowed = functools.cache(lambda a, b: active_set.paths(tree, a, b))
-        gbps = (ordered.rate / MBPS_PER_GBPS).tolist()
-        load = [0.0] * tree.num_switches  # every switch's load so far
-        positions, indexes = [], []
-        for a, b, pa, pb, g in zip(*tors.tolist(), *pods.tolist(), gbps):
-            load[a] += g
-            if a == b:
-                continue
-            load[b] += g
-            floor = max(load[a], load[b])
-            best, best_peak = None, None
-            for candidate in allowed(pa, pb):
-                peak = floor
-                for sw in candidate[2]:
-                    here = load[sw] + g
-                    if here > peak:
-                        peak = here
-                if best_peak is None or peak < best_peak:
-                    best, best_peak = candidate, peak
-            for sw in best[2]:
-                load[sw] += g
-            positions.append(best[0])
-            indexes.append(best[1])
-        position[inter], index[inter] = positions, indexes
-    hops = _paths(tree, tors, pods, position, index)
-    return _finish_plan(timeslot, ordered, hops, params, by_pair=True)
+    for j in dict.fromkeys(set_of[count > 1].tolist()):  # the sets with a choice
+        lo, hi = batch.bounds[j], batch.bounds[j + 1]
+        set_tors, set_pods = tors[:, lo:hi], pods[:, lo:hi]
+        position, index = _greedy(tree, actives[j], set_tors, set_pods,
+                                  ordered.rate[lo:hi])
+        hops[lo:hi] = _paths(tree, set_tors, set_pods, position, index)
+    return batch.result(
+        _finish_plans(batch, ordered, hops, tree, params, by_pair=True))
 
 
-def _by_size(demands: DemandSet) -> np.ndarray:
+def _greedy(tree: FatTree, active_set: ActiveSet, tors, pods, rate):
+    """Each demand's agg position and core index, by the min-max greedy loop.
+
+    It visits one set's demands in routing order, adding each to its
+    endpoint ToRs, whose larger load is the floor of each candidate's
+    peak, and lists a pod pair's allowed paths (`ActiveSet.paths`) when
+    it first meets it.  A same-rack demand gets position and index 0.
+    """
+    allowed = functools.cache(lambda a, b: active_set.paths(tree, a, b))
+    load = [0.0] * tree.num_switches  # every switch's load so far
+    positions, indexes = [], []
+    gbps = (rate / MBPS_PER_GBPS).tolist()
+    for a, b, pa, pb, g in zip(*tors.tolist(), *pods.tolist(), gbps):
+        load[a] += g
+        if a == b:
+            continue
+        load[b] += g
+        floor = max(load[a], load[b])
+        best, best_peak = None, None
+        for candidate in allowed(pa, pb):
+            peak = floor
+            for sw in candidate[2]:
+                here = load[sw] + g
+                if here > peak:
+                    peak = here
+            if best_peak is None or peak < best_peak:
+                best, best_peak = candidate, peak
+        for sw in best[2]:
+            load[sw] += g
+        positions.append(best[0])
+        indexes.append(best[1])
+    position, index = np.zeros((2, len(gbps)), dtype=np.int64)
+    inter = tors[0] != tors[1]
+    position[inter], index[inter] = positions, indexes
+    return position, index
+
+
+def _by_size(batch: _Batch) -> np.ndarray:
     """EER's demand order: largest rate first, ties by (src, dst).
 
-    That is `pair_order` followed by a stable sort of the negated rates.
-    A set already strictly ordered by (src, dst), as `DemandTable.at`
-    gives, skips `pair_order`.  Without two equal rates every sort gives
-    the one stable order, so the stable sort runs only on a tie.
+    That is `pair_order` followed by a stable sort of the negated rates,
+    set by set, with the sets kept in batch order.  Sets already strictly
+    ordered by (src, dst), as `DemandTable.at` gives, skip `pair_order`.
+    Without two equal rates in a set every sort gives the one stable
+    order, so the stable sort runs only on a tie.
     """
+    demands = batch.demands
     src, dst = demands.src, demands.dst
+    new_set = batch.seg[1:] != batch.seg[:-1]
     pair = (src.astype(np.int64) << 16) | dst  # server ids fit 16 bits
-    by_pair = None if (pair[1:] > pair[:-1]).all() else pair_order(src, dst)
+    by_pair = None
+    if not ((pair[1:] > pair[:-1]) | new_set).all():
+        by_pair = _in_sets(pair_order(src, dst), batch)
     size = -demands.rate if by_pair is None else -demands.rate[by_pair]
-    order = size.argsort()
+    order = _in_sets(size.argsort(), batch)
     ranked = size[order]
-    if (ranked[1:] == ranked[:-1]).any():
-        order = size.argsort(kind="stable")
+    if ((ranked[1:] == ranked[:-1]) & ~new_set).any():
+        order = _in_sets(size.argsort(kind="stable"), batch)
     return order if by_pair is None else by_pair[order]
+
+
+def _in_sets(order, batch: _Batch):
+    """`order` regrouped set by set, in batch order, keeping its order
+    within each set."""
+    if batch.alone:
+        return order
+    key = batch.seg[order]
+    if len(batch.sets) <= 1 << 16:
+        key = key.astype(np.uint16)  # numpy sorts 16-bit keys stably by radix
+    return order[key.argsort(kind="stable")]
 
 
 def eer(
@@ -510,18 +715,33 @@ def eer(
     is a heuristic), the active set is re-estimated once with one more
     switch per layer; a plan still over capacity is a CapacityError.  An
     overloaded ToR fails at once: its load is fixed by the placement,
-    not the routing.
+    not the routing.  Given a batch, it returns the list of active sets
+    and the list of plans, one per set; a set that needs the retry
+    retries alone.
     """
-    demands = _demand_set(demands, tree)
-    active = estimate_active_set(demands, tree, params)
-    plan = balanced_route(demands, tree, active, params, timeslot)
-    tors = [sw for sw in plan.violations if tree.layer(sw) == TOR]
-    if tors:
-        raise InfeasibleError(
-            f"placement overloads ToR switches {tors} at t={timeslot}; "
-            f"no routing can relieve them"
-        )
-    if plan.violations:
+    batch = _Batch(demands, tree, timeslot)
+    try:
+        actives, plans = _eer(batch, tree, params)
+    except SimulationError:
+        batch.first_failure(lambda j: eer(batch.sets[j], tree, params, batch.slots[j]))
+        raise
+    return batch.result(actives), batch.result(plans)
+
+
+def _eer(batch: _Batch, tree: FatTree, params: PowerParams):
+    actives = batch.listed(estimate_active_set(batch, tree, params))
+    plans = batch.listed(
+        balanced_route(batch, tree, batch.result(actives), params))
+    for j, plan in enumerate(plans):
+        if not plan.violations:
+            continue
+        demands, timeslot = batch.sets[j], batch.slots[j]
+        tors = [sw for sw in plan.violations if tree.layer(sw) == TOR]
+        if tors:
+            raise InfeasibleError(
+                f"placement overloads ToR switches {tors} at t={timeslot}; "
+                f"no routing can relieve them"
+            )
         active = estimate_active_set(demands, tree, params, extra=1)
         plan = balanced_route(demands, tree, active, params, timeslot)
         if plan.violations:
@@ -530,21 +750,24 @@ def eer(
                 switches=plan.violations,
                 timeslot=timeslot,
             )
-    return active, plan
+        actives[j], plans[j] = active, plan
+    return actives, plans
 
 
-# Router name -> plan of one timeslot t, called (demands, tree, params, t,
-# run seed).  Each entry looks its router up here when called, like
-# assignment.STRATEGIES, so a replaced `sp_route` is the one that runs.
+# Router name -> the plan of one set, or the plans of a batch, called
+# (demands, tree, params, timeslot or timeslots, run seed).  Each entry
+# looks its router up here when called, like assignment.STRATEGIES, so a
+# replaced `sp_route` is the one that runs.
 ROUTERS = {
     "sp": lambda demands, tree, params, t, seed: sp_route(demands, tree, params, t),
     "ecmp": lambda demands, tree, params, t, seed: ecmp_route(
-        demands, tree, [seed, t], params, t
+        demands, tree, [[seed, s] for s in t] if _is_batch(demands) else [seed, t],
+        params, t,
     ),
     "eer": lambda demands, tree, params, t, seed: eer(demands, tree, params, t)[1],
 }
 # Routers whose plan depends on the timeslot, not only on its demands:
 # ecmp seeds its draws with [seed, t].  Every other router gives equal
-# demands the same plan, so `run_scenario` routes the first slot of a
-# segment (slots with the same demands) and reuses that plan for the rest.
+# demands the same plan, so `run_scenario` routes each segment (slots
+# with the same demands) once and reuses that plan for all its slots.
 DRAWS_PER_SLOT = frozenset({"ecmp"})

@@ -389,6 +389,8 @@ def test_every_option_has_a_flag_and_a_config_key():
     ("k = 4\nrepeats = x\n", 2, "repeats = 'x'"),
     ("k = 4\nhorizon = 2.5\n", 2, "horizon = '2.5'"),
     ("k = 4\nroute = spp\n", 2, "route = 'spp': not one of"),
+    ("k = 4\nutilizations = a,b\n", 2,
+     "utilizations = 'a,b': could not convert string to float: 'a'"),
 ])
 @pytest.mark.parametrize("command", ["gen", "run", "sweep"])
 def test_a_config_value_that_does_not_cast_is_a_config_error(

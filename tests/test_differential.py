@@ -30,7 +30,14 @@ from dcnsim.assignment import (
 )
 from dcnsim.graphkit import min_k_cut
 from dcnsim.errors import InfeasibleError
-from dcnsim.routing import MBPS_PER_GBPS, ROUTERS, ecmp_route, eer, sp_route
+from dcnsim.routing import (
+    MBPS_PER_GBPS,
+    ROUTERS,
+    ecmp_route,
+    eer,
+    estimate_active_set,
+    sp_route,
+)
 from dcnsim.simengine import Scenario, run_scenario
 from dcnsim.topology import build_fat_tree
 from dcnsim.workload import (
@@ -265,12 +272,12 @@ def test_ecmp_matches_the_candidate_path_reference(case, seed, t):
 
 
 @st.composite
-def slot_demands(draw):
+def slot_demands(draw, tree=None):
     """(tree, demands) at k = 4, 6 or 8, in any order, some pairs repeated.
 
     A slot is all same-rack, has no same-rack demand, or mixes both.
     """
-    tree = build_fat_tree(draw(st.sampled_from([4, 6, 8])))
+    tree = tree or build_fat_tree(draw(st.sampled_from([4, 6, 8])))
     kind = draw(st.sampled_from(["mixed", "same_rack", "inter_rack"]))
     spr, last = tree.servers_per_rack, tree.num_servers - 1
     pairs = []
@@ -423,9 +430,20 @@ UNDERFLOW = [
 ]
 
 
-def _scenario(k, assign_name, route_name, horizon, power=PowerParams(), seed=5):
+def _scenario(k, assign_name, route_name, horizon, power=PowerParams(), seed=5,
+              server_capacity=2):
     return Scenario(k=k, assign_strategy=assign_name, route_strategy=route_name,
-                    seed=seed, horizon=horizon, power=power)
+                    seed=seed, horizon=horizon, power=power,
+                    server_capacity=server_capacity)
+
+
+# Switches of 0.3 and 1 Gbps, VM-pair rates of a few hundredths to a
+# fifth of that, and VMs that may each take a server of their own: a pod
+# or the core often needs more than one switch while every ToR fits, so
+# EER's greedy loop, `ffd_pack` and the retry run, and some segments
+# fail, inside the batches that `run_scenario` routes.
+TIGHT = (PowerParams(capacity=0.3), PowerParams(capacity=1.0))
+TIGHT_SHARES = (0.0, 0.04, 0.08, 0.15, 0.22)
 
 
 @st.composite
@@ -436,6 +454,11 @@ def segment_cases(draw):
     covers, and jobs whose VMs share a server, leave idle stretches.
     """
     horizon = draw(st.integers(1, 8))
+    power = draw(st.sampled_from([PowerParams(), LOW_STARTUP, *TIGHT]))
+    rates = RATES
+    if power in TIGHT:
+        rates = st.sampled_from([share * power.capacity * MBPS_PER_GBPS
+                                 for share in TIGHT_SHARES])
     jobs = []
     for job_id in range(draw(st.integers(0, 4))):
         n = draw(st.integers(2, 6))
@@ -443,16 +466,15 @@ def segment_cases(draw):
         for _ in range(draw(st.integers(1, 3))):
             start = draw(st.one_of(st.just(0), st.integers(0, horizon - 1)))
             end = draw(st.one_of(st.just(horizon - 1), st.integers(start, horizon - 1)))
-            matrix = np.array(draw(st.lists(RATES, min_size=n * n, max_size=n * n)))
+            matrix = np.array(draw(st.lists(rates, min_size=n * n, max_size=n * n)))
             matrix = matrix.reshape(n, n)
             np.fill_diagonal(matrix, 0.0)
             trs.append(Transfer(start, end, matrix))
         jobs.append(Job(id=job_id, vm_count=n, transfers=trs))
     scenario = _scenario(
         draw(st.sampled_from([4, 6, 8])), draw(st.sampled_from(sorted(STRATEGIES))),
-        draw(st.sampled_from(sorted(ROUTERS))), horizon,
-        draw(st.sampled_from([PowerParams(), LOW_STARTUP])),
-        draw(st.integers(0, 2**16)),
+        draw(st.sampled_from(sorted(ROUTERS))), horizon, power,
+        draw(st.integers(0, 2**16)), draw(st.sampled_from([2, 1])),
     )
     return scenario, jobs
 
@@ -473,12 +495,41 @@ def _runs(scenario, jobs):
     return results
 
 
+# Three segments routed in one batch at C = 1 Gbps: slot 0 routes; in
+# slot 1 job 1's flows overload ToR 1; in slot 2 job 2 sends 1.5 Gbps
+# between pods, more than a switch carries, which the batch's active set
+# estimate meets before slot 1's plans.  The run must fail on slot 1.
+MIDDLE_FAILS = [
+    Job(id=0, vm_count=3, transfers=(Transfer(0, 2, _matrix(3, 5.0)),)),
+    Job(id=1, vm_count=4, transfers=(Transfer(1, 1, np.array(
+        [[0, 0, 300.0, 0], [0, 0, 0, 300.0], [300.0, 0, 0, 0], [0, 300.0, 0, 0]])),)),
+    Job(id=2, vm_count=3, transfers=(Transfer(2, 2, np.array(
+        [[0, 0, 1500.0], [0, 0, 0], [0, 0, 0]])),)),
+]
+
+
+def _coupled_in_a_batch():
+    """COUPLED's three flows in slot 2 of four, between quieter slots.
+
+    One 37-VM job, one VM per server, so greedy puts VM i on server i:
+    the segment of slot 2 retries with a wider active set inside the
+    batch of the run's three segments.
+    """
+    coupled, quiet = np.zeros((37, 37)), np.zeros((37, 37))
+    coupled[0, 16] = coupled[4, 32] = coupled[20, 36] = 600_000.0
+    quiet[1, 2] = quiet[5, 9] = 40.0
+    job = Job(id=0, vm_count=37, transfers=(Transfer(0, 3, quiet), Transfer(2, 2, coupled)))
+    return _scenario(8, "greedy", "eer", 4, server_capacity=1), [job]
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(segment_cases())
 @example((_scenario(4, "greedy", "sp", 8), OVERLAPPING))
 @example((_scenario(4, "greedy", "ecmp", 8), OVERLAPPING))
 @example((_scenario(6, "opt_eea", "eer", 8, LOW_STARTUP), OVERLAPPING))
 @example((_scenario(4, "greedy", "sp", 6), UNDERFLOW))
+@example((_scenario(4, "greedy", "eer", 3, TIGHT[1]), MIDDLE_FAILS))
+@example(_coupled_in_a_batch())
 def test_segment_loop_matches_the_per_slot_loop(case):
     scenario, jobs = case
     (got, got_plans), (want, want_plans) = _runs(scenario, jobs)
@@ -503,6 +554,11 @@ def test_switch_powers_match_the_python_float_curve(loads, params):
     assert [w.hex() for w in watts.tolist()] == [
         switch_power_each(load, params).hex() for load in loads
     ]
+
+
+def test_a_run_fails_on_the_first_failing_segment_of_a_batch():
+    with pytest.raises(InfeasibleError, match=r"ToR switches \[1\] at t=1;"):
+        run_scenario(_scenario(4, "greedy", "eer", 3, TIGHT[1]), MIDDLE_FAILS)
 
 
 def test_a_switch_at_zero_load_costs_nothing_and_is_not_active():
@@ -728,10 +784,80 @@ def _tied_from_table():
 def test_eer_orders_tied_demands_by_pair_order_and_a_stable_sort(case):
     tree, demands = case
     want = by_size_oracle(demands.src, demands.dst, demands.rate)
-    assert routing._by_size(demands).tolist() == want.tolist()
+    assert routing._by_size(routing._Batch(demands, tree)).tolist() == want.tolist()
     params = PowerParams()
     assert _outcome(lambda: _plan(eer(demands, tree, params, 0)[1])) == _outcome(
         lambda: _plan(eer_oracle(demands.flows, tree, params, 0)[1]))
+
+
+# --- batches ------------------------------------------------------------------
+
+
+@st.composite
+def batches(draw):
+    """(tree, sets): a placed workload's segments, read from its demand
+    table, or one to four hand-built sets of one tree."""
+    if draw(st.booleans()):
+        tree, jobs, assignment = draw(tree_workloads())
+        table = demand_table(jobs, assignment)
+        return tree, [table.at(first) for first, _ in table.segments(HORIZON)]
+    tree = build_fat_tree(draw(st.sampled_from([4, 6, 8])))
+    return tree, [DemandSet.of(draw(slot_demands(tree))[1])
+                  for _ in range(draw(st.integers(1, 4)))]
+
+
+def _active_bits(active):
+    return list(active.widths.items()), active.cores_per_group
+
+
+# Each router's call, on one set or on a batch, and its results as a list
+# of comparable bits per set.
+BATCH_CALLS = {
+    "sp": (lambda d, tree, params, t, seed: sp_route(d, tree, params, t),
+           lambda plans: [_plan_bits(plan) for plan in plans]),
+    "ecmp": (lambda d, tree, params, t, seed: ecmp_route(d, tree, seed, params, t),
+             lambda plans: [_plan_bits(plan) for plan in plans]),
+    "estimate": (lambda d, tree, params, t, seed: estimate_active_set(d, tree, params),
+                 lambda actives: [_active_bits(active) for active in actives]),
+    "eer": (lambda d, tree, params, t, seed: eer(d, tree, params, t),
+            lambda results: [(_active_bits(active), _plan_bits(plan))
+                             for active, plan in results]),
+}
+
+
+@SETTINGS
+@given(batches(), st.sampled_from(sorted(BATCH_CALLS)),
+       st.sampled_from([1000.0, 2.0, 0.2, None]), st.integers(0, 2**32 - 1))
+@example((COUPLED[0], [DemandSet.of(flows) for _, flows in (MIXED, COUPLED, TOR_BOUND)]),
+         "eer", 1000.0, 0)
+# The first set overloads ToR 0 once routed; the second's demand exceeds
+# a switch, which the batch's active set estimate meets first.
+@example((build_fat_tree(4), [DemandSet.of([(1, 2, 600.0), (2, 1, 600.0)]),
+                              DemandSet.of([(3, 4, 1500.0)])]), "eer", 1.0, 0)
+def test_a_batch_gives_each_set_what_it_gets_alone(case, router, capacity, seed):
+    """Switch order, Gbps bits, violations, routes and active sets; a
+    batch that fails raises what its first failing set raises alone.
+
+    A capacity of None is just above the largest demand, so every demand
+    fits a switch but a pod or the core may need more than one.
+    """
+    tree, sets = case
+    if capacity is None:
+        peak = max((d.rate.max() for d in sets if len(d.rate)), default=MBPS_PER_GBPS)
+        capacity = max(1.1 * float(peak) / MBPS_PER_GBPS, 1e-6)
+    params = PowerParams(capacity=capacity)
+    slots = list(range(10, 10 + len(sets)))
+    seeds = [[seed, t] for t in slots]
+    call, bits = BATCH_CALLS[router]
+
+    def alone():
+        return bits([call(d, tree, params, t, s) for d, t, s in zip(sets, slots, seeds)])
+
+    def batched():
+        result = call(sets, tree, params, slots, seeds)
+        return bits(list(zip(*result)) if router == "eer" else result)
+
+    assert _outcome(batched) == _outcome(alone)
 
 
 def _job(job_id, windows, n=3, rate=40.0):

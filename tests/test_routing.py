@@ -243,6 +243,7 @@ def test_eer_rejects_a_negative_rate():
     ((0, 16, 5.0), "demand 1 (0->16, 5.0 Mbps): server 16 is not one of the "
                    "tree's 16 servers"),
     ((-1, 3, 5.0), "demand 1 (-1->3, 5.0 Mbps): server -1 is not one"),
+    ((3, 3, 5.0), "demand 1 (3->3, 5.0 Mbps) runs from server 3 to itself"),
     ((3, 12, -5.0), "demand 1 (3->12, -5.0 Mbps) has negative size"),
     ((3, 12, math.nan), "demand 1 (3->12, nan Mbps) has a non-finite rate"),
     ((3, 12, math.inf), "demand 1 (3->12, inf Mbps) has a non-finite rate"),
