@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, InfeasibleError
 from .graphkit import WeightedGraph, kmeans_pp_seed, min_k_cut
 from .topology import FatTree
-from .workload import Job, job_distance, pattern_vector, referential_matrix
+from .workload import Job, gap_distance, pattern_vector, referential_matrix
 
 
 @dataclass(frozen=True)
@@ -87,14 +87,22 @@ class PodClusters:
 # --- super-VM transformation ----------------------------------------------
 
 
-def shrink_to_super_vms(job: Job, server_slot_capacity: int) -> list[SuperVM]:
+def shrink_to_super_vms(
+    job: Job, server_slot_capacity: int, t_ref: np.ndarray | None = None
+) -> list[SuperVM]:
     """Merge the job's VMs into server-sized groups, highest traffic first.
 
-    Repeatedly take the largest entry of the lifetime traffic matrix,
-    merge the two VMs (their mutual traffic disappears, their traffic to
-    others adds up), then keep absorbing the VM with the largest value
-    in the merged row until the group fills a server.  Ties break toward
-    the lowest VM index; leftover VMs become singletons.
+    Repeatedly take the largest entry of the lifetime traffic matrix
+    `t_ref` (built from the job if not given) between two unmerged VMs,
+    merge them (their mutual traffic disappears, their traffic to others
+    adds up), then keep absorbing the VM with the largest value in the
+    merged row until the group fills a server.  Ties break toward the
+    lowest VM index; leftover VMs become singletons.
+
+    A merge takes both VMs out of play and never changes the traffic
+    between two unmerged VMs.  So the pair picks walk one stable
+    descending sort of the matrix's entries in row-major order, past the
+    diagonal and pairs with a merged VM; only the absorb loop adds rows.
     """
     if server_slot_capacity < 1:
         raise DomainError("server capacity must be >= 1")
@@ -102,37 +110,36 @@ def shrink_to_super_vms(job: Job, server_slot_capacity: int) -> list[SuperVM]:
     if max_members <= 1:
         return single_vm_units(job)
 
-    work = referential_matrix(job)
+    if t_ref is None:
+        t_ref = referential_matrix(job)
     n = job.vm_count
-    alive = np.ones(n, dtype=bool)
-    off_diagonal = ~np.eye(n, dtype=bool)
+    entries = iter(np.argsort(-t_ref.ravel(), kind="stable").tolist())
+    alive = [True] * n
+    live = n
     groups: list[list[int]] = []
-    while np.count_nonzero(alive) >= 2:
-        # argmax returns the first maximum in row-major order, which is
-        # the lowest-index tie rule; the masks keep it to live VMs.
-        pairs = alive[:, None] & alive & off_diagonal
-        m1, m2 = divmod(int(np.where(pairs, work, -math.inf).argmax()), n)
+    while live >= 2:
+        for entry in entries:
+            m1, m2 = divmod(entry, n)
+            if m1 != m2 and alive[m1] and alive[m2]:
+                break
         group = [m1, m2]
-        _absorb(work, m1, m2)
         alive[m1] = alive[m2] = False
-        while len(group) < max_members and np.count_nonzero(alive):
-            target = int(np.where(alive, work[m1], -math.inf).argmax())
-            group.append(target)
-            _absorb(work, m1, target)
-            alive[target] = False
+        live -= 2
+        if len(group) < max_members and live:
+            # The merged row, summed in member order as repeated merges
+            # would add it; only its live entries are read.
+            merged = t_ref[m1] + t_ref[m2]
+            while len(group) < max_members and live:
+                target = int(np.where(alive, merged, -math.inf).argmax())
+                group.append(target)
+                alive[target] = False
+                live -= 1
+                merged += t_ref[target]
         groups.append(sorted(group))
-    groups += [[m] for m in np.flatnonzero(alive).tolist()]
+    groups += [[m] for m in range(n) if alive[m]]
     return [
         SuperVM(job.id, tuple(g), len(g) * job.vm_resource) for g in groups
     ]
-
-
-def _absorb(work: np.ndarray, keep: int, other: int) -> None:
-    work[keep, :] += work[other, :]
-    work[:, keep] += work[:, other]
-    work[other, :] = 0.0
-    work[:, other] = 0.0
-    work[keep, keep] = 0.0
 
 
 def single_vm_units(job: Job) -> list[SuperVM]:
@@ -162,19 +169,19 @@ def cluster_jobs(
 
     Cluster seeds come from k-means++ on the pattern vectors; remaining
     jobs (largest demand first) join the feasible cluster whose center
-    pattern differs most from theirs.  Centers are running means of
-    member vectors.  Jobs that fit nowhere land in the overflow group.
+    pattern differs most from theirs.  A center is the mean of its
+    members' vectors.  Jobs that fit nowhere land in the overflow group.
     """
     if not jobs:
         return PodClusters(clusters=[[] for _ in range(n_pods)], overflow=[])
     if n_pods < 1:
         raise DomainError("need at least one pod for a nonempty job set")
 
-    vectors = [pattern_vector(job, horizon) for job in jobs]
-    seed_positions = kmeans_pp_seed(vectors, n_pods, seed=seed)
+    stack = np.array([pattern_vector(job, horizon) for job in jobs])
+    seed_positions = kmeans_pp_seed(stack, n_pods, seed=seed)
     clusters = [[jobs[p].id] for p in seed_positions]
-    centers = [vectors[p] for p in seed_positions]
-    member_vecs = [[vectors[p]] for p in seed_positions]
+    members = [[p] for p in seed_positions]
+    centers = stack[seed_positions]
     loads = [jobs[p].slots for p in seed_positions]
 
     seeded = set(seed_positions)
@@ -189,11 +196,14 @@ def cluster_jobs(
         if not feasible:
             overflow.append(job.id)
             continue
-        _, best = min((job_distance(vectors[i], centers[c]), c) for c in feasible)
+        gaps = stack[i] - centers
+        _, best = min((gap_distance(gaps[c]), c) for c in feasible)
         clusters[best].append(job.id)
-        member_vecs[best].append(vectors[i])
+        members[best].append(i)
         loads[best] += job.slots
-        centers[best] = np.mean(member_vecs[best], axis=0)
+        # A mean of the stacked rows, not a running sum: numpy sums one
+        # column pairwise, so at horizon 1 the two can differ.
+        centers[best] = stack[members[best]].mean(axis=0)
     return PodClusters(clusters=clusters, overflow=overflow)
 
 
@@ -251,18 +261,30 @@ class _PodState:
         self.capacity = server_capacity
         self.free = free  # shared map server -> free slots
         self.order = list(range(len(self.racks)))
+        self.rack_of = {s: r for r, servers in enumerate(self.racks) for s in servers}
+        self.idle = {s for s in self.rack_of if free[s] >= server_capacity}
+        self.used = [
+            sum(1 for s in servers if s not in self.idle) for servers in self.racks
+        ]
 
-    def used_servers(self, rack: int) -> int:
-        return sum(1 for s in self.racks[rack] if self.free[s] < self.capacity)
-
-    def resort(self) -> None:
-        self.order.sort(key=lambda r: (self.used_servers(r), r))
+    def resort(self, landed: Iterable[int]) -> None:
+        """Count the idle servers among `landed` that now hold a unit, then
+        order the racks by ascending used-server count.  Free slots only
+        fall, so a used server stays used."""
+        for s in landed:
+            if s in self.idle and self.free[s] < self.capacity:
+                self.idle.discard(s)
+                self.used[self.rack_of[s]] += 1
+        self.order.sort(key=lambda r: (self.used[r], r))
 
     def rack_placement(self, rack: int, units: Sequence[SuperVM]):
-        """Distinct-server placement of a whole set, or None if it won't fit."""
+        """Distinct-server placement of a whole set, or None if it won't fit.
+
+        Units take the first free server in their given order.
+        """
         taken: set[int] = set()
         chosen = []
-        for unit in sorted(units, key=lambda u: (-u.size, u.members)):
+        for unit in units:
             for server in self.racks[rack]:
                 if server not in taken and self.free[server] >= unit.size:
                     taken.add(server)
@@ -297,9 +319,10 @@ def pack_cluster_into_pod(
             key=lambda g: (-sum(u.size for u in g), min(u.members for u in g)),
         )
         for group in ordered:
+            units = sorted(group, key=lambda u: (-u.size, u.members))
             placed = None
             for rack in pod.order:
-                placed = pod.rack_placement(rack, group)
+                placed = pod.rack_placement(rack, units)
                 if placed is not None:
                     break
             if placed is not None:
@@ -310,9 +333,14 @@ def pack_cluster_into_pod(
             fit = _FirstFit(
                 [s for rack in _by_emptiest(pod) for s in pod.racks[rack]], free
             )
-            for unit in sorted(group, key=lambda u: (-u.size, u.members)):
+            for unit in units:
                 _place_unit(unit, job, fit, placements)
-        pod.resort()
+        pod.resort(
+            placements[(job.id, m)]
+            for group in groups
+            for unit in group
+            for m in unit.members
+        )
     return placements
 
 
@@ -390,22 +418,19 @@ def opt_eea(
 def _pipeline_assign(jobs, tree, seed, horizon, shrink) -> Assignment:
     anywhere = _first_fit_over(jobs, tree)
     free = anywhere.free
-    units_of = {
-        job.id: (
-            shrink_to_super_vms(job, tree.server_capacity)
-            if shrink
-            else single_vm_units(job)
-        )
-        for job in jobs
-    }
     by_id = {job.id: job for job in jobs}
     placements: dict[tuple[int, int], int] = {}
+
+    def units_of(job: Job, t_ref=None) -> list[SuperVM]:
+        if shrink:
+            return shrink_to_super_vms(job, tree.server_capacity, t_ref)
+        return single_vm_units(job)
 
     # Jobs larger than a pod cannot be clustered; place them greedily first.
     normal = [job for job in jobs if job.slots <= tree.pod_slot_capacity]
     for job in jobs:
         if job.slots > tree.pod_slot_capacity:
-            for unit in units_of[job.id]:
+            for unit in units_of(job):
                 _place_unit(unit, job, anywhere, placements)
 
     n_pods = estimate_pod_count(normal, tree.pod_slot_capacity)
@@ -426,8 +451,8 @@ def _pipeline_assign(jobs, tree, seed, horizon, shrink) -> Assignment:
         partitions = []
         for job_id in ordered_ids:
             job = by_id[job_id]
-            units = units_of[job_id]
-            t_ref = referential_matrix(job)
+            t_ref = referential_matrix(job)  # merge and cut share it
+            units = units_of(job, t_ref)
             groups = partition_into_racks(units, t_ref, tree.racks_per_pod)
             partitions.append((job, [[units[i] for i in g] for g in groups]))
         placements.update(
@@ -440,7 +465,7 @@ def _pipeline_assign(jobs, tree, seed, horizon, shrink) -> Assignment:
     )
     for job_id in sorted(clusters.overflow, key=lambda j: (-by_id[j].slots, j)):
         job = by_id[job_id]
-        for unit in units_of[job_id]:
+        for unit in units_of(job):
             server = in_clusters.server(unit.size)
             if server is not None:
                 _commit(placements, free, unit, server)

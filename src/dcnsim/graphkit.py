@@ -3,7 +3,15 @@
 Max-flow / min-cut, Gomory-Hu cut trees (Gusfield construction),
 approximate minimum k-cut, k-means++ seeding and first-fit-decreasing
 bin packing.  Instances here are small (tens of vertices, hundreds of
-items), so clarity beats asymptotics throughout.
+items).  Their results decide placements, so every kernel keeps a fixed
+float order, and a faster form must give the same bits:
+
+* `max_flow_min_cut` augments along the same paths as plain
+  Edmonds-Karp, in the same order, with the same subtractions.
+* `kmeans_pp_seed` measures each distance as `np.linalg.norm` does,
+  the square root of one `dot`, so each sum runs in the same order.
+* `min_k_cut`, `weight_between` and `ordered_sum` add left to right;
+  `ffd_one_bin` adds each row's sizes in FFD order.
 """
 
 from __future__ import annotations
@@ -54,6 +62,10 @@ class WeightedGraph:
         )
 
 
+# A residual capacity at or below this counts as saturated.
+_RESIDUE = 1e-12
+
+
 def ordered_sum(values) -> float:
     """Left-to-right float sum from 0.0, the same on every Python.
 
@@ -68,24 +80,50 @@ def ordered_sum(values) -> float:
 
 
 def max_flow_min_cut(graph: WeightedGraph, s: int, t: int):
-    """Edmonds-Karp max flow; returns (flow value, source-side vertex set)."""
+    """Edmonds-Karp max flow; returns (flow value, source-side vertex set).
+
+    Each breadth-first search stops when it discovers the sink, whose
+    parent chain is fixed from then on.  Paths of one and two edges come
+    first, without a search: the direct edge, then s -> v -> t for each v
+    in s's adjacency order.  The searches would find them in that order,
+    since no augmentation raises the residual of an edge out of s or
+    into t, and no path is shorter.
+    """
+    n = graph.n
+    for name, vertex in (("source", s), ("sink", t)):
+        if not 0 <= vertex < n:
+            raise DomainError(f"{name} {vertex} outside vertex range [0, {n - 1}]")
     if s == t:
         raise DomainError(f"source and sink coincide ({s})")
-    n = graph.n
     # Residual capacities; an undirected edge gives capacity both ways.
-    residual = [dict(graph.adj[u]) for u in range(n)]
+    residual = [dict(adj) for adj in graph.adj]
+    out_of_s, into_t = residual[s], residual[t]
     flow = 0.0
+    if out_of_s.get(t, 0.0) > _RESIDUE:
+        bottleneck = out_of_s[t]
+        out_of_s[t] -= bottleneck
+        into_t[s] = into_t.get(s, 0.0) + bottleneck
+        flow += bottleneck
+    for v, cap in out_of_s.items():
+        via = residual[v]
+        if v != t and cap > _RESIDUE and via.get(t, 0.0) > _RESIDUE:
+            bottleneck = min(via[t], cap)
+            via[t] -= bottleneck
+            into_t[v] = into_t.get(v, 0.0) + bottleneck
+            out_of_s[v] -= bottleneck
+            via[s] = via.get(s, 0.0) + bottleneck
+            flow += bottleneck
     while True:
         parent = [-1] * n
         parent[s] = s
         queue = deque([s])
-        while queue:
+        while queue and parent[t] == -1:
             u = queue.popleft()
-            if u == t:
-                break
             for v, cap in residual[u].items():
-                if cap > 1e-12 and parent[v] == -1:
+                if cap > _RESIDUE and parent[v] == -1:
                     parent[v] = u
+                    if v == t:
+                        break
                     queue.append(v)
         if parent[t] == -1:
             break
@@ -225,23 +263,21 @@ def min_k_cut(graph: WeightedGraph, k: int):
     return components, cut_weight
 
 
-def _euclidean(a, b) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
-
-
 def kmeans_pp_seed(vectors, k: int, seed=None) -> list[int]:
     """k-means++ seeding: D^2-weighted sampling of k center indices.
 
     The first center is uniform; each next one is drawn with probability
     proportional to the squared Euclidean distance to its nearest chosen
-    center.  Deterministic given the seed.
+    center.  Deterministic given the seed.  The vectors must share one
+    shape and be finite.
     """
     n = len(vectors)
     if not (1 <= k <= n):
         raise DomainError(f"k must be within [1, {n}], got {k}")
+    stack = _stacked(vectors)
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]
-    best = [_euclidean(vectors[i], vectors[chosen[0]]) for i in range(n)]
+    best = _distances(stack, chosen[0])
     while len(chosen) < k:
         weights = np.array(
             [0.0 if i in chosen else best[i] ** 2 for i in range(n)], dtype=float
@@ -255,11 +291,33 @@ def kmeans_pp_seed(vectors, k: int, seed=None) -> list[int]:
             remaining = [i for i in range(n) if i not in chosen]
             pick = int(remaining[rng.integers(len(remaining))])
         chosen.append(pick)
-        for i in range(n):
-            d = _euclidean(vectors[i], vectors[pick])
+        for i, d in enumerate(_distances(stack, pick)):
             if d < best[i]:
                 best[i] = d
     return chosen
+
+
+def _stacked(vectors) -> np.ndarray:
+    """The vectors as the rows of one finite float array, each flattened."""
+    try:
+        stack = np.asarray(vectors, dtype=float)
+    except ValueError:
+        shapes = [np.shape(v) for v in vectors]
+        odd = next((s for s in shapes if s != shapes[0]), None)
+        if odd is None:
+            raise
+        raise DomainError(f"pattern length mismatch: {shapes[0]} vs {odd}") from None
+    stack = stack.reshape(len(stack), stack.size // len(stack))
+    finite = np.isfinite(stack).all(axis=1)
+    if not finite.all():
+        raise DomainError(f"vector {int(finite.argmin())} is not finite")
+    return stack
+
+
+def _distances(stack: np.ndarray, center: int) -> list[float]:
+    """Each row's Euclidean distance to row `center`, as `np.linalg.norm`
+    measures it: the square root of the gap's dot with itself."""
+    return [math.sqrt(gap.dot(gap)) for gap in stack - stack[center]]
 
 
 def ffd_pack(items, bin_capacity: float) -> list[list[int]]:

@@ -9,6 +9,7 @@ can sleep.  Workload files are versioned JSON and round-trip losslessly.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -292,7 +293,16 @@ def job_distance(v1: np.ndarray, v2: np.ndarray) -> float:
     v2 = np.asarray(v2, dtype=float)
     if v1.shape != v2.shape:
         raise DomainError(f"pattern length mismatch: {v1.shape} vs {v2.shape}")
-    norm = float(np.linalg.norm(v1 - v2))
+    return gap_distance(np.ravel(v1 - v2))
+
+
+def gap_distance(gap: np.ndarray) -> float:
+    """`job_distance` of two patterns from their 1-D difference.
+
+    The norm is `np.linalg.norm`'s own: the square root of one `dot`,
+    which keeps its order of summation.
+    """
+    norm = math.sqrt(gap.dot(gap))
     if norm == 0.0:
         return DIST_MAX
     return 1.0 / norm

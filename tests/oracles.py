@@ -13,7 +13,11 @@ it builds, routes and meters every timeslot, switch by switch, with
 `partition_oracle` cuts every job, building its rack graph with two
 `np.ix_` gathers per pair, `shrink_oracle` merges super-VMs with nested
 Python scans for each maximum, and `tree_min_cut` reads a pairwise
-minimum cut off a Gomory-Hu tree.  `candidate_paths` lists a pair's
+minimum cut off a Gomory-Hu tree.  `edmonds_karp` is max-flow with
+every breadth-first search run until it dequeues the sink;
+`kmeans_pp_oracle` and `cluster_oracle` measure every distance with its
+own `np.linalg.norm` call, and `cluster_oracle` keeps each center as
+the `np.mean` of a list of vectors.  `candidate_paths` lists a pair's
 equal-cost up-down paths the way a per-pair router would; it and
 `switch_neighbors` (the Fat-Tree's links, for walking it) work from the
 `server_id` and `tor_id` arithmetic of `dcnsim.topology`'s identity
@@ -26,6 +30,7 @@ stable sort.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +38,8 @@ import numpy as np
 from dcnsim import simengine
 from dcnsim.assignment import (
     Assignment,
+    PodClusters,
     SuperVM,
-    _absorb,
     _first_fit_over,
     assign,
     shrink_to_super_vms,
@@ -43,7 +48,14 @@ from dcnsim.errors import CapacityError, DomainError, InfeasibleError
 from dcnsim.graphkit import WeightedGraph, ffd_pack, min_k_cut, ordered_sum
 from dcnsim.routing import MBPS_PER_GBPS, ROUTERS, RoutingPlan, _pair_key
 from dcnsim.topology import AGG, CORE, TOR, build_fat_tree
-from dcnsim.workload import DemandSet, demands_at, pair_order, referential_matrix
+from dcnsim.workload import (
+    DIST_MAX,
+    DemandSet,
+    demands_at,
+    pair_order,
+    pattern_vector,
+    referential_matrix,
+)
 
 
 def server_id(tree, pod, rack, slot) -> int:
@@ -433,6 +445,14 @@ def opt_greedy_oracle(jobs, tree) -> Assignment:
     return Assignment(placements)
 
 
+def _absorb(work: np.ndarray, keep: int, other: int) -> None:
+    work[keep, :] += work[other, :]
+    work[:, keep] += work[:, other]
+    work[other, :] = 0.0
+    work[:, other] = 0.0
+    work[keep, keep] = 0.0
+
+
 def shrink_oracle(job, server_slot_capacity: int) -> list[SuperVM]:
     """`shrink_to_super_vms` with nested Python scans for every maximum.
 
@@ -500,6 +520,118 @@ def partition_oracle(super_vms, t_ref, k_racks):
                 graph.add_edge(a, b, w)
     components, _ = min_k_cut(graph, k)
     return components, graph
+
+
+def edmonds_karp(graph, s: int, t: int):
+    """`max_flow_min_cut` as plain Edmonds-Karp: every augmenting path from
+    a breadth-first search that runs until it dequeues the sink."""
+    if s == t:
+        raise DomainError(f"source and sink coincide ({s})")
+    n = graph.n
+    residual = [dict(graph.adj[u]) for u in range(n)]
+    flow = 0.0
+    while True:
+        parent = [-1] * n
+        parent[s] = s
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            if u == t:
+                break
+            for v, cap in residual[u].items():
+                if cap > 1e-12 and parent[v] == -1:
+                    parent[v] = u
+                    queue.append(v)
+        if parent[t] == -1:
+            break
+        bottleneck = math.inf
+        v = t
+        while v != s:
+            u = parent[v]
+            bottleneck = min(bottleneck, residual[u][v])
+            v = u
+        v = t
+        while v != s:
+            u = parent[v]
+            residual[u][v] -= bottleneck
+            residual[v][u] = residual[v].get(u, 0.0) + bottleneck
+            v = u
+        flow += bottleneck
+    source_side = {u for u in range(n) if parent[u] != -1}
+    return flow, source_side
+
+
+def norm_distance(a, b) -> float:
+    """Euclidean distance by one `np.linalg.norm` call per pair."""
+    return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
+
+
+def kmeans_pp_oracle(vectors, k: int, seed=None) -> list[int]:
+    """`kmeans_pp_seed` measuring every distance with `norm_distance`."""
+    n = len(vectors)
+    if not (1 <= k <= n):
+        raise DomainError(f"k must be within [1, {n}], got {k}")
+    rng = np.random.default_rng(seed)
+    chosen = [int(rng.integers(n))]
+    best = [norm_distance(vectors[i], vectors[chosen[0]]) for i in range(n)]
+    while len(chosen) < k:
+        weights = np.array(
+            [0.0 if i in chosen else best[i] ** 2 for i in range(n)], dtype=float
+        )
+        total = weights.sum()
+        if total > 0:
+            pick = int(rng.choice(n, p=weights / total))
+        else:
+            remaining = [i for i in range(n) if i not in chosen]
+            pick = int(remaining[rng.integers(len(remaining))])
+        chosen.append(pick)
+        for i in range(n):
+            d = norm_distance(vectors[i], vectors[pick])
+            if d < best[i]:
+                best[i] = d
+    return chosen
+
+
+def cluster_oracle(jobs, n_pods, pod_slot_capacity, horizon, seed=None):
+    """`cluster_jobs` with per-pair `np.linalg.norm` distances and each
+    center the `np.mean` of a list of its members' vectors.
+
+    Returns (PodClusters, every job-to-center distance in the order the
+    assignment loop measures them).
+    """
+    distances = []
+    if not jobs:
+        return PodClusters(clusters=[[] for _ in range(n_pods)], overflow=[]), distances
+    vectors = [pattern_vector(job, horizon) for job in jobs]
+    seed_positions = kmeans_pp_oracle(vectors, n_pods, seed=seed)
+    clusters = [[jobs[p].id] for p in seed_positions]
+    centers = [vectors[p] for p in seed_positions]
+    member_vecs = [[vectors[p]] for p in seed_positions]
+    loads = [jobs[p].slots for p in seed_positions]
+    seeded = set(seed_positions)
+    remaining = [i for i in range(len(jobs)) if i not in seeded]
+    remaining.sort(key=lambda i: (-jobs[i].slots, jobs[i].id))
+    overflow = []
+    for i in remaining:
+        job = jobs[i]
+        feasible = [
+            c for c in range(n_pods) if loads[c] + job.slots <= pod_slot_capacity
+        ]
+        if not feasible:
+            overflow.append(job.id)
+            continue
+
+        def distance(c):
+            norm = norm_distance(vectors[i], centers[c])
+            distances.append(DIST_MAX if norm == 0.0 else 1.0 / norm)
+            return distances[-1]
+
+        _, best = min((distance(c), c) for c in feasible)
+        clusters[best].append(job.id)
+        member_vecs[best].append(vectors[i])
+        loads[best] += job.slots
+        centers[best] = np.mean(member_vecs[best], axis=0)
+    return PodClusters(clusters=clusters, overflow=overflow), distances
 
 
 def tree_min_cut(tree, u: int, v: int) -> float:

@@ -8,8 +8,12 @@ seed.  `run_scenario`, which routes each run of identical slots once,
 must give the report and the per-slot plans of a loop that routes every
 slot.  The rack partition must give the groups, and build the graph,
 of one that gathers each block with `np.ix_`, and the super-VM merge
-the groups of nested Python scans.  The per-demand routers, that loop,
-that partition and that merge are in `oracles.py`.
+the groups of nested Python scans.  Max-flow must give the flow bits
+and source side of plain Edmonds-Karp, k-means++ seeding the picks of
+per-pair `np.linalg.norm` distances, and pod clustering the clusters,
+overflow and distance bits of centers taken by `np.mean` of a list.
+The per-demand routers, that loop, that partition, that merge and
+those kernels are in `oracles.py`.
 """
 
 import numpy as np
@@ -18,17 +22,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dcnsim.assignment as assignment
+import dcnsim.graphkit as graphkit
 import dcnsim.routing as routing
 from dcnsim.errors import DomainError, SimulationError
 from dcnsim.power import PowerParams, switch_powers
 from dcnsim.assignment import (
     STRATEGIES,
     SuperVM,
+    cluster_jobs,
     partition_into_racks,
     shrink_to_super_vms,
     single_vm_units,
 )
-from dcnsim.graphkit import min_k_cut
+from dcnsim.graphkit import WeightedGraph, kmeans_pp_seed, max_flow_min_cut, min_k_cut
 from dcnsim.errors import InfeasibleError
 from dcnsim.routing import (
     MBPS_PER_GBPS,
@@ -46,14 +52,19 @@ from dcnsim.workload import (
     Transfer,
     demand_table,
     demands_at,
+    gap_distance,
     referential_matrix,
 )
 from oracles import (
     ListedActiveSet,
     by_size_oracle,
     candidate_paths,
+    cluster_oracle,
     ecmp_oracle,
+    edmonds_karp,
     eer_oracle,
+    kmeans_pp_oracle,
+    norm_distance,
     partition_oracle,
     run_each_slot,
     shrink_oracle,
@@ -666,13 +677,14 @@ def test_partition_matches_the_ix_reference(case):
 def merge_cases(draw):
     """(job, server capacity) for one job of 1-12 VMs.
 
-    Entries are the integers 0-2, so many pairs tie for the maximum and
-    the tie rule decides most merges.
+    Entries are either the integers 0-2, so many pairs tie for the
+    maximum and the tie rule decides most merges, or `RATES`, so a
+    merged row summed in another order changes its last bits.
     """
     n = draw(st.integers(1, 12))
+    entries = draw(st.sampled_from([st.integers(0, 2), RATES]))
     matrix = np.array(
-        draw(st.lists(st.integers(0, 2), min_size=n * n, max_size=n * n)),
-        dtype=float,
+        draw(st.lists(entries, min_size=n * n, max_size=n * n)), dtype=float
     ).reshape(n, n)
     np.fill_diagonal(matrix, 0.0)
     job = Job(id=0, vm_count=n, transfers=(Transfer(0, 0, matrix),),
@@ -687,12 +699,157 @@ def _column_tie():
     return Job(id=0, vm_count=3, transfers=(Transfer(0, 0, matrix),)), 2
 
 
+def _absorb_order():
+    """VMs 0 and 1 merge, then absorb VM 3, VM 2, and VM 4 or VM 5.
+
+    Added in the order the members joined, VM 5's merged entry is
+    ((2**-53 + 0) + 2**-53) + 1 = 1 + 2**-52 and beats VM 4's 1.  Added
+    in index order it would be ((2**-53 + 0) + 1) + 2**-53 = 1, a tie
+    that goes to VM 4.
+    """
+    tiny = 2.0**-53
+    matrix = np.zeros((6, 6))
+    matrix[0, 1], matrix[0, 3], matrix[0, 2] = 10.0, 5.0, 4.0
+    matrix[0, 4], matrix[0, 5], matrix[3, 5], matrix[2, 5] = 1.0, tiny, tiny, 1.0
+    return Job(id=0, vm_count=6, transfers=(Transfer(0, 0, matrix),)), 5
+
+
 @SETTINGS
 @given(merge_cases())
 @example(_column_tie())
+@example(_absorb_order())
 def test_merge_matches_the_nested_scan(case):
     job, capacity = case
     assert shrink_to_super_vms(job, capacity) == shrink_oracle(job, capacity)
+
+
+# --- max-flow, k-means++ seeding and pod clustering --------------------------
+
+# Equal weights, sums that land a hair off each other (0.1 + 0.2), and
+# residues just below, at and above the 1e-12 saturation tolerance.
+CAPACITIES = st.one_of(
+    st.sampled_from([1.0, 1.0, 0.1, 0.2, 0.3, 1 / 3, 1e-12, 5e-13, 2e-12, 1e6]),
+    st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
+)
+
+
+@st.composite
+def flow_graphs(draw):
+    """(graph, s, t) on 2-9 vertices, some edges added twice."""
+    n = draw(st.integers(2, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    density = draw(st.sampled_from([0.2, 0.5, 1.0]))
+    graph = WeightedGraph(n)
+    for u, v in draw(st.permutations(pairs)):
+        for _ in range(draw(st.sampled_from([0, 1, 2]) if density < 1 else st.just(1))):
+            if draw(st.floats(0, 1)) <= density:
+                graph.add_edge(u, v, draw(CAPACITIES))
+    s, t = draw(st.permutations(range(n)))[:2]
+    return graph, s, t
+
+
+def _ladder():
+    """A 0-1-2-3 path beside a 0-4-3 path and a direct edge.  After the
+    direct and the two-hop path, 0->4 keeps a residue of 9.9998e-13, just
+    under the tolerance, and the three-hop path leaves 5.6e-17 on the
+    1->2 edge, whose weight was added as 0.1 + 0.2."""
+    graph = WeightedGraph(5)
+    for u, v, w in ((0, 1, 0.3), (1, 2, 0.1), (1, 2, 0.2), (2, 3, 0.3),
+                    (0, 4, 1.0), (4, 3, 1.0 - 1e-12), (0, 3, 0.5)):
+        graph.add_edge(u, v, w)
+    return graph, 0, 3
+
+
+@SETTINGS
+@given(flow_graphs())
+@example(_ladder())
+def test_max_flow_matches_edmonds_karp(case):
+    graph, s, t = case
+    flow, side = max_flow_min_cut(graph, s, t)
+    want_flow, want_side = edmonds_karp(graph, s, t)
+    assert flow.hex() == want_flow.hex()
+    assert side == want_side
+
+
+# Patterns from a small pool, so vectors coincide and some draws leave
+# only centers' twins (the uniform fallback), and from magnitudes far
+# apart, so a norm summed in another order changes its last bits.
+PATTERN_VALUES = st.one_of(st.sampled_from([0.0, 1.0, 0.1]), RATES)
+
+
+@st.composite
+def pattern_sets(draw):
+    """(vectors, k, seed): 1-12 vectors of one length 1-7."""
+    length = draw(st.integers(1, 7))
+    pool = draw(st.lists(
+        st.lists(PATTERN_VALUES, min_size=length, max_size=length),
+        min_size=1, max_size=4,
+    ))
+    rows = draw(st.lists(
+        st.one_of(st.sampled_from(pool),
+                  st.lists(PATTERN_VALUES, min_size=length, max_size=length)),
+        min_size=1, max_size=12,
+    ))
+    vectors = [np.array(r, dtype=float) for r in rows]
+    return vectors, draw(st.integers(1, len(vectors))), draw(st.integers(0, 2**32 - 1))
+
+
+@SETTINGS
+@given(pattern_sets())
+@example(([np.ones(3)] * 5, 4, 7))
+def test_kmeans_seeding_matches_per_pair_norms(case):
+    vectors, k, seed = case
+    assert kmeans_pp_seed(vectors, k, seed=seed) == kmeans_pp_oracle(vectors, k, seed=seed)
+
+
+@SETTINGS
+@given(pattern_sets(), st.data())
+def test_kmeans_distances_are_the_norm_bits(case, data):
+    vectors, _, _ = case
+    center = data.draw(st.integers(0, len(vectors) - 1))
+    got = graphkit._distances(graphkit._stacked(vectors), center)
+    assert [d.hex() for d in got] == [
+        norm_distance(v, vectors[center]).hex() for v in vectors]
+
+
+@st.composite
+def clustered_jobs(draw):
+    """(jobs, n_pods, pod capacity, horizon): 2-40 jobs on 1-3 pods.
+
+    Horizon 1 often, where a pattern is a single rate and numpy sums a
+    center's column pairwise once a cluster holds more than 8 members;
+    a tight pod capacity sends some jobs to the overflow group.
+    """
+    horizon = draw(st.sampled_from([1, 1, 2, 5]))
+    jobs = []
+    for job_id in range(draw(st.integers(2, 40))):
+        n = draw(st.integers(2, 4))
+        rate = draw(PATTERN_VALUES)
+        start = draw(st.integers(0, horizon - 1))
+        end = draw(st.integers(start, horizon - 1))
+        jobs.append(Job(id=job_id, vm_count=n,
+                        transfers=(Transfer(start, end, _matrix(n, rate)),)))
+    n_pods = draw(st.integers(1, min(3, len(jobs))))
+    capacity = draw(st.sampled_from([4, 20, 200]))
+    return jobs, n_pods, capacity, horizon
+
+
+@SETTINGS
+@given(clustered_jobs(), st.integers(0, 2**32 - 1))
+def test_clusters_match_the_list_mean_oracle(case, seed):
+    jobs, n_pods, capacity, horizon = case
+    measured = []
+
+    def recording(gap):
+        measured.append(gap_distance(gap))
+        return measured[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assignment, "gap_distance", recording)
+        got = cluster_jobs(jobs, n_pods, capacity, horizon, seed=seed)
+    want, distances = cluster_oracle(jobs, n_pods, capacity, horizon, seed=seed)
+    assert (got.clusters, got.overflow) == (want.clusters, want.overflow)
+    assert [d.hex() for d in measured] == [d.hex() for d in distances]
 
 
 # --- per-run pair rows, EER's demand order and the table read ---------------

@@ -62,6 +62,16 @@ def test_max_flow_simple_cases():
         max_flow_min_cut(path, 1, 1)
 
 
+@pytest.mark.parametrize("s, t, bad", [(-1, 0, "source -1"), (0, 3, "sink 3"),
+                                       (2, -1, "sink -1"), (3, 3, "source 3")])
+def test_max_flow_rejects_a_vertex_out_of_range(s, t, bad):
+    path = WeightedGraph(3)
+    path.add_edge(0, 1, 1)
+    path.add_edge(1, 2, 5)
+    with pytest.raises(DomainError, match=rf"{bad} outside vertex range \[0, 2\]"):
+        max_flow_min_cut(path, s, t)
+
+
 def test_max_flow_equals_brute_force_on_random_graphs():
     rng = np.random.default_rng(23)
     for _ in range(60):
@@ -272,6 +282,23 @@ def test_kmeans_separated_clusters_get_both_seeds():
         if (a < 5) != (b < 5):
             hits += 1
     assert hits >= 0.99 * trials
+
+
+@pytest.mark.parametrize("vectors", [
+    [np.zeros(2), np.zeros(3)],
+    [np.zeros(3), np.zeros(1), np.zeros(3)],
+    [np.zeros(2), np.zeros((1, 2))],
+])
+def test_kmeans_rejects_patterns_of_unequal_length(vectors):
+    with pytest.raises(DomainError, match="pattern length mismatch"):
+        kmeans_pp_seed(vectors, 2, seed=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kmeans_rejects_a_non_finite_vector(bad):
+    vectors = [np.zeros(2), np.array([1.0, bad]), np.ones(2)]
+    with pytest.raises(DomainError, match="vector 1 is not finite"):
+        kmeans_pp_seed(vectors, 2, seed=0)
 
 
 def test_kmeans_duplicate_vectors_still_complete():
