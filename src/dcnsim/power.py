@@ -15,7 +15,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 
 # Relative slack on capacity checks; fluid splitting can hit C exactly.
 CAPACITY_RTOL = 1e-9
@@ -72,13 +72,6 @@ def switch_powers(loads: np.ndarray, params: PowerParams) -> np.ndarray:
     watts = params.sigma + params.mu * raised
     watts[loads == 0] = 0.0
     return watts
-
-
-def power_rate(load: float, params: PowerParams) -> float:
-    """Watts consumed per Gbps of load; undefined at zero load."""
-    if load <= 0:
-        raise DomainError(f"power rate undefined for load {load}")
-    return switch_power(load, params) / load
 
 
 def optimal_rate(params: PowerParams) -> tuple[float, bool]:

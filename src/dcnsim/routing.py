@@ -41,7 +41,9 @@ only when one of them has a choice.  It orders each set's demands
 largest first with numpy's default sort and sorts stably only when two
 rates of a set tie, since without ties every sort gives the stable
 order.  A set whose plan overloads a switch escalates alone.  A batch
-that fails raises the error that its first failing set raises alone.
+that fails raises the error that one of its failing sets raises alone;
+`run_scenario` replays a failed batch set by set, so that a run fails
+on its first failing segment.
 
 A plan keeps its switch loads as two arrays, switch ids in order of
 first load and their Gbps, and builds the switch -> load dict, like
@@ -60,7 +62,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, InfeasibleError, SimulationError
+from .errors import CapacityError, DomainError, InfeasibleError
 from .graphkit import ffd_one_bin, ffd_pack
 from .power import PowerParams
 from .topology import TOR, FatTree
@@ -75,7 +77,8 @@ class ActiveSet:
 
     Pod p keeps agg positions 0..widths[p]-1 awake (a pod not listed
     keeps none), and core group j, the cores behind agg position j,
-    keeps core indices 0..cores_per_group[j]-1 awake.
+    keeps core indices 0..cores_per_group[j]-1 awake.  `widths` lists
+    its pods in pod order.
     `estimate_active_set` gives every pod with cross-pod traffic the
     same width, so every awake core connects awake aggs on both sides.
     """
@@ -259,13 +262,6 @@ class _Batch:
     def result(self, per_set):
         """The router's result: the one set's, or the list of every set's."""
         return per_set[0] if self.single else per_set
-
-    def first_failure(self, alone):
-        """While a failed batch's error is handled: `alone(j)` routes set j
-        alone, set by set, so the first set that fails raises its own error."""
-        if not self.alone:
-            for j in range(len(self.sets)):
-                alone(j)
 
 
 def _pair_ends(tree: FatTree, src, dst):
@@ -470,15 +466,6 @@ def estimate_active_set(
     layers are packed by `ffd_pack`.
     """
     batch = _Batch.of(demands, tree)
-    try:
-        return batch.result(_estimate(batch, tree, params, extra))
-    except SimulationError:
-        batch.first_failure(
-            lambda j: estimate_active_set(batch.sets[j], tree, params, extra=extra))
-        raise
-
-
-def _estimate(batch: _Batch, tree: FatTree, params: PowerParams, extra: int):
     cap = params.capacity
     demands = batch.demands
     tors, pods = _ends(tree, demands)
@@ -530,11 +517,6 @@ def _estimate(batch: _Batch, tree: FatTree, params: PowerParams, extra: int):
     shared = np.where(crossing, agg_need, 0).max(axis=1)
     widths = np.where(crossing, np.maximum(agg_need, shared[:, None]), agg_need)
     groups = np.maximum(shared, 1)
-    # Each set's rows in order of their first item, set after set.
-    first = np.full(n_rows, len(rows))
-    np.minimum.at(first, rows, np.arange(len(rows)))
-    listed = np.flatnonzero(present)
-    listed = listed[first[listed].argsort()]
 
     too_wide = present[:, :core_row] & (need[:, :core_row] > half)
     too_many = has_core & (need[:, core_row] > tree.num_cores)
@@ -543,13 +525,14 @@ def _estimate(batch: _Batch, tree: FatTree, params: PowerParams, extra: int):
     if failing.any():
         j = int(failing.argmax())
         totals = totals.reshape(-1, per_set)[j].tolist()
-        for row in listed[listed // per_set == j].tolist():
-            pod = row % per_set
-            if pod != core_row and too_wide[j, pod]:
-                raise InfeasibleError(
-                    f"pod {pod} needs {int(need[j, pod])} aggregation switches "
-                    f"for {totals[pod]:.1f} Gbps but only has {half}"
-                )
+        if too_wide[j].any():
+            # Name the too-wide pod that the set's items reach first.
+            wide_rows = j * per_set + too_wide[j].nonzero()[0]
+            pod = int(rows[np.isin(rows, wide_rows)][0]) % per_set
+            raise InfeasibleError(
+                f"pod {pod} needs {int(need[j, pod])} aggregation switches "
+                f"for {totals[pod]:.1f} Gbps but only has {half}"
+            )
         if too_many[j]:
             raise InfeasibleError(
                 f"cross-pod traffic {totals[core_row]:.1f} Gbps needs "
@@ -560,18 +543,17 @@ def _estimate(batch: _Batch, tree: FatTree, params: PowerParams, extra: int):
             f"reachable from {int(groups[j])} agg positions"
         )
 
-    listed = listed[listed % per_set != core_row]
-    set_of, pod_of = np.divmod(listed, per_set)
+    set_of, pod_of = present[:, :core_row].nonzero()
     cut = np.searchsorted(set_of, np.arange(len(batch.sets) + 1)).tolist()
     pod_of, width_of = pod_of.tolist(), widths[set_of, pod_of].tolist()
-    return [
+    return batch.result([
         ActiveSet(
             widths=dict(zip(pod_of[lo:hi], width_of[lo:hi])),
             cores_per_group=tuple(len(range(j, cores, n)) for j in range(n))
             if cores else (),
         )
         for lo, hi, cores, n in zip(cut, cut[1:], n_core.tolist(), groups.tolist())
-    ]
+    ])
 
 
 def balanced_route(
@@ -717,18 +699,10 @@ def eer(
     overloaded ToR fails at once: its load is fixed by the placement,
     not the routing.  Given a batch, it returns the list of active sets
     and the list of plans, one per set; a set that needs the retry
-    retries alone.
+    retries alone.  A batch that fails raises the error that one of its
+    failing sets raises alone; `run_scenario` replays it set by set.
     """
     batch = _Batch(demands, tree, timeslot)
-    try:
-        actives, plans = _eer(batch, tree, params)
-    except SimulationError:
-        batch.first_failure(lambda j: eer(batch.sets[j], tree, params, batch.slots[j]))
-        raise
-    return batch.result(actives), batch.result(plans)
-
-
-def _eer(batch: _Batch, tree: FatTree, params: PowerParams):
     actives = batch.listed(estimate_active_set(batch, tree, params))
     plans = batch.listed(
         balanced_route(batch, tree, batch.result(actives), params))
@@ -751,7 +725,7 @@ def _eer(batch: _Batch, tree: FatTree, params: PowerParams):
                 timeslot=timeslot,
             )
         actives[j], plans[j] = active, plan
-    return actives, plans
+    return batch.result(actives), batch.result(plans)
 
 
 # Router name -> the plan of one set, or the plans of a batch, called

@@ -327,8 +327,9 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
     slot afresh: a reused slot adds its switches' watts to the layer
     totals in the same order.  `on_plan`, when given, still receives one
     RoutingPlan per timeslot, carrying that slot's `timeslot` (route
-    inspection); when a batch fails, it first receives the plan of every
-    slot before the failing one.
+    inspection).  A batch that fails is routed again set by set, so the
+    run fails with the error of its first failing segment (for ecmp,
+    slot), and `on_plan` first receives the plan of every slot before it.
 
     A transfer window that ends past the horizon, or a job id that two
     jobs share, is a ConfigError.
@@ -365,9 +366,9 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
         try:
             plans = route(sets, tree, params, starts, scenario.seed)
         except SimulationError:
-            if on_plan is not None and len(batch) > 1:
-                # Set by set: on_plan gets every slot before the failing
-                # one, and that set raises its own error again.
+            if len(batch) > 1:
+                # Set by set: the first failing set raises its own error
+                # again, and on_plan gets every slot before it.
                 for item in batch:
                     route_batch([item])
             raise

@@ -287,17 +287,9 @@ def pattern_vector(job: Job, horizon: int) -> np.ndarray:
     return raw
 
 
-def job_distance(v1: np.ndarray, v2: np.ndarray) -> float:
-    """Inverse L2 separation: similar patterns sit at a large distance."""
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    if v1.shape != v2.shape:
-        raise DomainError(f"pattern length mismatch: {v1.shape} vs {v2.shape}")
-    return gap_distance(np.ravel(v1 - v2))
-
-
 def gap_distance(gap: np.ndarray) -> float:
-    """`job_distance` of two patterns from their 1-D difference.
+    """Inverse L2 norm of the 1-D difference of two patterns: similar
+    patterns sit at a large distance.
 
     The norm is `np.linalg.norm`'s own: the square root of one `dot`,
     which keeps its order of summation.
@@ -506,10 +498,10 @@ def save_workload(path, jobs: Sequence[Job], horizon: int, seed=None, config=Non
 def load_document(path, kind: str, version: int, build):
     """Read a versioned JSON file and return `build(document)`.
 
-    A file that is not JSON, holds no JSON object or another version, or
-    whose document lacks a key or holds a value of the wrong type or out
-    of its domain (a negative or non-finite rate, say), raises
-    ConfigError naming the file.
+    A file that is not JSON, holds no JSON object or another version (an
+    int, so not `true` or `1.0`), or whose document lacks a key or holds
+    a value of the wrong type or out of its domain (a negative or
+    non-finite rate, say), raises ConfigError naming the file.
     """
     with open(path) as fh:
         try:
@@ -518,9 +510,10 @@ def load_document(path, kind: str, version: int, build):
             raise ConfigError(f"{kind} file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{kind} file {path} does not hold a JSON object")
-    if doc.get("version") != version:
+    found = doc.get("version")
+    if not _is_int(found) or found != version:
         raise ConfigError(
-            f"unsupported {kind} file version {doc.get('version')!r} in {path}"
+            f"unsupported {kind} file version {found!r} in {path}"
         )
     try:
         return build(doc)

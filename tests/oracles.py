@@ -24,7 +24,8 @@ equal-cost up-down paths the way a per-pair router would; it and
 scheme.  `sp_segment_oracle` is sp as an array call that builds every
 demand's path afresh, where `sp_route` gathers per-pair rows built once
 per run; `by_size_oracle` is EER's demand order by `pair_order` and a
-stable sort.
+stable sort.  `power_rate` (watts per Gbps of load) and `job_distance`
+(`gap_distance` of two patterns) are helpers only tests call.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from dcnsim.workload import (
     DIST_MAX,
     DemandSet,
     demands_at,
+    gap_distance,
     pair_order,
     pattern_vector,
     referential_matrix,
@@ -212,9 +214,10 @@ def ecmp_oracle(demands, tree, seed, params, timeslot=0) -> Plan:
 class ListedActiveSet:
     """An active set as explicit lists, the oracles' own form.
 
-    `positions` maps each pod to its awake agg positions, in order of the
-    pod's first item; `cores` lists the awake core ids in the order the
-    round robin takes them.
+    `positions` maps each pod to its awake agg positions: `estimate_oracle`
+    lists the pods in order of their first item, `of` in pod order, and
+    the two compare as dicts.  `cores` lists the awake core ids in the
+    order the round robin takes them.
     """
 
     positions: dict
@@ -663,6 +666,22 @@ def switch_power_each(load, params) -> float:
     if load == 0:
         return 0.0
     return params.sigma + params.mu * load**params.alpha
+
+
+def power_rate(load: float, params) -> float:
+    """Watts consumed per Gbps of load; undefined at zero load."""
+    if load <= 0:
+        raise DomainError(f"power rate undefined for load {load}")
+    return switch_power_each(load, params) / load
+
+
+def job_distance(v1, v2) -> float:
+    """Inverse L2 separation: similar patterns sit at a large distance."""
+    v1 = np.asarray(v1, dtype=float)
+    v2 = np.asarray(v2, dtype=float)
+    if v1.shape != v2.shape:
+        raise DomainError(f"pattern length mismatch: {v1.shape} vs {v2.shape}")
+    return gap_distance(np.ravel(v1 - v2))
 
 
 def run_each_slot(scenario, jobs=None, on_plan=None):

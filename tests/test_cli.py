@@ -124,6 +124,9 @@ def _job_text(**fields):
     (_job_text(vm_count=2.0), "vm_count must be an int >= 1, got 2.0"),
     (_job_text(id="a"), "job id must be an int, got 'a'"),
     ('{"version": 1, "horizon": 10, "seed": -1, "jobs": []}', "not negative; got -1"),
+    # true and 1.0 equal 1 in Python, but neither is a file version.
+    ('{"version": true, "horizon": 10, "jobs": []}', "unsupported workload file version True"),
+    ('{"version": 1.0, "horizon": 10, "jobs": []}', "unsupported workload file version 1.0"),
 ])
 def test_bad_workload_file_is_a_config_error(tmp_path, capsys, text, cause):
     wl = tmp_path / "bad.json"
@@ -138,6 +141,7 @@ def test_bad_workload_file_is_a_config_error(tmp_path, capsys, text, cause):
     (None, "No such file"),
     ("{not json", "not valid JSON"),
     ('{"version": 1}', "lacks the key 'scenario'"),
+    ('{"version": true}', "unsupported report file version True"),
 ])
 def test_bad_report_file_is_a_config_error(tmp_path, capsys, text, cause):
     report = tmp_path / "bad.json"

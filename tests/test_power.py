@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from dcnsim.errors import ConfigError, DomainError
-from dcnsim.power import PowerParams, optimal_rate, power_rate, switch_power
+from dcnsim.power import PowerParams, optimal_rate, switch_power
+from oracles import power_rate
 
 BENCH = PowerParams(sigma=200.0, mu=1e-4, alpha=2.0, capacity=1000.0)
 

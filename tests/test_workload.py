@@ -15,12 +15,12 @@ from dcnsim.workload import (
     WorkloadConfig,
     demands_at,
     generate_workload,
-    job_distance,
     load_workload,
     pattern_vector,
     referential_matrix,
     save_workload,
 )
+from oracles import job_distance
 
 
 def _matrix(n, value=10.0):
