@@ -222,10 +222,12 @@ class _Batch:
     """The demand sets of one router call, checked and joined set after set.
 
     `demands` holds every set's demands; set j owns rows
-    bounds[j]:bounds[j+1], and `seg` names each row's set.  The joined
-    set keeps the run's demand table and the pair ids when every set
-    comes from that table.  `alone` says the call routes one set, as one
-    set or as a batch of one, so there is nothing to join or offset.
+    bounds[j]:bounds[j+1], and `seg` names each row's set, as uint16
+    while the sets fit it (int32 past that).  `alone` says the call
+    routes one set, as one set or as a batch of one, so there is nothing
+    to join or offset.  The joined set keeps its servers as uint16, and,
+    when every set comes from the run's demand table, that table and the
+    pair ids in the table's dtype: a row of 14 bytes rather than 32.
     """
 
     def __init__(self, demands, tree: FatTree, timeslot=None):
@@ -236,17 +238,20 @@ class _Batch:
         sizes = [len(d.src) for d in self.sets]
         self.bounds = [0, *itertools.accumulate(sizes)]
         self.alone = len(sizes) == 1
+        self.seg = np.repeat(np.arange(
+            len(sizes), dtype=np.uint16 if len(sizes) <= 1 << 16 else np.int32), sizes)
         if self.alone:
             self.demands = self.sets[0]
-            self.seg = np.zeros(sizes[0], dtype=np.int64)
             return
-        self.seg = np.repeat(np.arange(len(sizes)), sizes)
         table = self.sets[0].table
         shared = table is not None and all(d.table is table for d in self.sets)
         self.demands = DemandSet(
-            *(np.concatenate([getattr(d, name) for d in self.sets])
-              for name in ("src", "dst", "rate")),
-            np.concatenate([d.pair for d in self.sets]) if shared else None,
+            *(np.concatenate([getattr(d, end) for d in self.sets], dtype=np.uint16,
+                             casting="unsafe")  # server ids fit 16 bits (k <= 48)
+              for end in ("src", "dst")),
+            np.concatenate([d.rate for d in self.sets]),
+            np.concatenate([d.pair for d in self.sets], dtype=table.pair.dtype,
+                           casting="unsafe") if shared else None,
             table if shared else None,
         )
 
@@ -283,28 +288,30 @@ def _ends(tree: FatTree, demands: DemandSet):
 
 
 def _forced_paths(tree: FatTree, src, dst):
-    """Each server pair's path through agg position 0 and core index 0, as
-    int16 `_paths` rows: eer's path for a demand with one allowed path."""
+    """Each server pair's `_paths` row through agg position 0 and core
+    index 0: eer's path for a demand with one allowed path."""
     ends = np.array((src, dst), dtype=np.int64)
     zero = np.zeros(len(ends[0]), dtype=np.int64)
-    hops = _paths(tree, tree.tor_of_server(ends), tree.server_pod(ends), zero, zero)
-    return hops.astype(np.int16, order="C")
+    return _paths(tree, tree.tor_of_server(ends), tree.server_pod(ends), zero, zero)
 
 
 def _paths(tree: FatTree, tors, pods, position, index):
-    """Every demand's up-down path as one row of five switches, -1 for none.
+    """Every demand's up-down path as one row of five int16 switch ids,
+    -1 for none (switch ids stay below 2**15, k <= 48).
 
     A same-rack demand's path is its ToR alone.  An inter-rack demand
     goes up through agg position `position` of its pod and, across pods,
-    through core `index` of that position's group.
+    through core `index` of that position's group.  Given int16 ToRs,
+    pods, positions and indexes, every step stays in int16.
     """
     half = tree.half
     up, down = pods * half + (position + tree.agg_base)
     core = position * half + index + tree.core_base
-    hops = np.array((tors[0], up, core, down, tors[1]))
-    hops[1:, tors[0] == tors[1]] = -1
-    hops[2:4, pods[0] == pods[1]] = -1
-    return hops.T
+    hops = np.stack((tors[0], up, core, down, tors[1]), axis=1, dtype=np.int16,
+                    casting="unsafe")
+    hops[tors[0] == tors[1], 1:] = -1
+    hops[pods[0] == pods[1], 2:4] = -1
+    return hops
 
 
 def _finish_plans(batch: _Batch, demands, hops, tree: FatTree, params,
@@ -318,20 +325,29 @@ def _finish_plans(batch: _Batch, demands, hops, tree: FatTree, params,
     plan lists its switches in order of first load: each switch's first
     position in the path sequence, found by `minimum.at`, and those
     distinct positions sorted, which also keeps the sets in batch order.
+    Each per-hop array is freed after its last read.
     """
     n_switches = tree.num_switches
     on_path = hops >= 0
-    ids = hops
-    if not batch.alone:
-        ids = hops + (batch.seg * n_switches).astype(np.int32)[:, None]
-    switches = ids[on_path]  # row by row: in routing order
+    if batch.alone:
+        switches = hops[on_path]  # row by row: in routing order
+    else:
+        ids = hops.astype(np.int32)
+        ids += np.multiply(batch.seg, n_switches, dtype=np.int32)[:, None]
+        switches = ids[on_path]
+        del ids
     # 1, 3 or 5 hops: a same-rack path has no up agg, a same-pod one no core.
     hop_count = 1 + 2 * on_path[:, 1] + 2 * on_path[:, 2]
+    del on_path
     gbps = np.repeat(demands.rate / MBPS_PER_GBPS, hop_count)
+    del hop_count
     sums = np.bincount(switches, weights=gbps)
-    first = np.full(len(sums), len(switches), dtype=np.int32)
-    np.minimum.at(first, switches, np.arange(len(switches), dtype=np.int32))
-    seen = (first < len(switches)).nonzero()[0]
+    del gbps
+    n_hops = len(switches)
+    first = np.full(len(sums), n_hops, dtype=np.int32)
+    np.minimum.at(first, switches, np.arange(n_hops, dtype=np.int32))
+    del switches
+    seen = (first < n_hops).nonzero()[0]
     seen = seen[first[seen].argsort(kind="stable")]
     over = (sums > params.max_load()).nonzero()[0]
     loads = sums[seen]
@@ -385,13 +401,12 @@ def sp_route(
 
 
 def _sp_paths(tree: FatTree, src, dst):
-    """sp's path of each server pair: `_paths` rows of int16 switch ids."""
+    """sp's path of each server pair, as `_paths` rows."""
     ends = np.array((src, dst), dtype=np.int64)
     key = _pair_key(src, dst)
     half = tree.half
-    hops = _paths(tree, tree.tor_of_server(ends), tree.server_pod(ends),
+    return _paths(tree, tree.tor_of_server(ends), tree.server_pod(ends),
                   key % half, (key >> 8) % half)
-    return hops.astype(np.int16, order="C")
 
 
 def _pair_key(a, b):
@@ -432,13 +447,13 @@ def ecmp_route(
     inter = (tors[0] != tors[1]).nonzero()[0]
     high = np.where(same_pod[inter], half, half * half)
     cut = np.searchsorted(inter, batch.bounds).tolist()
-    draw = np.zeros(len(same_pod), dtype=np.int64)
+    draw = np.zeros(len(same_pod), dtype=np.int16)  # below half**2 <= 576
     draw[inter] = np.concatenate([
         np.random.default_rng(set_seed).integers(0, high[lo:hi])
         for set_seed, lo, hi in zip(seeds, cut, cut[1:])
     ])
-    position = np.where(same_pod, draw, draw // half)
-    hops = _paths(tree, tors, pods, position, draw % half)
+    position, index = np.divmod(draw, half)
+    hops = _paths(tree, tors, pods, np.where(same_pod, draw, position), index)
     return batch.result(_finish_plans(batch, batch.demands, hops, tree, params))
 
 
@@ -490,7 +505,7 @@ def estimate_active_set(
     item_rows = np.array((src_pod, dst_pod, src_pod), dtype=np.int64)
     item_rows[2] = core_row
     if not batch.alone:
-        item_rows += batch.seg[keep] * per_set
+        item_rows += np.multiply(batch.seg[keep], per_set, dtype=np.int64)
     rows = item_rows.T[cross[:, None] | [True, False, False]]
     sizes = gbps.repeat(np.where(cross, 3, 1))
     n_rows = len(batch.sets) * per_set
@@ -647,7 +662,7 @@ def _greedy(tree: FatTree, active_set: ActiveSet, tors, pods, rate):
             load[sw] += g
         positions.append(best[0])
         indexes.append(best[1])
-    position, index = np.zeros((2, len(gbps)), dtype=np.int64)
+    position, index = np.zeros((2, len(gbps)), dtype=np.int16)
     inter = tors[0] != tors[1]
     position[inter], index[inter] = positions, indexes
     return position, index
@@ -682,10 +697,8 @@ def _in_sets(order, batch: _Batch):
     within each set."""
     if batch.alone:
         return order
-    key = batch.seg[order]
-    if len(batch.sets) <= 1 << 16:
-        key = key.astype(np.uint16)  # numpy sorts 16-bit keys stably by radix
-    return order[key.argsort(kind="stable")]
+    # numpy sorts uint16 `seg` stably by radix.
+    return order[batch.seg[order].argsort(kind="stable")]
 
 
 def eer(

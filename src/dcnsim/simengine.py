@@ -42,15 +42,25 @@ LAYERS = (TOR, AGG, CORE)
 LAYER_BINS = np.arange(len(LAYERS))
 SLOT_BIN = len(LAYERS)
 
-# The demand rows a batch of segments holds at most (`_batches`).  On a
-# k=8 segment of about 50 demands, numpy's fixed cost per call outweighs
-# its work, and a batch routes a score of such segments with one pass of
-# calls.  Over the strategy grid at k=8 (2-vCPU host), 1,024 rows ran a
-# round as fast as 2,048 (0.36 s) and peaked about 0.2 MB lower; 512 ran
-# a quarter slower.  A median k=24 segment holds about 5,000 demands, so
-# a batch never holds more rows at once than routing one such segment
-# does; a larger segment is a batch alone.
-BATCH_ROWS = 1024
+# The demand rows a batch of segments holds at most (`_batches`).  numpy's
+# fixed cost per call outweighs its work on small sets, and a batch routes
+# many segments with one pass of calls.  A k=8 segment holds about 50
+# demands, a k=16 one 700-1,150 and a median k=24 one about 5,000, so the
+# budget must cover several k=16 segments to save anything there.
+# Nine rounds of the benchmark workloads at each budget, interleaved in
+# one process (2-vCPU host), with the traced peak of a round:
+#   rows     k=8 (sweep_k8)    k=16 (lowstartup_k16)   k=24 (eer_k24)
+#   1,024    0.208 s, 0.58 MB  0.656 s, 0.84 MB        0.184 s, 2.39 MB
+#   4,096    -9%, 1.03 MB      -23%, 1.13 MB           -2%, 2.62 MB
+#   8,192    -12%, 1.06 MB     -22%, 1.72 MB           -7%, 2.90 MB
+#   16,384   -15%, 1.06 MB     -19%, 2.97 MB           -5%, 3.60 MB
+# A curve of fifteen rounds put k=16 at -16%, -29% and -31% for 4,096,
+# 8,192 and 16,384 rows; the host's speed drifts.  8,192 is at or
+# near the best at every k, for 60% of 16,384's peak at k=16.  On its
+# own it raised perfbench's peak RSS by 1.0-1.5%; the batch path's narrow
+# dtypes (`routing._Batch`, `_paths`) and `_finish_plans`'s early frees
+# take that back.  A larger segment is a batch alone.
+BATCH_ROWS = 8192
 
 STRATEGY_GRID = (
     ("greedy", "sp"),
@@ -385,9 +395,13 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
             active_counts.extend([slot_active] * span)
 
     table = demand_table(jobs, placement)
-    # A router keeps about 1.25 k**2 switch bins per set of a batch, so
-    # each set counts as at least k rows.
-    for batch in _batches(table, scenario.horizon, step, scenario.k):
+    # A router keeps a bin of about 16 bytes per switch for each set of a
+    # batch, and a demand row costs about 100 bytes at the batch's peak,
+    # so each set counts as at least a sixth of the switches in rows.  A
+    # k=16 run of 2,000 one-slot segments of two demands each peaks at
+    # 1.2 MB traced so, and at 3.2 MB with k rows a set (0.7 MB at 1,024
+    # rows); no benchmark workload has segments that small.
+    for batch in _batches(table, scenario.horizon, step, tree.num_switches // 6):
         route_batch(batch)
         del batch  # free its demands and plans before the next builds its own
 

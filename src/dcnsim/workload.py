@@ -535,11 +535,12 @@ def _workload_of(doc):
             vm_count=entry["vm_count"],
             vm_resource=entry.get("vm_resource", 1),
             transfers=tuple(
-                Transfer(tr["start"], tr["end"], np.array(tr["matrix"], dtype=float))
-                for tr in entry["transfers"]
+                Transfer(tr["start"], tr["end"],
+                         _matrix(tr["matrix"], f"jobs[{i}].transfers[{j}].matrix"))
+                for j, tr in enumerate(_array(entry["transfers"], f"jobs[{i}].transfers"))
             ),
         )
-        for entry in doc["jobs"]
+        for i, entry in enumerate(_array(doc["jobs"], "jobs"))
     ]
     horizon, seed, config = doc["horizon"], doc.get("seed"), doc.get("config")
     if (job_id := repeated_id(jobs)) is not None:
@@ -554,3 +555,23 @@ def _workload_of(doc):
     if utilization is not None and type(utilization) not in (int, float):
         raise ValueError(f"utilization must be a number or absent, got {utilization!r}")
     return jobs, {"horizon": horizon, "seed": seed, "config": config}
+
+
+def _array(value, path: str) -> list:
+    """`value` if it is a JSON array; else a ValueError naming its `path`."""
+    if not isinstance(value, list):
+        raise ValueError(f"{path} must be a JSON array, got {value!r}")
+    return value
+
+
+def _matrix(rows, path: str) -> np.ndarray:
+    """A traffic matrix read from JSON: an array of arrays of numbers.
+
+    A bool or a string such as "0.5", which numpy would cast to a float,
+    is a ValueError naming its `path`.
+    """
+    for r, row in enumerate(_array(rows, path)):
+        for c, entry in enumerate(_array(row, f"{path}[{r}]")):
+            if type(entry) not in (int, float):
+                raise ValueError(f"{path}[{r}][{c}] must be a number, got {entry!r}")
+    return np.array(rows, dtype=float)

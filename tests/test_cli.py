@@ -123,6 +123,14 @@ def _job_text(**fields):
     (_job_text(vm_resource=True), "vm_resource must be an int >= 1, got True"),
     (_job_text(vm_count=2.0), "vm_count must be an int >= 1, got 2.0"),
     (_job_text(id="a"), "job id must be an int, got 'a'"),
+    ('{"version": 1, "horizon": 10, "jobs": {}}', "jobs must be a JSON array, got {}"),
+    (_job_text(transfers={}), "jobs[0].transfers must be a JSON array, got {}"),
+    (_job_text(transfers=[{"start": 0, "end": 9, "matrix": [[0, True], [False, 0]]}]),
+     "jobs[0].transfers[0].matrix[0][1] must be a number, got True"),
+    (_job_text(transfers=[{"start": 0, "end": 9, "matrix": [[0, 1], ["0.5", 0]]}]),
+     "jobs[0].transfers[0].matrix[1][0] must be a number, got '0.5'"),
+    (_job_text(transfers=[{"start": 0, "end": 9, "matrix": [[0, 1], {"0": 1}]}]),
+     "jobs[0].transfers[0].matrix[1] must be a JSON array, got {'0': 1}"),
     ('{"version": 1, "horizon": 10, "seed": -1, "jobs": []}', "not negative; got -1"),
     # true and 1.0 equal 1 in Python, but neither is a file version.
     ('{"version": true, "horizon": 10, "jobs": []}', "unsupported workload file version True"),

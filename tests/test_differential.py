@@ -6,8 +6,9 @@ same order, and the same
 routes, loads (in the same key order) and violations from the same
 seed.  `run_scenario`, which routes each run of identical slots once,
 must give the report and the per-slot plans of a loop that routes every
-slot.  The rack partition must give the groups, and build the graph,
-of one that gathers each block with `np.ix_`, and the super-VM merge
+slot, and the same ones under any batch budget (`BATCH_ROWS`).  The
+rack partition must give the groups, and build the graph, of one that
+gathers each block with `np.ix_`, and the super-VM merge
 the groups of nested Python scans.  Max-flow must give the flow bits
 and source side of plain Edmonds-Karp, k-means++ seeding the picks of
 per-pair `np.linalg.norm` distances, and pod clustering the clusters,
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 import dcnsim.assignment as assignment
 import dcnsim.graphkit as graphkit
 import dcnsim.routing as routing
+import dcnsim.simengine as simengine
 from dcnsim.errors import DomainError, SimulationError
 from dcnsim.power import PowerParams, switch_powers
 from dcnsim.assignment import (
@@ -551,6 +553,62 @@ def test_segment_loop_matches_the_per_slot_loop(case):
         assert [plan[0] for plan in got_plans] == list(range(scenario.horizon))
 
 
+# Every item a batch alone, a budget that splits a k=4 or k=8 run into
+# batches of several segments, the default, and the whole run as one batch.
+BUDGETS = (1, 200, simengine.BATCH_ROWS, 10**9)
+
+
+def _under_budgets(monkeypatch, run):
+    """`run()` once under each of BUDGETS."""
+    results = []
+    for rows in BUDGETS:
+        monkeypatch.setattr(simengine, "BATCH_ROWS", rows)
+        results.append(run())
+    return results
+
+
+@pytest.mark.parametrize("k", [4, 8])
+@pytest.mark.parametrize("route", ["sp", "ecmp", "eer"])
+@pytest.mark.parametrize("power", [PowerParams(), LOW_STARTUP], ids=["default", "low"])
+def test_the_batch_budget_never_changes_a_report(monkeypatch, k, route, power):
+    scenario = Scenario(k=k, assign_strategy="greedy", route_strategy=route, seed=11,
+                        utilization=0.5, horizon=100, power=power)
+    first, *rest = _under_budgets(monkeypatch,
+                                  lambda: run_scenario(scenario).fingerprint())
+    assert rest == [first] * len(rest)
+
+
+def _later_tor_overload():
+    """Slots 0-2 carry nothing: job 0's VMs share server 0.  From slot 3
+    job 1 sends 600 Mbps each way between servers 1 and 2, in racks 0
+    and 1: each demand fits the 1 Gbps switches, but each of the two
+    ToRs carries both directions."""
+    quiet = Job(id=0, vm_count=2, transfers=(Transfer(0, 2, _matrix(2, 50.0)),))
+    matrix = np.zeros((4, 4))
+    matrix[0, 2] = matrix[1, 3] = matrix[2, 0] = matrix[3, 1] = 300.0
+    busy = Job(id=1, vm_count=4, transfers=(Transfer(3, 5, matrix),))
+    return _scenario(4, "greedy", "eer", 6, PowerParams(capacity=1.0)), [quiet, busy]
+
+
+@pytest.mark.parametrize("case", [
+    (_scenario(4, "greedy", "eer", 3, TIGHT[1]), MIDDLE_FAILS),
+    _later_tor_overload(),
+], ids=["middle_fails", "later_tor_overload"])
+def test_the_batch_budget_never_changes_a_failing_run(monkeypatch, case):
+    scenario, jobs = case
+
+    def run():
+        plans = []
+        outcome = _outcome(lambda: run_scenario(
+            scenario, jobs, on_plan=lambda plan: plans.append(_slot(plan))).fingerprint())
+        return outcome, plans
+
+    (outcome, plans), *rest = _under_budgets(monkeypatch, run)
+    assert isinstance(outcome, tuple) and issubclass(outcome[0], SimulationError)
+    assert plans
+    assert rest == [(outcome, plans)] * len(rest)
+
+
 @SETTINGS
 @given(
     st.lists(st.one_of(st.just(0.0), st.just(5e-324), st.floats(0.0, 3000.0)),
@@ -590,16 +648,7 @@ def test_a_switch_at_zero_load_costs_nothing_and_is_not_active():
 
 
 def test_eer_failure_in_a_later_segment_names_its_slot():
-    # Slots 0-2 carry nothing: job 0's VMs share server 0.  From slot 3
-    # job 1 sends 600 Mbps each way between servers 1 and 2, in racks 0
-    # and 1: each demand fits the 1 Gbps switches, but each of the two
-    # ToRs carries both directions.
-    quiet = Job(id=0, vm_count=2, transfers=(Transfer(0, 2, _matrix(2, 50.0)),))
-    matrix = np.zeros((4, 4))
-    matrix[0, 2] = matrix[1, 3] = matrix[2, 0] = matrix[3, 1] = 300.0
-    busy = Job(id=1, vm_count=4, transfers=(Transfer(3, 5, matrix),))
-    scenario = _scenario(4, "greedy", "eer", 6, PowerParams(capacity=1.0))
-    (got, got_plans), (want, want_plans) = _runs(scenario, [quiet, busy])
+    (got, got_plans), (want, want_plans) = _runs(*_later_tor_overload())
     assert got == want == (
         InfeasibleError,
         "placement overloads ToR switches [0, 1] at t=3; no routing can relieve them",

@@ -8,6 +8,9 @@ total, path choice or random draw changes it and must say so.
 
 import hashlib
 import json
+import os
+
+import numpy as np
 
 from dcnsim.power import PowerParams
 from dcnsim.simengine import STRATEGY_GRID, Scenario, run_scenario, sweep
@@ -58,9 +61,23 @@ def _digest(payloads):
     return digest.hexdigest()
 
 
+def _platform():
+    """numpy's version and BLAS, which a digest failure names: every digest
+    was recorded on numpy 2.4.6 with OpenBLAS's SkylakeX kernel."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 prints it; a build may name no BLAS
+        blas = "not reported"
+    else:
+        blas = ", ".join(f"{key}: {blas.get(key)}" for key in (
+            "name", "version", "openblas configuration"))
+    return (f"numpy {np.__version__}; BLAS {blas}; "
+            f"OPENBLAS_CORETYPE={os.environ.get('OPENBLAS_CORETYPE')}")
+
+
 def test_reports_match_the_pinned_digest():
-    assert _digest(_payloads()) == DIGEST
+    assert _digest(_payloads()) == DIGEST, _platform()
 
 
 def test_larger_trees_match_the_pinned_digest():
-    assert _digest(_large_payloads()) == LARGE_DIGEST
+    assert _digest(_large_payloads()) == LARGE_DIGEST, _platform()
