@@ -8,8 +8,8 @@ float order, and a faster form must give the same bits:
 
 * `max_flow_min_cut` augments along the same paths as plain
   Edmonds-Karp, in the same order, with the same subtractions.
-* `kmeans_pp_seed` measures each distance as `np.linalg.norm` does,
-  the square root of one `dot`, so each sum runs in the same order.
+* `norm` (k-means++ and pattern distances) is `np.linalg.norm`'s: the
+  square root of one `dot`, so each sum runs in the same order.
 * `min_k_cut`, `weight_between` and `ordered_sum` add left to right;
   `ffd_one_bin` adds each row's sizes in FFD order.
 """
@@ -315,9 +315,13 @@ def _stacked(vectors) -> np.ndarray:
 
 
 def _distances(stack: np.ndarray, center: int) -> list[float]:
-    """Each row's Euclidean distance to row `center`, as `np.linalg.norm`
-    measures it: the square root of the gap's dot with itself."""
-    return [math.sqrt(gap.dot(gap)) for gap in stack - stack[center]]
+    """Each row's Euclidean distance to row `center` (`norm`)."""
+    return [norm(gap) for gap in stack - stack[center]]
+
+
+def norm(gap: np.ndarray) -> float:
+    """The Euclidean norm of a 1-D gap, summed as `np.linalg.norm` sums it."""
+    return math.sqrt(gap.dot(gap))
 
 
 def ffd_pack(items, bin_capacity: float) -> list[list[int]]:

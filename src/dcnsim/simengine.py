@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -26,12 +26,15 @@ from .routing import DRAWS_PER_SLOT, ROUTERS
 from .topology import AGG, CORE, TOR, build_fat_tree
 from .workload import (
     WorkloadConfig,
+    check_keys,
     demand_table,
+    from_json,
     generate_workload,
     is_horizon,
     is_seed,
     load_document,
     repeated_id,
+    to_json,
 )
 
 REPORT_FORMAT_VERSION = 1
@@ -132,25 +135,14 @@ class Scenario:
         return self.route_strategy in DRAWS_PER_SLOT or self.assign_strategy in SEEDED
 
     def describe(self) -> dict:
-        return {
-            "label": self.label,
-            "k": self.k,
-            "assign": self.assign_strategy,
-            "route": self.route_strategy,
-            "seed": self.seed,
-            "utilization": self.utilization,
-            "workload_seed": self.workload_seed,
-            "workload_path": self.workload_path,
-            "horizon": self.horizon,
-            "server_capacity": self.server_capacity,
-            "timeslot_seconds": self.timeslot_seconds,
-            "power": {
-                "sigma": self.power.sigma,
-                "mu": self.power.mu,
-                "alpha": self.power.alpha,
-                "capacity": self.power.capacity,
-            },
-        }
+        """The scenario as its report holds it (`SCENARIO_KEYS`)."""
+        return {"label": self.label,
+                **{RENAMED.get(key, key): value for key, value in to_json(self).items()}}
+
+
+# A report's scenario: its label, then its fields, two of them renamed.
+RENAMED = {"assign_strategy": "assign", "route_strategy": "route"}
+SCENARIO_KEYS = ("label", *(RENAMED.get(f.name, f.name) for f in fields(Scenario)))
 
 
 @dataclass(frozen=True)
@@ -174,43 +166,26 @@ class EnergyReport:
         return self.total_energy_wt * self.scenario["timeslot_seconds"]
 
     def fingerprint(self) -> dict:
-        """Deterministic payload (everything except the wall clock)."""
-        return {
-            "scenario": self.scenario,
-            "total_energy_wt": self.total_energy_wt,
-            "per_timeslot_watts": list(self.per_timeslot_watts),
-            "layer_breakdown": self.layer_breakdown,
-            "active_switches": list(self.active_switches),
-            "violations": {str(t): list(v) for t, v in self.violations.items()},
-        }
-
-    def to_dict(self) -> dict:
-        doc = {"version": REPORT_FORMAT_VERSION}
-        doc.update(self.fingerprint())
-        doc["runtime_ms"] = self.runtime_ms
-        return doc
+        """Deterministic payload (all but the wall clock), as JSON holds it."""
+        return to_json({f.name: getattr(self, f.name) for f in fields(self)
+                        if f.name != "runtime_ms"})
 
 
 def save_report(report: EnergyReport, path) -> None:
     with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh)
+        json.dump({"version": REPORT_FORMAT_VERSION, **report.fingerprint(),
+                   "runtime_ms": report.runtime_ms}, fh)
 
 
 def load_report(path) -> EnergyReport:
-    """Read a report file (see `load_document`)."""
+    """Read a report file (`load_document`, `from_json`); its scenario holds SCENARIO_KEYS."""
     return load_document(path, "report", REPORT_FORMAT_VERSION, _report_of)
 
 
 def _report_of(doc) -> EnergyReport:
-    return EnergyReport(
-        scenario=doc["scenario"],
-        total_energy_wt=doc["total_energy_wt"],
-        per_timeslot_watts=tuple(doc["per_timeslot_watts"]),
-        layer_breakdown=doc["layer_breakdown"],
-        active_switches=tuple(doc["active_switches"]),
-        runtime_ms=doc["runtime_ms"],
-        violations={int(t): tuple(v) for t, v in doc["violations"].items()},
-    )
+    report = from_json(EnergyReport, {k: v for k, v in doc.items() if k != "version"}, "")
+    check_keys(report.scenario, "scenario", SCENARIO_KEYS)
+    return report
 
 
 def _resolve_workload(scenario: Scenario, jobs=None):

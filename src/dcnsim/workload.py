@@ -8,15 +8,17 @@ can sleep.  Workload files are versioned JSON and round-trip losslessly.
 
 from __future__ import annotations
 
+import functools
 import json
-import math
+import typing
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .graphkit import norm
 from .topology import FatTree
 
 # Distance sentinel for identical traffic patterns (the inverse-norm
@@ -288,16 +290,10 @@ def pattern_vector(job: Job, horizon: int) -> np.ndarray:
 
 
 def gap_distance(gap: np.ndarray) -> float:
-    """Inverse L2 norm of the 1-D difference of two patterns: similar
-    patterns sit at a large distance.
-
-    The norm is `np.linalg.norm`'s own: the square root of one `dot`,
-    which keeps its order of summation.
-    """
-    norm = math.sqrt(gap.dot(gap))
-    if norm == 0.0:
-        return DIST_MAX
-    return 1.0 / norm
+    """Inverse L2 norm (`graphkit.norm`) of the 1-D difference of two
+    patterns: similar patterns sit at a large distance."""
+    length = norm(gap)
+    return 1.0 / length if length != 0.0 else DIST_MAX
 
 
 @dataclass(frozen=True, eq=False)
@@ -468,31 +464,10 @@ WORKLOAD_FORMAT_VERSION = 1
 
 
 def save_workload(path, jobs: Sequence[Job], horizon: int, seed=None, config=None):
-    """Write jobs to a versioned JSON workload file."""
-    doc = {
-        "version": WORKLOAD_FORMAT_VERSION,
-        "horizon": horizon,
-        "seed": seed,
-        "config": config or {},
-        "jobs": [
-            {
-                "id": job.id,
-                "vm_count": job.vm_count,
-                "vm_resource": job.vm_resource,
-                "transfers": [
-                    {
-                        "start": tr.start,
-                        "end": tr.end,
-                        "matrix": tr.matrix.tolist(),
-                    }
-                    for tr in job.transfers
-                ],
-            }
-            for job in jobs
-        ],
-    }
+    """Write jobs to a versioned JSON workload file (`to_json`)."""
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        json.dump({"version": WORKLOAD_FORMAT_VERSION, "horizon": horizon, "seed": seed,
+                   "config": config or {}, "jobs": to_json(list(jobs))}, fh)
 
 
 def load_document(path, kind: str, version: int, build):
@@ -512,9 +487,7 @@ def load_document(path, kind: str, version: int, build):
         raise ConfigError(f"{kind} file {path} does not hold a JSON object")
     found = doc.get("version")
     if not _is_int(found) or found != version:
-        raise ConfigError(
-            f"unsupported {kind} file version {found!r} in {path}"
-        )
+        raise ConfigError(f"unsupported {kind} file version {found!r} in {path}")
     try:
         return build(doc)
     except KeyError as exc:
@@ -529,19 +502,8 @@ def load_workload(path):
 
 
 def _workload_of(doc):
-    jobs = [
-        Job(
-            id=entry["id"],
-            vm_count=entry["vm_count"],
-            vm_resource=entry.get("vm_resource", 1),
-            transfers=tuple(
-                Transfer(tr["start"], tr["end"],
-                         _matrix(tr["matrix"], f"jobs[{i}].transfers[{j}].matrix"))
-                for j, tr in enumerate(_array(entry["transfers"], f"jobs[{i}].transfers"))
-            ),
-        )
-        for i, entry in enumerate(_array(doc["jobs"], "jobs"))
-    ]
+    check_keys(doc, "", ("version", "horizon", "jobs"), ("seed", "config"))
+    jobs = list(from_json(tuple[Job, ...], doc["jobs"], "jobs"))
     horizon, seed, config = doc["horizon"], doc.get("seed"), doc.get("config")
     if (job_id := repeated_id(jobs)) is not None:
         raise ValueError(f"job id {job_id!r} is repeated")
@@ -557,21 +519,81 @@ def _workload_of(doc):
     return jobs, {"horizon": horizon, "seed": seed, "config": config}
 
 
-def _array(value, path: str) -> list:
-    """`value` if it is a JSON array; else a ValueError naming its `path`."""
-    if not isinstance(value, list):
-        raise ValueError(f"{path} must be a JSON array, got {value!r}")
+# --- records as JSON: a dataclass declares its object's keys and their types;
+# an int or a float read from JSON has one of these types (so is not a bool).
+_SCALARS = {int: ({int}, "an int"), float: ({int, float}, "a number")}
+
+
+def to_json(value):
+    """`value` as JSON holds it: a dataclass as an object of its fields, a
+    tuple as an array, a matrix as an array of rows, dict keys as strings."""
+    if is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {str(key): to_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json(item) for item in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def from_json(hint, value, path: str):
+    """`value`, read from JSON at `path`, as the type `hint` names: a
+    dataclass from an object of its fields (`check_keys`; one with a
+    default may be left out), a tuple or a matrix from an array, a dict
+    from an object.  A wrong JSON type is a ValueError naming its `path`.
+    A dataclass checks its own values first (Job, Transfer), its int and
+    float fields' types only once it is built."""
+    if is_dataclass(hint):
+        hints, required = _schema(hint)
+        check_keys(value, path, required, hints)
+        late = [key for key in value if hints[key] in _SCALARS]
+        built = hint(**{key: item if key in late else from_json(hints[key], item, _at(path, key))
+                        for key, item in value.items()})
+        for key in late:
+            from_json(hints[key], value[key], _at(path, key))
+        return built
+    if hint is np.ndarray:
+        return np.array(from_json(tuple[tuple[float, ...], ...], value, path), dtype=float)
+    origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
+    if origin is tuple:
+        items = _of(list, value, path)
+        if args[0] in _SCALARS and set(map(type, items)) <= _SCALARS[args[0]][0]:
+            return tuple(items)  # at once; else the first bad item is named
+        return tuple(from_json(args[0], item, f"{path}[{i}]") for i, item in enumerate(items))
+    if origin is dict:
+        key_type, item_type = args or (str, typing.Any)
+        return {key_type(key): from_json(item_type, item, _at(path, key))
+                for key, item in _of(dict, value, path).items()}
+    if hint in _SCALARS and type(value) not in _SCALARS[hint][0]:
+        raise ValueError(f"{path} must be {_SCALARS[hint][1]}, got {value!r}")
     return value
 
 
-def _matrix(rows, path: str) -> np.ndarray:
-    """A traffic matrix read from JSON: an array of arrays of numbers.
+@functools.cache
+def _schema(cls):
+    """A dataclass's field types by name, and the fields without a default."""
+    return typing.get_type_hints(cls), [
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
 
-    A bool or a string such as "0.5", which numpy would cast to a float,
-    is a ValueError naming its `path`.
-    """
-    for r, row in enumerate(_array(rows, path)):
-        for c, entry in enumerate(_array(row, f"{path}[{r}]")):
-            if type(entry) not in (int, float):
-                raise ValueError(f"{path}[{r}][{c}] must be a number, got {entry!r}")
-    return np.array(rows, dtype=float)
+
+def check_keys(doc, path: str, required, optional=()) -> None:
+    """Check that `doc` at `path` ("" for the document) is an object with
+    every `required` key and no other but `optional` ones; name any other."""
+    for key in _of(dict, doc, path):
+        if key not in required and key not in optional:
+            raise ValueError(f"{path or 'the document'} has the unknown key {key!r}")
+    for key in required:
+        if key not in doc:
+            raise KeyError(_at(path, key))
+
+
+def _at(path: str, key) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _of(kind, value, path: str):
+    """`value` if it is a JSON array or object (`kind` list or dict)."""
+    if not isinstance(value, kind):
+        name = "array" if kind is list else "object"
+        raise ValueError(f"{path or 'the document'} must be a JSON {name}, got {value!r}")
+    return value

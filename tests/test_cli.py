@@ -135,6 +135,15 @@ def _job_text(**fields):
     # true and 1.0 equal 1 in Python, but neither is a file version.
     ('{"version": true, "horizon": 10, "jobs": []}', "unsupported workload file version True"),
     ('{"version": 1.0, "horizon": 10, "jobs": []}', "unsupported workload file version 1.0"),
+    # Every object's keys are its record's fields: no more, and none left
+    # out that has no default.
+    ('{"version": 1, "horizon": 10, "jobs": [], "extra": 1}',
+     "the document has the unknown key 'extra'"),
+    (_job_text(vm_resources=2), "jobs[0] has the unknown key 'vm_resources'"),
+    (_job_text(transfers=[{"start": 0, "end": 9, "matrix": [[0, 1], [1, 0]], "rate": 1}]),
+     "jobs[0].transfers[0] has the unknown key 'rate'"),
+    ('{"version": 1, "horizon": 10, "jobs": [{"id": 0, "transfers": []}]}',
+     "lacks the key 'jobs[0].vm_count'"),
 ])
 def test_bad_workload_file_is_a_config_error(tmp_path, capsys, text, cause):
     wl = tmp_path / "bad.json"
@@ -145,11 +154,28 @@ def test_bad_workload_file_is_a_config_error(tmp_path, capsys, text, cause):
     assert err.startswith("config error: ") and str(wl) in err and cause in err
 
 
+def _report_text(**fields):
+    """A report file's text: a one-slot greedy-sp report with `fields` set."""
+    report = {
+        "version": 1,
+        "scenario": Scenario(k=4, assign_strategy="greedy", route_strategy="sp").describe(),
+        "total_energy_wt": 400.0, "per_timeslot_watts": [400.0],
+        "layer_breakdown": {"tor": 400.0, "agg": 0.0, "core": 0.0},
+        "active_switches": [2], "violations": {}, "runtime_ms": 1.0,
+    }
+    return json.dumps({**report, **fields})
+
+
 @pytest.mark.parametrize("text, cause", [
     (None, "No such file"),
     ("{not json", "not valid JSON"),
     ('{"version": 1}', "lacks the key 'scenario'"),
     ('{"version": true}', "unsupported report file version True"),
+    (_report_text(total_energy_wt="x"), "total_energy_wt must be a number, got 'x'"),
+    (_report_text(scenario=[]), "scenario must be a JSON object, got []"),
+    (_report_text(scenario={}), "lacks the key 'scenario.label'"),
+    (_report_text(per_timeslot_watts="abc"),
+     "per_timeslot_watts must be a JSON array, got 'abc'"),
 ])
 def test_bad_report_file_is_a_config_error(tmp_path, capsys, text, cause):
     report = tmp_path / "bad.json"

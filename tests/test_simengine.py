@@ -1,6 +1,7 @@
 """Scenario runs, reports, comparisons and sweeps."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -135,6 +136,21 @@ def test_report_roundtrip(tmp_path):
     loaded = load_report(path)
     assert loaded.fingerprint() == report.fingerprint()
     assert loaded.runtime_ms == report.runtime_ms
+
+
+def test_a_saved_report_lists_its_keys_in_a_fixed_order(tmp_path):
+    path = tmp_path / "report.json"
+    save_report(run_scenario(_scenario()), path)
+    doc = json.loads(path.read_text())
+    assert list(doc) == [
+        "version", "scenario", "total_energy_wt", "per_timeslot_watts",
+        "layer_breakdown", "active_switches", "violations", "runtime_ms",
+    ]
+    assert list(doc["scenario"]) == [
+        "label", "k", "assign", "route", "seed", "utilization", "workload_seed",
+        "workload_path", "horizon", "server_capacity", "timeslot_seconds", "power",
+    ]
+    assert list(doc["scenario"]["power"]) == ["sigma", "mu", "alpha", "capacity"]
 
 
 def test_report_total_matches_recomputation_from_load_maps():
