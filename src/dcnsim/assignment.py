@@ -244,10 +244,8 @@ def partition_into_racks(
                 rows[a].take(members[b], axis=1).sum()
                 + rows[b].take(members[a], axis=1).sum()
             )
-            if w > 0:
-                graph.add_edge(a, b, w)
-    components, _ = min_k_cut(graph, k)
-    return components
+            graph.add_edge(a, b, w)  # a weight of 0 adds no edge
+    return min_k_cut(graph, k)
 
 
 # --- rack packing ------------------------------------------------------------

@@ -10,8 +10,8 @@ float order, and a faster form must give the same bits:
   Edmonds-Karp, in the same order, with the same subtractions.
 * `norm` (k-means++ and pattern distances) is `np.linalg.norm`'s: the
   square root of one `dot`, so each sum runs in the same order.
-* `min_k_cut`, `weight_between` and `ordered_sum` add left to right;
-  `ffd_one_bin` adds each row's sizes in FFD order.
+* `weight_between` and `ordered_sum` add left to right; `ffd_one_bin`
+  adds each row's sizes in FFD order.
 """
 
 from __future__ import annotations
@@ -47,12 +47,6 @@ class WeightedGraph:
             return
         self.adj[u][v] = self.adj[u].get(v, 0.0) + weight
         self.adj[v][u] = self.adj[v].get(u, 0.0) + weight
-
-    def edges(self):
-        for u in range(self.n):
-            for v, w in self.adj[u].items():
-                if u < v:
-                    yield u, v, w
 
     def weight_between(self, group_a, group_b) -> float:
         """Total weight of edges with one endpoint in each group."""
@@ -211,13 +205,13 @@ def min_k_cut(graph: WeightedGraph, k: int):
     Removing the union of those cuts can fragment the graph into more
     than k pieces; fragments are then re-merged greedily by smallest
     inter-component weight (spurious fragments sit at weight 0) until
-    exactly k remain.  Returns (components, total cut weight); the cut
-    weight is within 2*(1 - 1/k) of optimal.
+    exactly k remain.  Returns the components, each sorted and listed by
+    least vertex; the weight they cut is within 2*(1 - 1/k) of optimal.
     """
     if not (1 <= k <= graph.n):
         raise DomainError(f"k must be within [1, {graph.n}], got {k}")
     if k == 1:
-        return [list(range(graph.n))], 0.0
+        return [list(range(graph.n))]
     tree = gomory_hu_tree(graph)
     tree_edges = sorted(tree.edges(), key=lambda e: (e[2], e[0], e[1]))
     removed = tree_edges[: k - 1]
@@ -254,13 +248,7 @@ def min_k_cut(graph: WeightedGraph, k: int):
         components = [c for idx, c in enumerate(components) if idx not in (i, j)]
         components.append(merged)
         components.sort(key=lambda c: c[0])
-
-    label = {}
-    for idx, comp in enumerate(components):
-        for v in comp:
-            label[v] = idx
-    cut_weight = ordered_sum(w for u, v, w in graph.edges() if label[u] != label[v])
-    return components, cut_weight
+    return components
 
 
 def kmeans_pp_seed(vectors, k: int, seed=None) -> list[int]:

@@ -290,9 +290,9 @@ def _ends(tree: FatTree, demands: DemandSet):
 def _forced_paths(tree: FatTree, src, dst):
     """Each server pair's `_paths` row through agg position 0 and core
     index 0: eer's path for a demand with one allowed path."""
-    ends = np.array((src, dst), dtype=np.int64)
-    zero = np.zeros(len(ends[0]), dtype=np.int64)
-    return _paths(tree, tree.tor_of_server(ends), tree.server_pod(ends), zero, zero)
+    ends = _pair_ends(tree, src, dst)
+    zero = np.zeros(len(ends), dtype=np.int16)
+    return _paths(tree, ends[:, :2].T, ends[:, 2:].T, zero, zero)
 
 
 def _paths(tree: FatTree, tors, pods, position, index):
@@ -304,9 +304,8 @@ def _paths(tree: FatTree, tors, pods, position, index):
     through core `index` of that position's group.  Given int16 ToRs,
     pods, positions and indexes, every step stays in int16.
     """
-    half = tree.half
-    up, down = pods * half + (position + tree.agg_base)
-    core = position * half + index + tree.core_base
+    up, down = tree.agg_id(pods, position)
+    core = tree.core_id(position, index)
     hops = np.stack((tors[0], up, core, down, tors[1]), axis=1, dtype=np.int16,
                     casting="unsafe")
     hops[tors[0] == tors[1], 1:] = -1
@@ -402,11 +401,10 @@ def sp_route(
 
 def _sp_paths(tree: FatTree, src, dst):
     """sp's path of each server pair, as `_paths` rows."""
-    ends = np.array((src, dst), dtype=np.int64)
+    ends = _pair_ends(tree, src, dst)
     key = _pair_key(src, dst)
     half = tree.half
-    return _paths(tree, tree.tor_of_server(ends), tree.server_pod(ends),
-                  key % half, (key >> 8) % half)
+    return _paths(tree, ends[:, :2].T, ends[:, 2:].T, key % half, (key >> 8) % half)
 
 
 def _pair_key(a, b):
@@ -741,16 +739,14 @@ def eer(
     return batch.result(actives), batch.result(plans)
 
 
-# Router name -> the plan of one set, or the plans of a batch, called
-# (demands, tree, params, timeslot or timeslots, run seed).  Each entry
-# looks its router up here when called, like assignment.STRATEGIES, so a
-# replaced `sp_route` is the one that runs.
+# Router name -> the plans of a batch, called (demands, tree, params,
+# timeslots, run seed) with a list of DemandSets and a list of timeslots,
+# one per set.  Each entry looks its router up here when called, like
+# assignment.STRATEGIES, so a replaced `sp_route` is the one that runs.
 ROUTERS = {
     "sp": lambda demands, tree, params, t, seed: sp_route(demands, tree, params, t),
     "ecmp": lambda demands, tree, params, t, seed: ecmp_route(
-        demands, tree, [[seed, s] for s in t] if _is_batch(demands) else [seed, t],
-        params, t,
-    ),
+        demands, tree, [[seed, s] for s in t], params, t),
     "eer": lambda demands, tree, params, t, seed: eer(demands, tree, params, t)[1],
 }
 # Routers whose plan depends on the timeslot, not only on its demands:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import typing
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
@@ -91,7 +92,7 @@ class Scenario:
     k: int
     assign_strategy: str
     route_strategy: str
-    seed: int = 0
+    seed: int | None = 0
     utilization: float | None = None
     workload_seed: int | None = None
     workload_path: str | None = None  # labels the report; jobs are passed in
@@ -140,9 +141,11 @@ class Scenario:
                 **{RENAMED.get(key, key): value for key, value in to_json(self).items()}}
 
 
-# A report's scenario: its label, then its fields, two of them renamed.
+# A report's scenario: its label, then its fields, two of them renamed, by
+# key, each with the type its JSON value has (`from_json`).
 RENAMED = {"assign_strategy": "assign", "route_strategy": "route"}
-SCENARIO_KEYS = ("label", *(RENAMED.get(f.name, f.name) for f in fields(Scenario)))
+SCENARIO_KEYS = {"label": str, **{RENAMED.get(key, key): hint
+                                  for key, hint in typing.get_type_hints(Scenario).items()}}
 
 
 @dataclass(frozen=True)
@@ -178,13 +181,19 @@ def save_report(report: EnergyReport, path) -> None:
 
 
 def load_report(path) -> EnergyReport:
-    """Read a report file (`load_document`, `from_json`); its scenario holds SCENARIO_KEYS."""
+    """Read a report file (`load_document`, `from_json`); its scenario holds
+    SCENARIO_KEYS, each of its type, and its label names its strategies."""
     return load_document(path, "report", REPORT_FORMAT_VERSION, _report_of)
 
 
 def _report_of(doc) -> EnergyReport:
     report = from_json(EnergyReport, {k: v for k, v in doc.items() if k != "version"}, "")
-    check_keys(report.scenario, "scenario", SCENARIO_KEYS)
+    scenario = report.scenario
+    check_keys(scenario, "scenario", SCENARIO_KEYS)
+    for key, hint in SCENARIO_KEYS.items():
+        from_json(hint, scenario[key], f"scenario.{key}")
+    if scenario["label"] != (label := "{assign}-{route}".format_map(scenario)):
+        raise ValueError(f"scenario.label must be {label!r}, got {scenario['label']!r}")
     return report
 
 
@@ -241,22 +250,19 @@ def _meter(plans, slots, layer_of, totals, params):
         gbps = np.concatenate([plan.gbps for plan in plans])
         switches = np.concatenate([plan.switches for plan in plans])
     watts = switch_powers(gbps, params)
-    layers, slot_watts = layer_of[switches], watts
-    sizes = [len(plan.gbps) for plan in plans]
+    sizes = np.array([len(plan.gbps) for plan in plans])
     bins = SLOT_BIN + len(plans)
     slot_bin = np.repeat(np.arange(SLOT_BIN, bins), sizes)
-    if max(slots) > 1:
-        # Bins 0-2 take plan j's block of `watts` once per slot it covers.
-        sizes = np.array(sizes)
-        blocks = np.repeat(np.arange(len(plans)), slots)
-        lengths = sizes[blocks]
-        ends = np.cumsum(lengths)
-        taken = np.arange(ends[-1]) + np.repeat(
-            (np.cumsum(sizes) - sizes)[blocks] - (ends - lengths), lengths)
-        layers, slot_watts = layers[taken], watts[taken]
+    # Bins 0-2 take plan j's block of `watts` once per slot it covers: the
+    # blocks' positions, `taken`, are `arange` when every plan covers one.
+    blocks = np.repeat(np.arange(len(plans)), slots)
+    lengths = sizes[blocks]
+    ends = np.cumsum(lengths)
+    taken = np.arange(ends[-1]) + np.repeat(
+        (np.cumsum(sizes) - sizes)[blocks] - (ends - lengths), lengths)
     sums = np.bincount(
-        np.concatenate((LAYER_BINS, layers, slot_bin)),
-        weights=np.concatenate((totals, slot_watts, watts)),
+        np.concatenate((LAYER_BINS, layer_of[switches][taken], slot_bin)),
+        weights=np.concatenate((totals, watts[taken], watts)),
         minlength=bins,
     )
     active = np.bincount(slot_bin[gbps != 0], minlength=bins)[SLOT_BIN:]

@@ -13,10 +13,11 @@ position-j aggs of two pods.  Between servers in different racks the
 equal-cost up-down paths are one per agg position within a pod and one
 per (agg position, core index) pair across pods; the routers name a
 path by that position and index.  `server_pod` and `tor_of_server`
-take a server id or an integer array of them; no other module of the
-package derives a rack or pod from a server id.  Switch-to-switch link
-capacity is not modeled; the per-switch capacity is the binding
-constraint.
+take a server id or an integer array of them, and `agg_id` and
+`core_id` ints or integer arrays; no other module of the package
+derives a rack or pod from a server id, or numbers a switch.
+Switch-to-switch link capacity is not modeled; the per-switch capacity
+is the binding constraint.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 import typing
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -513,15 +514,16 @@ def _workload_of(doc):
         raise ValueError(f"seed must be an int or null, and not negative; got {seed!r}")
     if config is not None and not isinstance(config, dict):
         raise ValueError(f"config must be an object or null, got {config!r}")
-    utilization = (config or {}).get("utilization")
-    if utilization is not None and type(utilization) not in (int, float):
-        raise ValueError(f"utilization must be a number or absent, got {utilization!r}")
+    from_json(float | None, (config or {}).get("utilization"), "config.utilization")
     return jobs, {"horizon": horizon, "seed": seed, "config": config}
 
 
 # --- records as JSON: a dataclass declares its object's keys and their types;
-# an int or a float read from JSON has one of these types (so is not a bool).
-_SCALARS = {int: ({int}, "an int"), float: ({int, float}, "a number")}
+# a scalar read from JSON, or a scalar or null, has one of these types (so an
+# int or a number is not a bool).
+_SCALARS = {int: ({int}, "an int"), float: ({int, float}, "a number"), str: ({str}, "a string")}
+_SCALARS.update({hint | None: ({*kinds, type(None)}, f"{name} or null")
+                 for hint, (kinds, name) in _SCALARS.items()})
 
 
 def to_json(value):
@@ -540,9 +542,10 @@ def from_json(hint, value, path: str):
     """`value`, read from JSON at `path`, as the type `hint` names: a
     dataclass from an object of its fields (`check_keys`; one with a
     default may be left out), a tuple or a matrix from an array, a dict
-    from an object.  A wrong JSON type is a ValueError naming its `path`.
-    A dataclass checks its own values first (Job, Transfer), its int and
-    float fields' types only once it is built."""
+    from an object, each int key as `str` writes an int.  A wrong JSON
+    type is a ValueError naming its `path`.  A dataclass checks its own
+    values first (Job, Transfer), its scalar fields' types only once it
+    is built."""
     if is_dataclass(hint):
         hints, required = _schema(hint)
         check_keys(value, path, required, hints)
@@ -562,8 +565,11 @@ def from_json(hint, value, path: str):
         return tuple(from_json(args[0], item, f"{path}[{i}]") for i, item in enumerate(items))
     if origin is dict:
         key_type, item_type = args or (str, typing.Any)
+        for key in _of(dict, value, path):
+            if key_type is int and not re.fullmatch("-?(0|[1-9][0-9]*)", key):
+                raise ValueError(f"{_at(path, key)} must be keyed by an int, got {key!r}")
         return {key_type(key): from_json(item_type, item, _at(path, key))
-                for key, item in _of(dict, value, path).items()}
+                for key, item in value.items()}
     if hint in _SCALARS and type(value) not in _SCALARS[hint][0]:
         raise ValueError(f"{path} must be {_SCALARS[hint][1]}, got {value!r}")
     return value

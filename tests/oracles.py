@@ -13,7 +13,9 @@ it builds, routes and meters every timeslot, switch by switch, with
 `partition_oracle` cuts every job, building its rack graph with two
 `np.ix_` gathers per pair, `shrink_oracle` merges super-VMs with nested
 Python scans for each maximum, and `tree_min_cut` reads a pairwise
-minimum cut off a Gomory-Hu tree.  `edmonds_karp` is max-flow with
+minimum cut off a Gomory-Hu tree.  `graph_edges` lists a graph's edges
+and `cut_weight` sums the weight a partition cuts, which `min_k_cut`
+does not report.  `edmonds_karp` is max-flow with
 every breadth-first search run until it dequeues the sink;
 `kmeans_pp_oracle` and `cluster_oracle` measure every distance with its
 own `np.linalg.norm` call, and `cluster_oracle` keeps each center as
@@ -521,8 +523,22 @@ def partition_oracle(super_vms, t_ref, k_racks):
             w = float(t_ref[np.ix_(rows, cols)].sum() + t_ref[np.ix_(cols, rows)].sum())
             if w > 0:
                 graph.add_edge(a, b, w)
-    components, _ = min_k_cut(graph, k)
-    return components, graph
+    return min_k_cut(graph, k), graph
+
+
+def graph_edges(graph):
+    """Each edge of a `WeightedGraph` once, as (u, v, weight) with u < v, by u
+    and then in v's order in u's adjacency."""
+    for u in range(graph.n):
+        for v, w in graph.adj[u].items():
+            if u < v:
+                yield u, v, w
+
+
+def cut_weight(graph, components) -> float:
+    """The weight of the edges between components, added in `graph_edges` order."""
+    label = {v: idx for idx, comp in enumerate(components) for v in comp}
+    return ordered_sum(w for u, v, w in graph_edges(graph) if label[u] != label[v])
 
 
 def edmonds_karp(graph, s: int, t: int):
@@ -703,7 +719,7 @@ def run_each_slot(scenario, jobs=None, on_plan=None):
     per_slot_watts, active_counts, violations = [], [], {}
     layer_totals = {TOR: 0.0, AGG: 0.0, CORE: 0.0}
     for t in range(scenario.horizon):
-        plan = route(demands_at(jobs, placement, t), tree, params, t, scenario.seed)
+        plan = route([demands_at(jobs, placement, t)], tree, params, [t], scenario.seed)[0]
         if plan.violations:
             violations[t] = plan.violations
         if on_plan is not None:

@@ -154,11 +154,17 @@ def test_bad_workload_file_is_a_config_error(tmp_path, capsys, text, cause):
     assert err.startswith("config error: ") and str(wl) in err and cause in err
 
 
+def _scenario(**fields):
+    """A greedy-sp report's scenario with `fields` set."""
+    return {**Scenario(k=4, assign_strategy="greedy", route_strategy="sp").describe(),
+            **fields}
+
+
 def _report_text(**fields):
     """A report file's text: a one-slot greedy-sp report with `fields` set."""
     report = {
         "version": 1,
-        "scenario": Scenario(k=4, assign_strategy="greedy", route_strategy="sp").describe(),
+        "scenario": _scenario(),
         "total_energy_wt": 400.0, "per_timeslot_watts": [400.0],
         "layer_breakdown": {"tor": 400.0, "agg": 0.0, "core": 0.0},
         "active_switches": [2], "violations": {}, "runtime_ms": 1.0,
@@ -176,6 +182,16 @@ def _report_text(**fields):
     (_report_text(scenario={}), "lacks the key 'scenario.label'"),
     (_report_text(per_timeslot_watts="abc"),
      "per_timeslot_watts must be a JSON array, got 'abc'"),
+    (_report_text(scenario=_scenario(label=[])), "scenario.label must be a string, got []"),
+    (_report_text(scenario=_scenario(k="x")), "scenario.k must be an int, got 'x'"),
+    (_report_text(scenario=_scenario(utilization="x")),
+     "scenario.utilization must be a number or null, got 'x'"),
+    (_report_text(scenario=_scenario(power="x")),
+     "scenario.power must be a JSON object, got 'x'"),
+    (_report_text(scenario=_scenario(label="greedy-eer")),
+     "scenario.label must be 'greedy-sp', got 'greedy-eer'"),
+    (_report_text(violations={"x": [1]}), "violations.x must be keyed by an int, got 'x'"),
+    (_report_text(violations={" 3": [1]}), "violations. 3 must be keyed by an int, got ' 3'"),
 ])
 def test_bad_report_file_is_a_config_error(tmp_path, capsys, text, cause):
     report = tmp_path / "bad.json"

@@ -19,7 +19,7 @@ from dcnsim.graphkit import (
     min_k_cut,
     ordered_sum,
 )
-from oracles import tree_min_cut
+from oracles import cut_weight, graph_edges, tree_min_cut
 
 
 def _random_graph(rng, n, density=0.6, max_w=10):
@@ -39,7 +39,7 @@ def _brute_force_min_cut(g, s, t):
         for side in itertools.combinations(others, r):
             s_side = set(side) | {s}
             w = sum(
-                wt for u, v, wt in g.edges() if (u in s_side) != (v in s_side)
+                wt for u, v, wt in graph_edges(g) if (u in s_side) != (v in s_side)
             )
             best = min(best, w)
     return best
@@ -83,7 +83,7 @@ def test_max_flow_equals_brute_force_on_random_graphs():
         # returned partition separates s and t and realizes the flow value
         assert int(s) in side and int(t) not in side
         crossing = sum(
-            w for u, v, w in g.edges() if (u in side) != (v in side)
+            w for u, v, w in graph_edges(g) if (u in side) != (v in side)
         )
         assert math.isclose(crossing, flow, rel_tol=1e-9)
 
@@ -132,7 +132,7 @@ def test_gomory_hu_is_a_genuine_cut_tree():
         for child, parent, label in tree.edges():
             side = _tree_side(tree, child, parent)
             crossing = sum(
-                w for u, v, w in g.edges() if (u in side) != (v in side)
+                w for u, v, w in graph_edges(g) if (u in side) != (v in side)
             )
             assert math.isclose(crossing, label, rel_tol=1e-9)
 
@@ -165,7 +165,7 @@ def _brute_force_k_cut(g, k):
         if v == g.n:
             if used == k:
                 w = sum(
-                    wt for a, b, wt in g.edges() if labels[a] != labels[b]
+                    wt for a, b, wt in graph_edges(g) if labels[a] != labels[b]
                 )
                 best = min(best, w)
             return
@@ -181,12 +181,12 @@ def test_min_k_cut_examples():
     g = WeightedGraph(3)
     g.add_edge(0, 1, 1)
     g.add_edge(1, 2, 5)
-    comps, weight = min_k_cut(g, 1)
-    assert comps == [[0, 1, 2]] and weight == 0.0
+    comps = min_k_cut(g, 1)
+    assert comps == [[0, 1, 2]] and cut_weight(g, comps) == 0.0
 
-    comps, weight = min_k_cut(g, 2)
+    comps = min_k_cut(g, 2)
     assert comps == [[0], [1, 2]]
-    assert weight == 1.0
+    assert cut_weight(g, comps) == 1.0
 
     with pytest.raises(DomainError):
         min_k_cut(g, 0)
@@ -202,16 +202,17 @@ def test_min_k_cut_is_partition_and_within_bound():
         for k in (2, 3):
             if k > n:
                 continue
-            comps, weight = min_k_cut(g, k)
+            comps = min_k_cut(g, k)
+            weight = cut_weight(g, comps)
             flat = sorted(v for comp in comps for v in comp)
             assert flat == list(range(n))  # disjoint cover
             assert len(comps) == k
             opt = _brute_force_k_cut(g, k)
             assert weight <= 2 * (1 - 1 / k) * opt + 1e-9
-            # reported weight matches the partition it describes
+            # the ordered cut weight matches a plain sum over the partition
             label = {v: i for i, comp in enumerate(comps) for v in comp}
             recomputed = sum(
-                w for u, v, w in g.edges() if label[u] != label[v]
+                w for u, v, w in graph_edges(g) if label[u] != label[v]
             )
             assert math.isclose(weight, recomputed, rel_tol=1e-12, abs_tol=1e-12)
 
@@ -225,12 +226,13 @@ def test_min_k_cut_within_bound_at_every_k():
         n = int(rng.integers(2, 9))
         g = _random_graph(rng, n, density=float(rng.choice([0.3, 0.6, 0.9])))
         for k in range(2, n + 1):
-            comps, weight = min_k_cut(g, k)
+            comps = min_k_cut(g, k)
+            weight = cut_weight(g, comps)
             assert sorted(v for comp in comps for v in comp) == list(range(n))
             assert len(comps) == k
             assert weight <= 2 * (1 - 1 / k) * _brute_force_k_cut(g, k) + 1e-9
         assert comps == [[v] for v in range(n)]
-        assert weight == ordered_sum(w for _, _, w in g.edges())
+        assert weight == ordered_sum(w for _, _, w in graph_edges(g))
 
 
 def test_max_flow_matches_scipy_on_integer_capacities():
@@ -241,7 +243,7 @@ def test_max_flow_matches_scipy_on_integer_capacities():
         n = int(rng.integers(2, 13))
         g = _random_graph(rng, n, density=float(rng.choice([0.2, 0.5, 0.8])), max_w=50)
         capacity = np.zeros((n, n), dtype=np.int32)
-        for u, v, w in g.edges():
+        for u, v, w in graph_edges(g):
             capacity[u, v] = capacity[v, u] = int(w)
         s, t = (int(x) for x in rng.choice(n, size=2, replace=False))
         flow, _ = max_flow_min_cut(g, s, t)

@@ -238,6 +238,14 @@ def test_eer_rejects_a_negative_rate():
         estimate_active_set([(0, 2, 300.0), (1, 3, -5.0)], tree, PARAMS)
 
 
+# Each router on one hand-built set: a list of (src, dst, rate) tuples.
+ALONE = {
+    "sp": lambda flows, tree: sp_route(flows, tree, PARAMS),
+    "ecmp": lambda flows, tree: ecmp_route(flows, tree, [1, 0], PARAMS),
+    "eer": lambda flows, tree: eer(flows, tree, PARAMS),
+}
+
+
 @pytest.mark.parametrize("router", sorted(ROUTERS))
 @pytest.mark.parametrize("flow, message", [
     ((0, 16, 5.0), "demand 1 (0->16, 5.0 Mbps): server 16 is not one of the "
@@ -254,9 +262,11 @@ def test_routers_name_a_demand_outside_the_tree_or_with_a_bad_rate(
     # At k=4 (16 servers), server 16 once rode agg 8 as its ToR.
     tree = build_fat_tree(4)
     monkeypatch.setattr(routing, "_paths", lambda *args: pytest.fail("path built"))
-    for demands in ([(0, 1, 1.0), flow], DemandSet.of([(0, 1, 1.0), flow])):
-        with pytest.raises(DomainError, match=re.escape(message)):
-            ROUTERS[router](demands, tree, PARAMS, 0, 1)
+    flows = [(0, 1, 1.0), flow]
+    with pytest.raises(DomainError, match=re.escape(message)):
+        ALONE[router](flows, tree)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        ROUTERS[router]([DemandSet.of(flows)], tree, PARAMS, [0], 1)
 
 
 # --- balanced routing -------------------------------------------------------------
