@@ -8,8 +8,8 @@ float order, and a faster form must give the same bits:
 
 * `max_flow_min_cut` augments along the same paths as plain
   Edmonds-Karp, in the same order, with the same subtractions.
-* `norm` (k-means++ and pattern distances) is `np.linalg.norm`'s: the
-  square root of one `dot`, so each sum runs in the same order.
+* `norm` (k-means++ and pattern distances) sums squares by numpy's own
+  pairwise `add.reduce`, not by `dot`, whose order the BLAS kernel sets.
 * `weight_between` and `ordered_sum` add left to right; `ffd_one_bin`
   adds each row's sizes in FFD order.
 """
@@ -308,8 +308,8 @@ def _distances(stack: np.ndarray, center: int) -> list[float]:
 
 
 def norm(gap: np.ndarray) -> float:
-    """The Euclidean norm of a 1-D gap, summed as `np.linalg.norm` sums it."""
-    return math.sqrt(gap.dot(gap))
+    """The Euclidean norm of a 1-D gap, summed in an order fixed on any CPU."""
+    return math.sqrt(np.add.reduce(gap * gap))
 
 
 def ffd_pack(items, bin_capacity: float) -> list[list[int]]:

@@ -31,7 +31,6 @@ from .workload import (
     demand_table,
     from_json,
     generate_workload,
-    is_horizon,
     is_seed,
     load_document,
     repeated_id,
@@ -112,8 +111,7 @@ class Scenario:
                 f"route strategy must be one of {tuple(ROUTERS)}, "
                 f"got {self.route_strategy!r}"
             )
-        if not is_horizon(self.horizon):
-            raise ConfigError(f"horizon must be an int >= 1, got {self.horizon!r}")
+        self.workload_config()  # checks k, utilization, horizon and server_capacity
         for name in ("seed", "workload_seed"):
             value = getattr(self, name)
             if value is not None and not is_seed(value):
@@ -126,6 +124,11 @@ class Scenario:
             raise ConfigError(
                 f"{self.label} uses randomness and needs an explicit seed"
             )
+
+    def workload_config(self) -> WorkloadConfig:
+        """The config of the inline workload; utilization 0.0 when none is set."""
+        return WorkloadConfig(self.k, self.utilization or 0.0, self.horizon,
+                              self.server_capacity)
 
     @property
     def label(self) -> str:
@@ -181,19 +184,27 @@ def save_report(report: EnergyReport, path) -> None:
 
 
 def load_report(path) -> EnergyReport:
-    """Read a report file (`load_document`, `from_json`); its scenario holds
-    SCENARIO_KEYS, each of its type, and its label names its strategies."""
+    """Read a report file (`load_document`, `from_json`): its scenario is what
+    `describe()` gives for the `Scenario` its SCENARIO_KEYS build, and its
+    figures fit it, one per slot of the horizon and a total per layer."""
     return load_document(path, "report", REPORT_FORMAT_VERSION, _report_of)
 
 
 def _report_of(doc) -> EnergyReport:
     report = from_json(EnergyReport, {k: v for k, v in doc.items() if k != "version"}, "")
-    scenario = report.scenario
-    check_keys(scenario, "scenario", SCENARIO_KEYS)
-    for key, hint in SCENARIO_KEYS.items():
-        from_json(hint, scenario[key], f"scenario.{key}")
-    if scenario["label"] != (label := "{assign}-{route}".format_map(scenario)):
-        raise ValueError(f"scenario.label must be {label!r}, got {scenario['label']!r}")
+    described = report.scenario
+    check_keys(described, "scenario", SCENARIO_KEYS)
+    values = {key: from_json(hint, described[key], f"scenario.{key}")
+              for key, hint in SCENARIO_KEYS.items()}
+    scenario = Scenario(**{f.name: values[RENAMED.get(f.name, f.name)]
+                           for f in fields(Scenario)})
+    for key, value in scenario.describe().items():
+        if value != described[key]:
+            raise ValueError(f"scenario.{key} must be {value!r}, got {described[key]!r}")
+    check_keys(report.layer_breakdown, "layer_breakdown", LAYERS)
+    for key in ("per_timeslot_watts", "active_switches"):
+        if (slots := len(getattr(report, key))) != scenario.horizon:
+            raise ValueError(f"{key} must hold {scenario.horizon} slots, got {slots}")
     return report
 
 
@@ -207,16 +218,10 @@ def _resolve_workload(scenario: Scenario, jobs=None):
         )
     if scenario.utilization is None:
         raise ConfigError("scenario needs an inline utilization or explicit jobs")
-    cfg = WorkloadConfig(
-        k=scenario.k,
-        target_utilization=scenario.utilization,
-        horizon=scenario.horizon,
-        server_capacity=scenario.server_capacity,
-    )
     workload_seed = (
         scenario.workload_seed if scenario.workload_seed is not None else scenario.seed
     )
-    return generate_workload(cfg, workload_seed)
+    return generate_workload(scenario.workload_config(), workload_seed)
 
 
 def _check_jobs(jobs, horizon: int) -> None:

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, SimulationError
 from .graphkit import norm
 from .topology import FatTree
 
@@ -474,15 +474,15 @@ def save_workload(path, jobs: Sequence[Job], horizon: int, seed=None, config=Non
 def load_document(path, kind: str, version: int, build):
     """Read a versioned JSON file and return `build(document)`.
 
-    A file that is not JSON, holds no JSON object or another version (an
-    int, so not `true` or `1.0`), or whose document lacks a key or holds
-    a value of the wrong type or out of its domain (a negative or
-    non-finite rate, say), raises ConfigError naming the file.
+    A file that is not JSON (NaN and Infinity are not), holds no JSON
+    object or another version (an int, so not `true` or `1.0`), or whose
+    document lacks a key or holds a value of the wrong type or that a
+    record's own checks refuse, raises ConfigError naming the file.
     """
     with open(path) as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            doc = json.load(fh, parse_constant=_not_finite)
+        except ValueError as exc:  # a JSONDecodeError, or a constant refused
             raise ConfigError(f"{kind} file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{kind} file {path} does not hold a JSON object")
@@ -493,8 +493,12 @@ def load_document(path, kind: str, version: int, build):
         return build(doc)
     except KeyError as exc:
         raise ConfigError(f"{kind} file {path} lacks the key {exc.args[0]!r}") from exc
-    except (AttributeError, DomainError, TypeError, ValueError) as exc:
+    except (AttributeError, SimulationError, TypeError, ValueError) as exc:
         raise ConfigError(f"{kind} file {path} is malformed: {exc}") from exc
+
+
+def _not_finite(constant):
+    raise ValueError(f"{constant} is not a finite number")
 
 
 def load_workload(path):
@@ -543,18 +547,14 @@ def from_json(hint, value, path: str):
     dataclass from an object of its fields (`check_keys`; one with a
     default may be left out), a tuple or a matrix from an array, a dict
     from an object, each int key as `str` writes an int.  A wrong JSON
-    type is a ValueError naming its `path`.  A dataclass checks its own
-    values first (Job, Transfer), its scalar fields' types only once it
-    is built."""
+    type is a ValueError naming its `path`.  Every field's JSON type is
+    checked before a dataclass is built, so its own checks (Job, Transfer,
+    PowerParams) only ever see values of their types."""
     if is_dataclass(hint):
         hints, required = _schema(hint)
         check_keys(value, path, required, hints)
-        late = [key for key in value if hints[key] in _SCALARS]
-        built = hint(**{key: item if key in late else from_json(hints[key], item, _at(path, key))
-                        for key, item in value.items()})
-        for key in late:
-            from_json(hints[key], value[key], _at(path, key))
-        return built
+        return hint(**{key: from_json(hints[key], item, _at(path, key))
+                       for key, item in value.items()})
     if hint is np.ndarray:
         return np.array(from_json(tuple[tuple[float, ...], ...], value, path), dtype=float)
     origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)

@@ -18,7 +18,7 @@ and `cut_weight` sums the weight a partition cuts, which `min_k_cut`
 does not report.  `edmonds_karp` is max-flow with
 every breadth-first search run until it dequeues the sink;
 `kmeans_pp_oracle` and `cluster_oracle` measure every distance with its
-own `np.linalg.norm` call, and `cluster_oracle` keeps each center as
+own `norm_distance` call, and `cluster_oracle` keeps each center as
 the `np.mean` of a list of vectors.  `candidate_paths` lists a pair's
 equal-cost up-down paths the way a per-pair router would; it and
 `switch_neighbors` (the Fat-Tree's links, for walking it) work from the
@@ -581,8 +581,9 @@ def edmonds_karp(graph, s: int, t: int):
 
 
 def norm_distance(a, b) -> float:
-    """Euclidean distance by one `np.linalg.norm` call per pair."""
-    return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
+    """Euclidean distance by one pairwise sum of squares per pair."""
+    gap = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    return math.sqrt(np.add.reduce(gap * gap))
 
 
 def kmeans_pp_oracle(vectors, k: int, seed=None) -> list[int]:
@@ -612,7 +613,7 @@ def kmeans_pp_oracle(vectors, k: int, seed=None) -> list[int]:
 
 
 def cluster_oracle(jobs, n_pods, pod_slot_capacity, horizon, seed=None):
-    """`cluster_jobs` with per-pair `np.linalg.norm` distances and each
+    """`cluster_jobs` with per-pair `norm_distance` distances and each
     center the `np.mean` of a list of its members' vectors.
 
     Returns (PodClusters, every job-to-center distance in the order the

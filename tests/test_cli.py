@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import math
 
 import pytest
 
@@ -116,13 +117,14 @@ def _job_text(**fields):
      "seed must be an int or null"),
     ('{"version": 1, "horizon": 10, "config": {"utilization": "abc"}, "jobs": []}',
      "utilization must be a number"),
-    (_jobs_text((0, 7.5)), "transfer start must be an int, got 7.5"),
-    (_jobs_text((0, True)), "transfer start must be an int, got True"),
+    (_jobs_text((0, 7.5)), "jobs[0].transfers[0].start must be an int, got 7.5"),
+    (_jobs_text((0, True)), "jobs[0].transfers[0].start must be an int, got True"),
     (_jobs_text((0, 0), (1, 2), (0, 4)), "job id 0 is repeated"),
-    (_job_text(vm_resource=1.5), "vm_resource must be an int >= 1, got 1.5"),
-    (_job_text(vm_resource=True), "vm_resource must be an int >= 1, got True"),
-    (_job_text(vm_count=2.0), "vm_count must be an int >= 1, got 2.0"),
-    (_job_text(id="a"), "job id must be an int, got 'a'"),
+    (_job_text(vm_resource=1.5), "jobs[0].vm_resource must be an int, got 1.5"),
+    (_job_text(vm_resource=True), "jobs[0].vm_resource must be an int, got True"),
+    (_job_text(vm_count=2.0), "jobs[0].vm_count must be an int, got 2.0"),
+    (_job_text(id="a"), "jobs[0].id must be an int, got 'a'"),
+    (_job_text(vm_count=0), "job 0: vm_count must be an int >= 1, got 0"),
     ('{"version": 1, "horizon": 10, "jobs": {}}', "jobs must be a JSON array, got {}"),
     (_job_text(transfers={}), "jobs[0].transfers must be a JSON array, got {}"),
     (_job_text(transfers=[{"start": 0, "end": 9, "matrix": [[0, True], [False, 0]]}]),
@@ -155,21 +157,42 @@ def test_bad_workload_file_is_a_config_error(tmp_path, capsys, text, cause):
 
 
 def _scenario(**fields):
-    """A greedy-sp report's scenario with `fields` set."""
-    return {**Scenario(k=4, assign_strategy="greedy", route_strategy="sp").describe(),
-            **fields}
+    """A two-slot greedy-sp report's scenario with `fields` set."""
+    scenario = Scenario(k=4, assign_strategy="greedy", route_strategy="sp", horizon=2)
+    return {**scenario.describe(), **fields}
 
 
 def _report_text(**fields):
-    """A report file's text: a one-slot greedy-sp report with `fields` set."""
+    """A report file's text: a two-slot greedy-sp report with `fields` set.
+    A float field that is NaN or infinite is written as that JSON token."""
     report = {
         "version": 1,
         "scenario": _scenario(),
-        "total_energy_wt": 400.0, "per_timeslot_watts": [400.0],
-        "layer_breakdown": {"tor": 400.0, "agg": 0.0, "core": 0.0},
-        "active_switches": [2], "violations": {}, "runtime_ms": 1.0,
+        "total_energy_wt": 800.0, "per_timeslot_watts": [400.0, 400.0],
+        "layer_breakdown": {"tor": 800.0, "agg": 0.0, "core": 0.0},
+        "active_switches": [2, 2], "violations": {}, "runtime_ms": 1.0,
     }
     return json.dumps({**report, **fields})
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--workload", "{path}", "--k", "4"],
+    ["compare", "--reports", "{path}", "--baseline", "{path}"],
+])
+def test_a_file_that_is_not_utf8_is_not_valid_json(tmp_path, capsys, argv):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{")
+    argv = [arg.format(path=path) for arg in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{path} is not valid JSON: 'utf-8'" in err
+
+
+def test_the_report_rows_start_from_a_valid_report(tmp_path):
+    report = tmp_path / "report.json"
+    report.write_text(_report_text())
+    assert main(["compare", "--reports", str(report), "--baseline", str(report),
+                 "--out", str(tmp_path / "x.csv")]) == 0
 
 
 @pytest.mark.parametrize("text, cause", [
@@ -191,6 +214,45 @@ def _report_text(**fields):
     (_report_text(scenario=_scenario(label="greedy-eer")),
      "scenario.label must be 'greedy-sp', got 'greedy-eer'"),
     (_report_text(violations={"x": [1]}), "violations.x must be keyed by an int, got 'x'"),
+    # The scenario's values build the Scenario, and describe() must give
+    # the file's object back: each value is in its domain, power holds all
+    # four parameters, and the label names the strategies.
+    (_report_text(scenario=_scenario(power={})),
+     "scenario.power must be {'sigma': 200.0, 'mu': 0.0001, 'alpha': 2.0, "
+     "'capacity': 1000.0}, got {}"),
+    (_report_text(scenario=_scenario(power={"sigma": 200.0, "mu": 1e-4, "alpha": 2.0})),
+     "'capacity': 1000.0}, got {'sigma': 200.0, 'mu': 0.0001, 'alpha': 2.0}"),
+    (_report_text(scenario=_scenario(power={"sigma": "x"})),
+     "scenario.power.sigma must be a number, got 'x'"),
+    (_report_text(scenario=_scenario(power={"sigma": -1})), "sigma must be >= 0, got -1"),
+    (_report_text(scenario=_scenario(seed=-5)), "seed must be an int >= 0 or None, got -5"),
+    (_report_text(scenario=_scenario(horizon=0)), "horizon must be an int >= 1, got 0"),
+    (_report_text(scenario=_scenario(server_capacity=0)),
+     "server_capacity must be >= 1, got 0"),
+    (_report_text(scenario=_scenario(k=5)), "k must be even and within [4, 48], got 5"),
+    (_report_text(scenario=_scenario(utilization=-1)),
+     "target_utilization must be within [0, 1], got -1"),
+    (_report_text(scenario=_scenario(timeslot_seconds=-60)),
+     "timeslot_seconds must be finite and > 0, got -60"),
+    (_report_text(scenario=_scenario(assign="zzz", label="zzz-sp")),
+     "assign strategy must be one of"),
+    (_report_text(scenario=_scenario(route="ecmp", label="greedy-ecmp", seed=None)),
+     "greedy-ecmp uses randomness and needs an explicit seed"),
+    # NaN and Infinity are not JSON numbers.
+    (_report_text(scenario=_scenario(timeslot_seconds=math.nan)),
+     "not valid JSON: NaN is not a finite number"),
+    (_report_text(total_energy_wt=math.nan), "not valid JSON: NaN is not a finite number"),
+    (_report_text(per_timeslot_watts=[400.0, math.inf]),
+     "not valid JSON: Infinity is not a finite number"),
+    (_report_text(layer_breakdown={"tor": -math.inf, "agg": 0.0, "core": 0.0}),
+     "not valid JSON: -Infinity is not a finite number"),
+    # The figures fit the scenario: one per slot, a total per layer.
+    (_report_text(per_timeslot_watts=[400.0]), "per_timeslot_watts must hold 2 slots, got 1"),
+    (_report_text(active_switches=[2, 2, 2]), "active_switches must hold 2 slots, got 3"),
+    (_report_text(layer_breakdown={"agg": 800.0, "core": 0.0}),
+     "lacks the key 'layer_breakdown.tor'"),
+    (_report_text(layer_breakdown={"tor": 800.0, "agg": 0.0, "core": 0.0, "spine": 0.0}),
+     "layer_breakdown has the unknown key 'spine'"),
     (_report_text(violations={" 3": [1]}), "violations. 3 must be keyed by an int, got ' 3'"),
 ])
 def test_bad_report_file_is_a_config_error(tmp_path, capsys, text, cause):
@@ -201,6 +263,26 @@ def test_bad_report_file_is_a_config_error(tmp_path, capsys, text, cause):
                  "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(report) in err and cause in err
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--utilization", "-1"], {}),
+    ([], {"utilization": -1}),
+    ([], {"utilization": 1.5}),
+])
+def test_a_run_refuses_a_utilization_outside_0_to_1(tmp_path, capsys, flags, config):
+    # Given by the flag or by the workload file, it would label the report.
+    wl = tmp_path / "wl.json"
+    assert main(["gen", "--k", "4", "--utilization", "0.4", "--seed", "3",
+                 "--horizon", "6", "--out", str(wl)]) == 0
+    doc = json.loads(wl.read_text())
+    doc["config"].update(config)
+    wl.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main(["run", "--workload", str(wl), "--k", "4", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: target_utilization must be within [0, 1], got ")
+    assert not out.exists()
 
 
 def test_bad_utilizations_are_a_config_error(tmp_path, capsys):

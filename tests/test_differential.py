@@ -11,7 +11,7 @@ rack partition must give the groups, and build the graph, of one that
 gathers each block with `np.ix_`, and the super-VM merge
 the groups of nested Python scans.  Max-flow must give the flow bits
 and source side of plain Edmonds-Karp, k-means++ seeding the picks of
-per-pair `np.linalg.norm` distances, and pod clustering the clusters,
+per-pair `norm_distance` distances, and pod clustering the clusters,
 overflow and distance bits of centers taken by `np.mean` of a list.
 The per-demand routers, that loop, that partition, that merge and
 those kernels are in `oracles.py`.

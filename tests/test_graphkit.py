@@ -1,13 +1,16 @@
 """Toolkit oracles: flows vs cut enumeration, cut trees, k-cut, seeding, FFD."""
 
+import ast
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dcnsim
 from dcnsim.errors import DomainError
 from dcnsim.graphkit import (
     WeightedGraph,
@@ -426,3 +429,43 @@ def test_one_bin_check_rejects_sizes_outside_the_bin():
     with pytest.raises(DomainError, match="item 0 of size 1.5 exceeds"):
         ffd_one_bin(np.array([1, 0]), np.array([1.5, 0.2]), 1.0, 2)
     assert ffd_one_bin(np.array([0, 0]), np.array([0.0, 1.0]), 1.0, 1).tolist() == [True]
+
+
+# Calls whose sums a BLAS kernel may order by CPU: their bits could then
+# differ between machines, and distances decide placements.
+BLAS_CALLS = {"dot", "matmul", "einsum"}
+
+
+def _blas_uses(source: str) -> list[str]:
+    """Each use in `source` of `dot`, `matmul`, `einsum`, `linalg` or `@`."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in BLAS_CALLS:
+                uses.append(f"line {node.lineno}: a call to {name}")
+        names = {getattr(node, "attr", None), getattr(node, "id", None),
+                 getattr(node, "module", None), getattr(node, "name", None)}
+        if any(name and "linalg" in name.split(".") for name in names):
+            uses.append(f"line {getattr(node, 'lineno', '?')}: linalg")
+        if isinstance(getattr(node, "op", None), ast.MatMult):
+            uses.append(f"line {node.lineno}: the @ operator")
+    return uses
+
+
+@pytest.mark.parametrize("source, found", [
+    ("np.dot(a, b)", 1), ("a.dot(b)", 1), ("np.matmul(a, b)", 1),
+    ("np.einsum('i,i', a, a)", 1), ("a @ b", 1), ("a @= b", 1),
+    ("np.linalg.norm(a)", 1), ("from numpy import linalg", 1),
+    ("import numpy.linalg", 1), ("from numpy.linalg import norm", 1),
+    ("@functools.cache\ndef f(a):\n    return np.add.reduce(a * a)", 0),
+])
+def test_the_blas_check_finds_each_use(source, found):
+    assert len(_blas_uses(source)) == found
+
+
+def test_no_module_sums_by_a_blas_kernel():
+    root = pathlib.Path(dcnsim.__file__).parent
+    uses = {path.name: _blas_uses(path.read_text()) for path in sorted(root.glob("*.py"))}
+    assert len(uses) >= 9 and not any(uses.values()), uses

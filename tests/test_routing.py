@@ -362,6 +362,18 @@ def test_eer_never_uses_more_switches_than_sp():
         assert len(eer_non_tor) <= len(sp_non_tor)
 
 
+def test_eer_routes_a_set_that_needs_every_core_its_aggs_reach():
+    # At 1 Gbps a switch carries one of these 875 Mbps flows.  One leaves
+    # and one enters each pod, so every pod needs both its aggs, and the
+    # four cross-pod flows need all 4 cores: exactly the cores that two
+    # agg positions reach.  Both counts sit on their bound, not past it.
+    tree = build_fat_tree(4)
+    flows = [(4 * p, 4 * ((p + 1) % 4) + 2, 875.0) for p in range(4)]
+    active, plan = eer(flows, tree, PowerParams(capacity=1.0))
+    assert active.cores_per_group == (2, 2) and plan.violations == ()
+    assert plan.loads == dict.fromkeys(range(tree.num_switches), 0.875)
+
+
 def test_eer_escalates_once_when_coupling_bites():
     # three 600 Gbps flows between three pods: per-pod ceilings say two
     # aggs, FFD sizes three cores, but the pairwise coupling still jams

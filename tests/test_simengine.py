@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -283,6 +284,28 @@ def test_scenario_validation():
         with pytest.raises(ConfigError, match="horizon must be an int >= 1"):
             Scenario(k=4, assign_strategy="greedy", route_strategy="sp",
                      horizon=horizon)
+
+
+@pytest.mark.parametrize("field, value, cause", [
+    ("k", 5, "k must be even and within [4, 48], got 5"),
+    ("k", 50, "k must be even and within [4, 48], got 50"),
+    ("server_capacity", 0, "server_capacity must be >= 1, got 0"),
+    ("utilization", -1.0, "target_utilization must be within [0, 1], got -1.0"),
+    ("utilization", 1.5, "target_utilization must be within [0, 1], got 1.5"),
+    ("utilization", math.nan, "target_utilization must be within [0, 1], got nan"),
+])
+def test_a_scenario_checks_what_its_workload_config_checks(field, value, cause):
+    # A report labelled with such a value would describe no workload that ran.
+    with pytest.raises(ConfigError, match=re.escape(cause)):
+        _scenario(**{field: value})
+
+
+def test_a_scenario_draws_its_inline_workload_from_its_config():
+    scenario = _scenario(k=8, utilization=None, horizon=7, server_capacity=3)
+    assert scenario.workload_config() == WorkloadConfig(8, 0.0, 7, 3)
+    scenario = _scenario(utilization=0.3, seed=5)
+    assert run_scenario(scenario).fingerprint() == run_scenario(
+        scenario, generate_workload(scenario.workload_config(), 5)).fingerprint()
 
 
 def test_violations_are_recorded_not_fatal_for_baselines():
