@@ -42,18 +42,6 @@ class Assignment:
     def __init__(self, placements: Mapping[tuple[int, int], int]):
         self.placements = dict(placements)
 
-    def __getitem__(self, key):
-        return self.placements[key]
-
-    def __contains__(self, key):
-        return key in self.placements
-
-    def __len__(self):
-        return len(self.placements)
-
-    def __eq__(self, other):
-        return isinstance(other, Assignment) and self.placements == other.placements
-
     def validate(self, jobs: Sequence[Job], tree: FatTree) -> None:
         """Check totality, uniqueness of placement and server capacity."""
         expected = {(job.id, m) for job in jobs for m in range(job.vm_count)}
@@ -380,55 +368,31 @@ class _FirstFit:
 # --- assignment strategies ---------------------------------------------------
 
 
-def greedy_assign(jobs: Sequence[Job], tree: FatTree) -> Assignment:
-    """First-fit: VMs in (job, vm index) order onto the first open server."""
+def _first_fit_assign(jobs, tree, merge, seed, horizon) -> Assignment:
+    """First-fit in (job, vm index) order: super-VMs with `merge`, else VMs."""
     fit = _first_fit_over(jobs, tree)
     placements: dict[tuple[int, int], int] = {}
     for job in jobs:
-        _place_vms(job, range(job.vm_count), fit, placements)
+        if merge:
+            for unit in shrink_to_super_vms(job, tree.server_capacity):
+                _place_unit(unit, job, fit, placements)
+        else:
+            _place_vms(job, range(job.vm_count), fit, placements)
     return Assignment(placements)
 
 
-def opt_greedy_assign(jobs: Sequence[Job], tree: FatTree) -> Assignment:
-    """First-fit over super-VMs: merge first, then place groups greedily."""
-    fit = _first_fit_over(jobs, tree)
-    placements: dict[tuple[int, int], int] = {}
-    for job in jobs:
-        for unit in shrink_to_super_vms(job, tree.server_capacity):
-            _place_unit(unit, job, fit, placements)
-    return Assignment(placements)
-
-
-def eea_assign(
-    jobs: Sequence[Job], tree: FatTree, seed=None, *, horizon: int
-) -> Assignment:
-    """The pod/rack pipeline applied to raw VMs (no super-VM merge)."""
-    return _pipeline_assign(jobs, tree, seed, horizon, shrink=False)
-
-
-def opt_eea(
-    jobs: Sequence[Job], tree: FatTree, seed=None, *, horizon: int
-) -> Assignment:
-    """The full pipeline: shrink, cluster into pods, min-cut racks, pack."""
-    return _pipeline_assign(jobs, tree, seed, horizon, shrink=True)
-
-
-def _pipeline_assign(jobs, tree, seed, horizon, shrink) -> Assignment:
+def _pipeline_assign(jobs, tree, merge, seed, horizon) -> Assignment:
+    """Merge (with `merge`), cluster into pods, min-cut racks, pack."""
     anywhere = _first_fit_over(jobs, tree)
     free = anywhere.free
     by_id = {job.id: job for job in jobs}
     placements: dict[tuple[int, int], int] = {}
 
-    def units_of(job: Job, t_ref=None) -> list[SuperVM]:
-        if shrink:
-            return shrink_to_super_vms(job, tree.server_capacity, t_ref)
-        return single_vm_units(job)
-
     # Jobs larger than a pod cannot be clustered; place them greedily first.
     normal = [job for job in jobs if job.slots <= tree.pod_slot_capacity]
     for job in jobs:
         if job.slots > tree.pod_slot_capacity:
-            for unit in units_of(job):
+            for unit in _units(job, tree, merge):
                 _place_unit(unit, job, anywhere, placements)
 
     n_pods = estimate_pod_count(normal, tree.pod_slot_capacity)
@@ -450,7 +414,7 @@ def _pipeline_assign(jobs, tree, seed, horizon, shrink) -> Assignment:
         for job_id in ordered_ids:
             job = by_id[job_id]
             t_ref = referential_matrix(job)  # merge and cut share it
-            units = units_of(job, t_ref)
+            units = _units(job, tree, merge, t_ref)
             groups = partition_into_racks(units, t_ref, tree.racks_per_pod)
             partitions.append((job, [[units[i] for i in g] for g in groups]))
         placements.update(
@@ -463,13 +427,20 @@ def _pipeline_assign(jobs, tree, seed, horizon, shrink) -> Assignment:
     )
     for job_id in sorted(clusters.overflow, key=lambda j: (-by_id[j].slots, j)):
         job = by_id[job_id]
-        for unit in units_of(job):
+        for unit in _units(job, tree, merge):
             server = in_clusters.server(unit.size)
             if server is not None:
                 _commit(placements, free, unit, server)
             else:
                 _place_unit(unit, job, anywhere, placements)
     return Assignment(placements)
+
+
+def _units(job: Job, tree: FatTree, merge: bool, t_ref=None) -> list[SuperVM]:
+    """The job's placement units: its super-VMs with `merge`, else its VMs."""
+    if merge:
+        return shrink_to_super_vms(job, tree.server_capacity, t_ref)
+    return single_vm_units(job)
 
 
 def _first_fit_over(jobs: Sequence[Job], tree: FatTree) -> _FirstFit:
@@ -504,18 +475,21 @@ def _place_vms(job: Job, members: Iterable[int], fit: _FirstFit, placements) -> 
         free[server] -= job.vm_resource
 
 
+# The ablation grid of the paper's placement principles, reached through
+# `assign`: a placer per strategy, and whether it merges super-VMs first.
 STRATEGIES = {
-    "greedy": lambda jobs, tree, seed, horizon: greedy_assign(jobs, tree),
-    "opt_greedy": lambda jobs, tree, seed, horizon: opt_greedy_assign(jobs, tree),
-    "eea": eea_assign,
-    "opt_eea": opt_eea,
+    "greedy": (_first_fit_assign, False),
+    "opt_greedy": (_first_fit_assign, True),
+    "eea": (_pipeline_assign, False),
+    "opt_eea": (_pipeline_assign, True),
 }
 # Strategies whose placement depends on the run seed (k-means++ clustering).
-SEEDED = frozenset({"eea", "opt_eea"})
+SEEDED = frozenset(n for n, (placer, _) in STRATEGIES.items() if placer is _pipeline_assign)
 
 
 def assign(name: str, jobs: Sequence[Job], tree: FatTree, seed=None, *, horizon: int):
     """Dispatch by strategy name; seed and horizon only matter for the pipelines."""
     if name not in STRATEGIES:
         raise DomainError(f"unknown assignment strategy {name!r}")
-    return STRATEGIES[name](jobs, tree, seed, horizon=horizon)
+    placer, merge = STRATEGIES[name]
+    return placer(jobs, tree, merge, seed, horizon)

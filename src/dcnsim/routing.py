@@ -66,7 +66,7 @@ from .errors import CapacityError, DomainError, InfeasibleError
 from .graphkit import ffd_one_bin, ffd_pack
 from .power import PowerParams
 from .topology import TOR, FatTree
-from .workload import DemandSet, pair_order
+from .workload import DemandSet, _index_dtype, pair_order
 
 MBPS_PER_GBPS = 1000.0
 
@@ -222,10 +222,10 @@ class _Batch:
     """The demand sets of one router call, checked and joined set after set.
 
     `demands` holds every set's demands; set j owns rows
-    bounds[j]:bounds[j+1], and `seg` names each row's set, as uint16
-    while the sets fit it (int32 past that).  `alone` says the call
-    routes one set, as one set or as a batch of one, so there is nothing
-    to join or offset.  The joined set keeps its servers as uint16, and,
+    bounds[j]:bounds[j+1], and `seg` names each row's set, in the
+    narrowest dtype that numbers the sets (`_index_dtype`).  `alone` says
+    the call routes one set, as one set or as a batch of one, so there is
+    nothing to join or offset.  The joined set keeps its servers as uint16, and,
     when every set comes from the run's demand table, that table and the
     pair ids in the table's dtype: a row of 14 bytes rather than 32.
     """
@@ -238,8 +238,7 @@ class _Batch:
         sizes = [len(d.src) for d in self.sets]
         self.bounds = [0, *itertools.accumulate(sizes)]
         self.alone = len(sizes) == 1
-        self.seg = np.repeat(np.arange(
-            len(sizes), dtype=np.uint16 if len(sizes) <= 1 << 16 else np.int32), sizes)
+        self.seg = np.repeat(np.arange(len(sizes), dtype=_index_dtype(len(sizes))), sizes)
         if self.alone:
             self.demands = self.sets[0]
             return

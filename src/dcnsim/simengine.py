@@ -186,7 +186,8 @@ def save_report(report: EnergyReport, path) -> None:
 def load_report(path) -> EnergyReport:
     """Read a report file (`load_document`, `from_json`): its scenario is what
     `describe()` gives for the `Scenario` its SCENARIO_KEYS build, and its
-    figures fit it, one per slot of the horizon and a total per layer."""
+    figures fit it, one per slot of the horizon and a total per layer, none
+    negative, with `total_energy_wt` the ordered sum of the slots' watts."""
     return load_document(path, "report", REPORT_FORMAT_VERSION, _report_of)
 
 
@@ -202,9 +203,17 @@ def _report_of(doc) -> EnergyReport:
         if value != described[key]:
             raise ValueError(f"scenario.{key} must be {value!r}, got {described[key]!r}")
     check_keys(report.layer_breakdown, "layer_breakdown", LAYERS)
+    figures = {f"layer_breakdown.{k}": watts for k, watts in report.layer_breakdown.items()}
     for key in ("per_timeslot_watts", "active_switches"):
         if (slots := len(getattr(report, key))) != scenario.horizon:
             raise ValueError(f"{key} must hold {scenario.horizon} slots, got {slots}")
+        figures.update((f"{key}[{t}]", figure) for t, figure in enumerate(getattr(report, key)))
+    for name, figure in figures.items():
+        if figure < 0:
+            raise ValueError(f"{name} must be >= 0, got {figure!r}")
+    if (total := ordered_sum(report.per_timeslot_watts)) != report.total_energy_wt:
+        raise ValueError(f"total_energy_wt must be the sum of per_timeslot_watts, "
+                         f"{total!r}, got {report.total_energy_wt!r}")
     return report
 
 
@@ -380,7 +389,7 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
             per_slot_watts.extend([slot_watts] * span)
             active_counts.extend([slot_active] * span)
 
-    table = demand_table(jobs, placement)
+    table = demand_table(jobs, placement.placements)
     # A router keeps a bin of about 16 bytes per switch for each set of a
     # batch, and a demand row costs about 100 bytes at the batch's peak,
     # so each set counts as at least a sixth of the switches in rows.  A

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 import typing
 from collections import Counter
@@ -232,8 +233,8 @@ def generate_workload(cfg: WorkloadConfig, seed: int) -> list[Job]:
     """
     if not is_seed(seed):
         raise ConfigError(f"seed must be an int >= 0, got {seed!r}")
-    total_slots = (cfg.k**3 // 4) * cfg.server_capacity
-    pod_slots = (cfg.k**2 // 4) * cfg.server_capacity
+    tree = FatTree(cfg.k, cfg.server_capacity)
+    total_slots, pod_slots = tree.total_slots, tree.pod_slot_capacity
     target = cfg.target_utilization * total_slots
     rng = np.random.default_rng(seed)
     vm_mean = cfg.k / 2.0
@@ -474,15 +475,15 @@ def save_workload(path, jobs: Sequence[Job], horizon: int, seed=None, config=Non
 def load_document(path, kind: str, version: int, build):
     """Read a versioned JSON file and return `build(document)`.
 
-    A file that is not JSON (NaN and Infinity are not), holds no JSON
-    object or another version (an int, so not `true` or `1.0`), or whose
-    document lacks a key or holds a value of the wrong type or that a
-    record's own checks refuse, raises ConfigError naming the file.
+    A file that is not JSON (NaN, Infinity and 1e400 are not), holds no
+    JSON object or another version (an int, so not `true` or `1.0`), or
+    whose document lacks a key or holds a value of the wrong type or size
+    or that a record's own checks refuse, raises ConfigError naming the file.
     """
     with open(path) as fh:
         try:
-            doc = json.load(fh, parse_constant=_not_finite)
-        except ValueError as exc:  # a JSONDecodeError, or a constant refused
+            doc = json.load(fh, parse_constant=_not_finite, parse_float=_finite_float)
+        except ValueError as exc:  # a JSONDecodeError, or a number refused
             raise ConfigError(f"{kind} file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{kind} file {path} does not hold a JSON object")
@@ -493,12 +494,18 @@ def load_document(path, kind: str, version: int, build):
         return build(doc)
     except KeyError as exc:
         raise ConfigError(f"{kind} file {path} lacks the key {exc.args[0]!r}") from exc
-    except (AttributeError, SimulationError, TypeError, ValueError) as exc:
+    except (AttributeError, OverflowError, SimulationError, TypeError, ValueError) as exc:
         raise ConfigError(f"{kind} file {path} is malformed: {exc}") from exc
 
 
 def _not_finite(constant):
     raise ValueError(f"{constant} is not a finite number")
+
+
+def _finite_float(literal: str) -> float:
+    if math.isinf(value := float(literal)):
+        _not_finite(literal)
+    return value
 
 
 def load_workload(path):

@@ -411,7 +411,7 @@ class RescanFirstFit:
 
 
 def greedy_oracle(jobs, tree) -> Assignment:
-    """`greedy_assign` with every VM's search starting from server 0."""
+    """`assign("greedy", ...)` with every VM's search starting from server 0."""
     free = _first_fit_over(jobs, tree).free
     placements = {}
     for job in jobs:
@@ -425,7 +425,7 @@ def greedy_oracle(jobs, tree) -> Assignment:
 
 
 def opt_greedy_oracle(jobs, tree) -> Assignment:
-    """`opt_greedy_assign` with every search starting from server 0.
+    """`assign("opt_greedy", ...)` with every search starting from server 0.
 
     A super-VM no server has room for falls back to placing its VMs one
     by one.
@@ -720,7 +720,8 @@ def run_each_slot(scenario, jobs=None, on_plan=None):
     per_slot_watts, active_counts, violations = [], [], {}
     layer_totals = {TOR: 0.0, AGG: 0.0, CORE: 0.0}
     for t in range(scenario.horizon):
-        plan = route([demands_at(jobs, placement, t)], tree, params, [t], scenario.seed)[0]
+        plan = route([demands_at(jobs, placement.placements, t)], tree, params, [t],
+                     scenario.seed)[0]
         if plan.violations:
             violations[t] = plan.violations
         if on_plan is not None:

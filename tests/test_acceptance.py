@@ -241,7 +241,7 @@ def test_criterion_07_structural_validation():
         # EER may only wake the ToRs of racks that host a VM
         occupied_tors = {tree.tor_of_server(s) for s in placement.placements.values()}
         for t in range(horizon):
-            flows = demands_at(jobs, placement, t).flows
+            flows = demands_at(jobs, placement.placements, t).flows
             if router == "sp":
                 plan = sp_route(flows, tree, params=BENCH, timeslot=t)
                 allowed = None

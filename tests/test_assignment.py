@@ -8,14 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcnsim.assignment import (
-    Assignment,
     SuperVM,
+    assign,
     cluster_jobs,
-    eea_assign,
     estimate_pod_count,
-    greedy_assign,
-    opt_eea,
-    opt_greedy_assign,
     pack_cluster_into_pod,
     partition_into_racks,
     shrink_to_super_vms,
@@ -269,16 +265,14 @@ def test_pack_overflow_raises():
 def test_greedy_first_fit_order():
     tree = build_fat_tree(4)
     jobs = [Job(id=0, vm_count=3)]
-    assignment = greedy_assign(jobs, tree)
-    assert assignment[(0, 0)] == 0
-    assert assignment[(0, 1)] == 0
-    assert assignment[(0, 2)] == 1
+    placements = assign("greedy", jobs, tree, horizon=1).placements
+    assert placements == {(0, 0): 0, (0, 1): 0, (0, 2): 1}
 
 
 def test_greedy_fills_pod_zero_first():
     tree = build_fat_tree(4)
     jobs = [Job(id=i, vm_count=2) for i in range(5)]  # 10 slots
-    assignment = greedy_assign(jobs, tree)
+    assignment = assign("greedy", jobs, tree, horizon=1)
     pods = [tree.server_pod(s) for s in assignment.placements.values()]
     # pod 0 holds 8 slots; the ninth and tenth VM spill into pod 1
     assert pods.count(0) == 8
@@ -289,8 +283,8 @@ def test_opt_greedy_cohosts_pairs():
     tree = build_fat_tree(4)
     m = np.array([[0.0, 50.0], [50.0, 0.0]])
     jobs = [Job(id=0, vm_count=2, transfers=(Transfer(0, 5, m),))]
-    assignment = opt_greedy_assign(jobs, tree)
-    assert assignment[(0, 0)] == assignment[(0, 1)]
+    placements = assign("opt_greedy", jobs, tree, horizon=10).placements
+    assert placements[(0, 0)] == placements[(0, 1)]
 
 
 def test_opt_greedy_places_a_stranded_super_vm_one_vm_at_a_time():
@@ -304,21 +298,21 @@ def test_opt_greedy_places_a_stranded_super_vm_one_vm_at_a_time():
     assert shrink_to_super_vms(jobs[-1], 3) == [SuperVM(16, (0, 1, 2), 3)]
     want = {(j, m): j for j in range(16) for m in range(2)}
     want.update({(16, 0): 0, (16, 1): 1, (16, 2): 2})
-    assert opt_greedy_assign(jobs, tree).placements == want
+    assert assign("opt_greedy", jobs, tree, horizon=6).placements == want
 
 
 def test_opt_eea_cohosts_two_vm_job():
     tree = build_fat_tree(4)
     m = np.array([[0.0, 50.0], [50.0, 0.0]])
     jobs = [Job(id=0, vm_count=2, transfers=(Transfer(0, 5, m),))]
-    assignment = opt_eea(jobs, tree, seed=0, horizon=10)
-    assert assignment[(0, 0)] == assignment[(0, 1)]
+    placements = assign("opt_eea", jobs, tree, seed=0, horizon=10).placements
+    assert placements[(0, 0)] == placements[(0, 1)]
 
 
 def test_opt_eea_single_pod_workload_stays_in_one_pod():
     tree = build_fat_tree(4)  # pod capacity 8 slots
     jobs = [_window_job(i, 0, 5, n=4, rate=20.0) for i in range(2)]  # 8 slots
-    assignment = opt_eea(jobs, tree, seed=3, horizon=10)
+    assignment = assign("opt_eea", jobs, tree, seed=3, horizon=10)
     pods = {tree.server_pod(s) for s in assignment.placements.values()}
     assert pods == {0}  # one estimated pod, and the first one at that
 
@@ -332,10 +326,8 @@ def test_assignments_satisfy_constraints_on_random_workloads():
         jobs = generate_workload(
             WorkloadConfig(k=k, target_utilization=util, horizon=20), seed=trial
         )
-        for strategy in (greedy_assign, opt_greedy_assign):
-            strategy(jobs, tree).validate(jobs, tree)
-        eea_assign(jobs, tree, seed=trial, horizon=20).validate(jobs, tree)
-        opt_eea(jobs, tree, seed=trial, horizon=20).validate(jobs, tree)
+        for name in ("greedy", "opt_greedy", "eea", "opt_eea"):
+            assign(name, jobs, tree, seed=trial, horizon=20).validate(jobs, tree)
 
 
 def test_pipeline_assignments_are_deterministic():
@@ -343,30 +335,28 @@ def test_pipeline_assignments_are_deterministic():
     jobs = generate_workload(
         WorkloadConfig(k=4, target_utilization=0.6, horizon=15), seed=9
     )
-    a = opt_eea(jobs, tree, seed=4, horizon=15)
-    b = opt_eea(jobs, tree, seed=4, horizon=15)
-    assert a == b
-    c = eea_assign(jobs, tree, seed=4, horizon=15)
-    d = eea_assign(jobs, tree, seed=4, horizon=15)
-    assert c == d
+    for name in ("eea", "opt_eea"):
+        a = assign(name, jobs, tree, seed=4, horizon=15)
+        b = assign(name, jobs, tree, seed=4, horizon=15)
+        assert a.placements == b.placements
 
 
 def test_overflow_demand_is_rejected():
     tree = build_fat_tree(4)  # 32 slots
     jobs = [Job(id=0, vm_count=33)]
     with pytest.raises(InfeasibleError):
-        greedy_assign(jobs, tree)
+        assign("greedy", jobs, tree, horizon=5)
     with pytest.raises(InfeasibleError):
-        opt_eea(jobs, tree, seed=0, horizon=5)
+        assign("opt_eea", jobs, tree, seed=0, horizon=5)
 
 
 def test_oversized_job_is_preplaced_greedily():
     tree = build_fat_tree(4)  # pod capacity 8
     big = _window_job(0, 0, 3, n=10, rate=5.0)  # needs 10 slots > one pod
     small = _window_job(1, 0, 3, n=2, rate=5.0)
-    assignment = opt_eea([big, small], tree, seed=0, horizon=5)
+    assignment = assign("opt_eea", [big, small], tree, seed=0, horizon=5)
     assignment.validate([big, small], tree)
-    pods = {tree.server_pod(assignment[(0, m)]) for m in range(10)}
+    pods = {tree.server_pod(assignment.placements[(0, m)]) for m in range(10)}
     assert len(pods) >= 2  # it genuinely spans pods
 
 
@@ -465,17 +455,17 @@ FIRST_FIT = settings(max_examples=150, deadline=None, derandomize=True)
 @given(crowded_jobs())
 def test_first_fit_matches_a_rescanning_first_fit(case):
     tree, jobs = case
-    assert _placed(lambda: greedy_assign(jobs, tree)) == _placed(
+    assert _placed(lambda: assign("greedy", jobs, tree, horizon=10)) == _placed(
         lambda: greedy_oracle(jobs, tree))
-    assert _placed(lambda: opt_greedy_assign(jobs, tree)) == _placed(
+    assert _placed(lambda: assign("opt_greedy", jobs, tree, horizon=10)) == _placed(
         lambda: opt_greedy_oracle(jobs, tree))
 
 
 @FIRST_FIT
-@given(crowded_jobs(), st.sampled_from([eea_assign, opt_eea]), st.integers(0, 99))
-def test_pipelines_match_a_rescanning_first_fit(case, strategy, seed):
+@given(crowded_jobs(), st.sampled_from(["eea", "opt_eea"]), st.integers(0, 99))
+def test_pipelines_match_a_rescanning_first_fit(case, name, seed):
     tree, jobs = case
-    got = _placed(lambda: strategy(jobs, tree, seed=seed, horizon=10))
+    got = _placed(lambda: assign(name, jobs, tree, seed=seed, horizon=10))
     with mock.patch("dcnsim.assignment._FirstFit", RescanFirstFit):
-        want = _placed(lambda: strategy(jobs, tree, seed=seed, horizon=10))
+        want = _placed(lambda: assign(name, jobs, tree, seed=seed, horizon=10))
     assert got == want

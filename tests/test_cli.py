@@ -146,6 +146,11 @@ def _job_text(**fields):
      "jobs[0].transfers[0] has the unknown key 'rate'"),
     ('{"version": 1, "horizon": 10, "jobs": [{"id": 0, "transfers": []}]}',
      "lacks the key 'jobs[0].vm_count'"),
+    # A number no float can hold: a literal that rounds to infinity, or an
+    # int too large to convert.
+    (_job_text().replace("[[0, 1]", "[[0, 1e400]"), "not valid JSON: 1e400 is not a finite"),
+    (_job_text().replace("[[0, 1]", f"[[{10**399}, 1]"),
+     "malformed: int too large to convert to float"),
 ])
 def test_bad_workload_file_is_a_config_error(tmp_path, capsys, text, cause):
     wl = tmp_path / "bad.json"
@@ -254,6 +259,18 @@ def test_the_report_rows_start_from_a_valid_report(tmp_path):
     (_report_text(layer_breakdown={"tor": 800.0, "agg": 0.0, "core": 0.0, "spine": 0.0}),
      "layer_breakdown has the unknown key 'spine'"),
     (_report_text(violations={" 3": [1]}), "violations. 3 must be keyed by an int, got ' 3'"),
+    # The figures add up: none is negative, and the total is the slots' sum.
+    (_report_text().replace('"total_energy_wt": 800.0', '"total_energy_wt": 1e400'),
+     "not valid JSON: 1e400 is not a finite number"),
+    (_report_text(total_energy_wt=-5),
+     "total_energy_wt must be the sum of per_timeslot_watts, 800.0, got -5"),
+    (_report_text(total_energy_wt=1600.0),
+     "total_energy_wt must be the sum of per_timeslot_watts, 800.0, got 1600.0"),
+    (_report_text(per_timeslot_watts=[-400.0, 1200.0]),
+     "per_timeslot_watts[0] must be >= 0, got -400.0"),
+    (_report_text(active_switches=[2, -1]), "active_switches[1] must be >= 0, got -1"),
+    (_report_text(layer_breakdown={"tor": 800.0, "agg": -1.0, "core": 1.0}),
+     "layer_breakdown.agg must be >= 0, got -1.0"),
 ])
 def test_bad_report_file_is_a_config_error(tmp_path, capsys, text, cause):
     report = tmp_path / "bad.json"

@@ -38,14 +38,14 @@ def _full_active_set(tree):
 
 
 def _workload_demands(k, util, seed, t=0, horizon=20):
-    from dcnsim.assignment import greedy_assign
+    from dcnsim.assignment import assign
 
     tree = build_fat_tree(k)
     jobs = generate_workload(
         WorkloadConfig(k=k, target_utilization=util, horizon=horizon), seed
     )
-    assignment = greedy_assign(jobs, tree)
-    return tree, demands_at(jobs, assignment, t).flows
+    placements = assign("greedy", jobs, tree, horizon=horizon).placements
+    return tree, demands_at(jobs, placements, t).flows
 
 
 # --- shortest path -----------------------------------------------------------

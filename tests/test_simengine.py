@@ -115,6 +115,18 @@ def test_seed_changes_only_stochastic_strategies(tmp_path):
     assert len({tuple(r.per_timeslot_watts) for r in stochastic}) > 1
 
 
+@pytest.mark.parametrize("assign, seeded", [
+    ("greedy", False), ("opt_greedy", False), ("eea", True), ("opt_eea", True),
+])
+def test_only_the_pipeline_strategies_need_a_seed(assign, seeded):
+    # k-means++ clustering is the pipeline's only draw; first-fit draws nothing.
+    if seeded:
+        with pytest.raises(ConfigError, match=f"{assign}-sp uses randomness"):
+            _scenario(assign_strategy=assign, seed=None)
+    else:
+        assert _scenario(assign_strategy=assign, seed=None).seed is None
+
+
 def test_a_workload_path_without_its_jobs_is_refused(tmp_path):
     # the path only labels the report: run_scenario neither reads the
     # file nor generates a workload the label would misname
