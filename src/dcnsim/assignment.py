@@ -157,8 +157,10 @@ def cluster_jobs(
 
     Cluster seeds come from k-means++ on the pattern vectors; remaining
     jobs (largest demand first) join the feasible cluster whose center
-    pattern differs most from theirs.  A center is the mean of its
-    members' vectors.  Jobs that fit nowhere land in the overflow group.
+    pattern differs most from theirs, the lowest-numbered on a tie.  A
+    job is measured against every feasible center in one `gap_distance`
+    call, one row per center.  A center is the mean of its members'
+    vectors.  Jobs that fit nowhere land in the overflow group.
     """
     if not jobs:
         return PodClusters(clusters=[[] for _ in range(n_pods)], overflow=[])
@@ -170,7 +172,7 @@ def cluster_jobs(
     clusters = [[jobs[p].id] for p in seed_positions]
     members = [[p] for p in seed_positions]
     centers = stack[seed_positions]
-    loads = [jobs[p].slots for p in seed_positions]
+    loads = np.array([jobs[p].slots for p in seed_positions])
 
     seeded = set(seed_positions)
     remaining = [i for i in range(len(jobs)) if i not in seeded]
@@ -178,14 +180,14 @@ def cluster_jobs(
     overflow = []
     for i in remaining:
         job = jobs[i]
-        feasible = [
-            c for c in range(n_pods) if loads[c] + job.slots <= pod_slot_capacity
-        ]
-        if not feasible:
+        feasible = (loads + job.slots <= pod_slot_capacity).nonzero()[0]
+        if not len(feasible):
             overflow.append(job.id)
             continue
-        gaps = stack[i] - centers
-        _, best = min((gap_distance(gaps[c]), c) for c in feasible)
+        # One distance per feasible center; the first minimum is the
+        # lowest-numbered center among the nearest.
+        distances = gap_distance(stack[i] - centers[feasible])
+        best = int(feasible[distances.argmin()])
         clusters[best].append(job.id)
         members[best].append(i)
         loads[best] += job.slots
@@ -222,18 +224,24 @@ def partition_into_racks(
     if k == count:
         return [[a] for a in range(count)]
     members = [list(unit.members) for unit in super_vms]
-    rows = [t_ref[m] for m in members]
-    graph = WeightedGraph(count)
-    for a in range(count):
-        for b in range(a + 1, count):
-            # take() keeps each block row-major, so it sums in the same
-            # order as t_ref[np.ix_(...)]; rows[a][:, ...] would not.
-            w = float(
-                rows[a].take(members[b], axis=1).sum()
-                + rows[b].take(members[a], axis=1).sum()
-            )
-            graph.add_edge(a, b, w)  # a weight of 0 adds no edge
-    return min_k_cut(graph, k)
+    if all(len(m) == 1 for m in members):
+        # One VM a unit: each weight is two entries of t_ref.
+        ix = [m for m, in members]
+        block = t_ref[np.ix_(ix, ix)]
+        weights = block + block.T
+        np.fill_diagonal(weights, 0.0)
+    else:
+        rows = [t_ref[m] for m in members]
+        weights = np.zeros((count, count))
+        for a in range(count):
+            for b in range(a + 1, count):
+                # take() keeps each block row-major, so it sums in the same
+                # order as t_ref[np.ix_(...)]; rows[a][:, ...] would not.
+                weights[a, b] = weights[b, a] = (
+                    rows[a].take(members[b], axis=1).sum()
+                    + rows[b].take(members[a], axis=1).sum()
+                )
+    return min_k_cut(WeightedGraph.of_matrix(weights), k)
 
 
 # --- rack packing ------------------------------------------------------------

@@ -31,7 +31,9 @@ from .simengine import (
     table_row,
     write_table,
 )
-from .workload import WorkloadConfig, generate_workload, load_workload, save_workload
+from .workload import (
+    SavedConfig, WorkloadConfig, generate_workload, load_workload, save_workload,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -145,10 +147,9 @@ def cmd_gen(args) -> int:
         horizon=args.horizon, server_capacity=args.server_capacity,
     )
     jobs = generate_workload(wl_cfg, args.seed)
-    save_workload(args.out, jobs, horizon=wl_cfg.horizon, seed=args.seed, config={
-        "k": args.k, "utilization": args.utilization,
-        "server_capacity": wl_cfg.server_capacity,
-    })
+    save_workload(args.out, jobs, horizon=wl_cfg.horizon, seed=args.seed, config=SavedConfig(
+        k=args.k, utilization=args.utilization, server_capacity=wl_cfg.server_capacity,
+    ))
     print(f"wrote {len(jobs)} jobs ({sum(j.slots for j in jobs)} slots) to {args.out}")
     return EXIT_OK
 
@@ -164,7 +165,7 @@ def cmd_run(args) -> int:
         # tables carry the utilization and generating seed.
         workload_seed = meta["seed"]
         if args.utilization is None:
-            args.utilization = (meta["config"] or {}).get("utilization")
+            args.utilization = meta["config"].utilization
         if "horizon" in defaulted:
             args.horizon = meta["horizon"]
     scenario = Scenario(

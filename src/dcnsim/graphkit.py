@@ -8,8 +8,9 @@ float order, and a faster form must give the same bits:
 
 * `max_flow_min_cut` augments along the same paths as plain
   Edmonds-Karp, in the same order, with the same subtractions.
-* `norm` (k-means++ and pattern distances) sums squares by numpy's own
-  pairwise `add.reduce`, not by `dot`, whose order the BLAS kernel sets.
+* `norm` (k-means++ and pattern distances) sums each gap's squares by
+  numpy's own pairwise `add.reduce` along the gap, one gap or a row of
+  gaps per call, not by `dot`, whose order the BLAS kernel sets.
 * `weight_between` and `ordered_sum` add left to right; `ffd_one_bin`
   adds each row's sizes in FFD order.
 """
@@ -35,6 +36,24 @@ class WeightedGraph:
             raise DomainError(f"graph needs at least one vertex, got {n}")
         self.n = n
         self.adj: list[dict[int, float]] = [dict() for _ in range(n)]
+
+    @classmethod
+    def of_matrix(cls, weights: np.ndarray) -> WeightedGraph:
+        """The graph of a symmetric n x n weight matrix with a zero diagonal.
+
+        Entry (u, v) is edge u-v's weight, a weight of 0 adds no edge, and
+        each vertex lists its neighbours in ascending order: the graph that
+        `add_edge` builds over the pairs u < v in row-major order.
+        """
+        graph = cls(len(weights))
+        bad = ~np.isfinite(weights) | (weights < 0)
+        if bad.any():
+            raise DomainError(
+                f"edge weight must be finite and >= 0, got {weights[bad][0]}")
+        for u, row in enumerate(weights):
+            near = row.nonzero()[0]
+            graph.adj[u] = dict(zip(near.tolist(), row[near].tolist()))
+        return graph
 
     def add_edge(self, u: int, v: int, weight: float) -> None:
         if u == v:
@@ -265,23 +284,24 @@ def kmeans_pp_seed(vectors, k: int, seed=None) -> list[int]:
     stack = _stacked(vectors)
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]
+    taken = np.zeros(n, dtype=bool)
+    taken[chosen[0]] = True
     best = _distances(stack, chosen[0])
     while len(chosen) < k:
-        weights = np.array(
-            [0.0 if i in chosen else best[i] ** 2 for i in range(n)], dtype=float
-        )
+        # A chosen center sits at distance 0 from itself, so it weighs 0.
+        # Python's `d ** 2`, not numpy's square: their last bits can differ.
+        weights = np.array([d ** 2 for d in best.tolist()])
         total = weights.sum()
         if total > 0:
             pick = int(rng.choice(n, p=weights / total))
         else:
             # All remaining candidates coincide with a center; fall back
             # to a uniform draw over the unchosen ones.
-            remaining = [i for i in range(n) if i not in chosen]
+            remaining = (~taken).nonzero()[0]
             pick = int(remaining[rng.integers(len(remaining))])
         chosen.append(pick)
-        for i, d in enumerate(_distances(stack, pick)):
-            if d < best[i]:
-                best[i] = d
+        taken[pick] = True
+        best = np.minimum(best, _distances(stack, pick))
     return chosen
 
 
@@ -302,14 +322,19 @@ def _stacked(vectors) -> np.ndarray:
     return stack
 
 
-def _distances(stack: np.ndarray, center: int) -> list[float]:
+def _distances(stack: np.ndarray, center: int) -> np.ndarray:
     """Each row's Euclidean distance to row `center` (`norm`)."""
-    return [norm(gap) for gap in stack - stack[center]]
+    return norm(stack - stack[center])
 
 
-def norm(gap: np.ndarray) -> float:
-    """The Euclidean norm of a 1-D gap, summed in an order fixed on any CPU."""
-    return math.sqrt(np.add.reduce(gap * gap))
+def norm(gap: np.ndarray):
+    """The Euclidean norm of a 1-D gap, or of each row of a 2-D one.
+
+    Each gap's squares are summed along the gap by numpy's pairwise
+    `add.reduce`, whose order numpy's source fixes on any CPU; a row of a
+    2-D gap sums as that row would alone.
+    """
+    return np.sqrt(np.add.reduce(gap * gap, axis=-1))
 
 
 def ffd_pack(items, bin_capacity: float) -> list[list[int]]:

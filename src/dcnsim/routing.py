@@ -15,17 +15,19 @@ up-down paths:
 
 Every router takes one slot's DemandSet, or a batch: a list of
 DemandSets, with a list of timeslots, one per set.  `run_scenario`
-batches consecutive segments of a run.  A batch gives one result per
-set, each the result of routing that set alone; one set is a batch of
-one, and its result comes unwrapped.  The routers join a batch's sets
-into one set of arrays, set after set, and route them with one pass of
-array calls: each set's rows are offset by its index in the batch, so
-one ordered bincount gives every set's totals and loads, adding what a
-bincount per set adds.  A set not read from a run's demand table is
-checked first: a server outside the tree, a demand from a server to
-itself, or a negative or non-finite rate is a DomainError.  A same-rack
-demand rides its ToR alone, so only inter-rack demands reach a path
-choice.  Every path is one row of five switch ids, -1 where it has none.
+batches consecutive segments of a run.  A batch's plans come as arrays
+(`Plans`), and eer's active sets too (`ActiveSets`); each is a sequence
+whose item j, built when read, is what routing set j alone gives.  One
+set is a batch of one, and its result comes unwrapped.  The routers
+join a batch's sets into one set of arrays, set after set, and route
+them with one pass of array calls: each set's rows are offset by its
+index in the batch, so one ordered bincount gives every set's totals
+and loads, adding what a bincount per set adds.  A set not read from a
+run's demand table is checked first: a server outside the tree, a
+demand from a server to itself, or a negative or non-finite rate is a
+DomainError.  A same-rack demand rides its ToR alone, so only
+inter-rack demands reach a path choice.  Every path is one row of five
+switch ids, -1 where it has none.
 
 sp's path is a pure function of the server pair, and so are the ToRs,
 pods and forced path (agg position 0, core index 0) that ecmp and eer
@@ -40,16 +42,21 @@ takes its forced path, and the greedy loop runs over one set's demands
 only when one of them has a choice.  It orders each set's demands
 largest first with numpy's default sort and sorts stably only when two
 rates of a set tie, since without ties every sort gives the stable
-order.  A set whose plan overloads a switch escalates alone.  A batch
-that fails raises the error that one of its failing sets raises alone;
-`run_scenario` replays a failed batch set by set, so that a run fails
-on its first failing segment.
+order.  eer's balancing reads the batch's active sets as arrays: each
+set's widths per pod and its cores per agg position.  A set whose plan
+overloads a switch escalates alone, and its plan is spliced into the
+batch's arrays.  A batch that fails raises the error that one of its
+failing sets raises alone; `run_scenario` replays a failed batch set by
+set, so that a run fails on its first failing segment.
 
 A plan keeps its switch loads as two arrays, switch ids in order of
 first load and their Gbps, and builds the switch -> load dict, like
-the routes, only when read.  Demand rates arrive in Mbps; switch loads
-are kept in Gbps.  Every plan lists its switches over capacity; eer
-treats them as errors since it controls its own active set.
+the routes, only when read.  A batch's `Plans` holds every set's two
+arrays end to end, which `run_scenario` meters as they are; a set's
+RoutingPlan is built only for `on_plan`, the one-set call or eer's
+retry.  Demand rates arrive in Mbps; switch loads are kept in Gbps.
+Every plan lists its switches over capacity; eer treats them as errors
+since it controls its own active set.
 """
 
 from __future__ import annotations
@@ -104,6 +111,53 @@ class ActiveSet:
             for j, cores in enumerate(self.cores_per_group[:shared])
             for i in range(cores)
         ]
+
+
+class ActiveSets:
+    """A batch's active sets as arrays; set j's ActiveSet is built when read.
+
+    Row j of `widths` holds set j's awake agg positions per pod, 0 for a
+    pod it does not list, and row j of `cores` its awake core indices per
+    agg position, 0 past its `groups[j]` core groups.  `of` converts a
+    list of ActiveSets.  `replace` puts another set in place of one (EER's
+    retry), in the arrays.
+    """
+
+    def __init__(self, widths: np.ndarray, cores: np.ndarray, groups: np.ndarray):
+        self.widths, self.cores, self.groups = widths, cores, groups
+
+    @classmethod
+    def of(cls, actives, tree: FatTree) -> ActiveSets:
+        groups = np.array([len(a.cores_per_group) for a in actives], dtype=np.int64)
+        widths = np.zeros((len(actives), tree.num_pods), dtype=np.int64)
+        cores = np.zeros((len(actives), groups.max()), dtype=np.int64)
+        for j, active in enumerate(actives):
+            widths[j, list(active.widths)] = list(active.widths.values())
+            cores[j, :groups[j]] = active.cores_per_group
+        return cls(widths, cores, groups)
+
+    def __len__(self) -> int:
+        return len(self.groups)
+
+    def __getitem__(self, j: int) -> ActiveSet:
+        j = range(len(self))[j]  # a negative j counts from the end
+        pods = self.widths[j].nonzero()[0]
+        return ActiveSet(
+            widths=dict(zip(pods.tolist(), self.widths[j, pods].tolist())),
+            cores_per_group=tuple(self.cores[j, :self.groups[j]].tolist()),
+        )
+
+    def replace(self, j: int, active: ActiveSet) -> None:
+        """Put `active` in place of set j."""
+        j = range(len(self))[j]
+        groups = len(active.cores_per_group)
+        if groups > self.cores.shape[1]:
+            self.cores = np.pad(self.cores, ((0, 0), (0, groups - self.cores.shape[1])))
+        self.widths[j] = 0
+        self.widths[j, list(active.widths)] = list(active.widths.values())
+        self.cores[j] = 0
+        self.cores[j, :groups] = active.cores_per_group
+        self.groups[j] = groups
 
 
 class RoutingPlan:
@@ -256,7 +310,8 @@ class _Batch:
 
     @classmethod
     def of(cls, demands, tree: FatTree, timeslot=None) -> _Batch:
-        """`demands` as a batch; eer hands its own batch on to its phases."""
+        """`demands` as a batch; eer hands its own batch on to its phases,
+        which then give it their results as arrays."""
         return demands if isinstance(demands, _Batch) else cls(demands, tree, timeslot)
 
     def listed(self, result):
@@ -305,16 +360,16 @@ def _paths(tree: FatTree, tors, pods, position, index):
     """
     up, down = tree.agg_id(pods, position)
     core = tree.core_id(position, index)
-    hops = np.stack((tors[0], up, core, down, tors[1]), axis=1, dtype=np.int16,
-                    casting="unsafe")
-    hops[tors[0] == tors[1], 1:] = -1
-    hops[pods[0] == pods[1], 2:4] = -1
-    return hops
+    same_rack, same_pod = tors[0] == tors[1], pods[0] == pods[1]
+    return np.stack(
+        (tors[0], np.where(same_rack, -1, up), np.where(same_pod, -1, core),
+         np.where(same_pod, -1, down), np.where(same_rack, -1, tors[1])),
+        axis=1, dtype=np.int16, casting="unsafe")
 
 
 def _finish_plans(batch: _Batch, demands, hops, tree: FatTree, params,
-                  by_pair=False):
-    """Each set's plan, from one ordered bincount over every path's switches.
+                  by_pair=False) -> Plans:
+    """The batch's plans, from one ordered bincount over every path's switches.
 
     Each set's switch ids are offset by its index in the batch times the
     tree's switch count, so every set has bins of its own.  `bincount`
@@ -358,21 +413,70 @@ def _finish_plans(batch: _Batch, demands, hops, tree: FatTree, params,
         over_cut = np.searchsorted(over, edges).tolist()
         seen %= n_switches
         over %= n_switches
-    over = over.tolist()
-    rows = batch.bounds
-    plans = []
-    for j, timeslot in enumerate(batch.slots):
-        lo, hi = rows[j], rows[j + 1]
+    return Plans(batch, (demands, hops, by_pair), seen, loads, cut, over, over_cut)
+
+
+class Plans:
+    """A batch's plans as arrays; set j's RoutingPlan is built when read.
+
+    `switches` and `gbps` hold every set's plan switches and loads, set
+    after set: set j's are switches[cut[j]:cut[j + 1]].  `over` holds
+    every set's switches over capacity, set j's at
+    over[over_cut[j]:over_cut[j + 1]].  The meter reads these arrays, and
+    `plans[j]` builds set j's plan, with its rows of the batch's path
+    choices (`paths`, as in `RoutingPlan`).  `replace` puts another plan
+    in place of one set's (EER's retry), in the arrays too.
+    """
+
+    def __init__(self, batch: _Batch, paths, switches, gbps, cut, over, over_cut):
+        self.batch = batch
+        self.paths = paths  # (the batch's demands, hops, by_pair)
+        self.switches, self.gbps, self.cut = switches, gbps, cut
+        self.over, self.over_cut = over, over_cut
+        self._replaced: dict[int, RoutingPlan] = {}
+
+    def __len__(self) -> int:
+        return len(self.cut) - 1
+
+    def failing(self) -> list[int]:
+        """The sets whose plan lists a switch over capacity, in batch order."""
+        return np.flatnonzero(np.diff(self.over_cut)).tolist()
+
+    def violations(self, j: int) -> tuple[int, ...]:
+        return tuple(self.over[self.over_cut[j]:self.over_cut[j + 1]].tolist())
+
+    def __getitem__(self, j: int) -> RoutingPlan:
+        j = range(len(self))[j]  # a negative j counts from the end
+        if j in self._replaced:
+            return self._replaced[j]
+        batch, (demands, hops, by_pair) = self.batch, self.paths
+        lo, hi = batch.bounds[j], batch.bounds[j + 1]
         part = demands if batch.alone else DemandSet(
             demands.src[lo:hi], demands.dst[lo:hi], demands.rate[lo:hi])
-        plans.append(RoutingPlan(
-            timeslot,
-            violations=tuple(over[over_cut[j]:over_cut[j + 1]]),
+        return RoutingPlan(
+            batch.slots[j],
+            violations=self.violations(j),
             paths=(part, hops[lo:hi], by_pair),
-            switches=seen[cut[j]:cut[j + 1]],
-            gbps=loads[cut[j]:cut[j + 1]],
-        ))
-    return plans
+            switches=self.switches[self.cut[j]:self.cut[j + 1]],
+            gbps=self.gbps[self.cut[j]:self.cut[j + 1]],
+        )
+
+    def replace(self, j: int, plan: RoutingPlan) -> None:
+        """Put `plan` in place of set j's plan."""
+        j = range(len(self))[j]
+        self._replaced[j] = plan
+        self.switches, _ = _splice(self.switches, self.cut, j, plan.switches)
+        self.gbps, self.cut = _splice(self.gbps, self.cut, j, plan.gbps)
+        self.over, self.over_cut = _splice(
+            self.over, self.over_cut, j, np.array(plan.violations, dtype=np.int64))
+
+
+def _splice(array, cut, j, part):
+    """`array` with its block cut[j]:cut[j + 1] replaced by `part`, and the new cut."""
+    lo, hi = cut[j], cut[j + 1]
+    shift = len(part) - (hi - lo)
+    return (np.concatenate((array[:lo], part, array[hi:])),
+            cut[:j + 1] + [c + shift for c in cut[j + 1:]])
 
 
 def sp_route(
@@ -403,7 +507,8 @@ def _sp_paths(tree: FatTree, src, dst):
     ends = _pair_ends(tree, src, dst)
     key = _pair_key(src, dst)
     half = tree.half
-    return _paths(tree, ends[:, :2].T, ends[:, 2:].T, key % half, (key >> 8) % half)
+    return _paths(tree, ends[:, :2].T, ends[:, 2:].T, (key % half).astype(np.int16),
+                  ((key >> 8) % half).astype(np.int16))
 
 
 def _pair_key(a, b):
@@ -468,8 +573,9 @@ def estimate_active_set(
     with cross-pod traffic all keep the largest of their agg counts, n,
     so the awake cores connect them; the cores are dealt round-robin
     over the n groups.  Same-rack demands need neither.  `extra` widens
-    every count (escalation retry).  Given a batch, it returns an active
-    set per set.
+    every count (escalation retry).  Given a batch, it returns the
+    batch's active sets as arrays (`ActiveSets`), which `balanced_route`
+    reads as they are.
 
     Each layer's total is one ordered bincount over the inter-rack
     demands' items, in the order the flows join each pod's list and the
@@ -477,6 +583,7 @@ def estimate_active_set(
     `ffd_one_bin` decides exactly when FFD needs one bin; only the other
     layers are packed by `ffd_pack`.
     """
+    handed = isinstance(demands, _Batch)  # eer's batch: its arrays go back
     batch = _Batch.of(demands, tree)
     cap = params.capacity
     demands = batch.demands
@@ -513,9 +620,9 @@ def estimate_active_set(
     for row in (present & ~one_bin).nonzero()[0].tolist():
         bins[row] = len(ffd_pack(sizes[rows == row].tolist(), cap))
     # Each row's count: its total's ceiling over the capacity, taken with
-    # Python's float `//`, raised to the bins FFD needs.
-    need = np.array([max(int(-(-total // cap)), n)
-                     for total, n in zip(totals.tolist(), bins.tolist())])
+    # numpy's float `floor_divide` (Python's float `//`), raised to the bins
+    # FFD needs.
+    need = np.maximum(-np.floor_divide(-totals, cap), bins).astype(np.int64)
     need = need.reshape(-1, per_set)
     crossing = np.zeros(n_rows, dtype=bool)  # the pods cross-pod demands join
     crossing[item_rows[:2, cross]] = True
@@ -555,17 +662,15 @@ def estimate_active_set(
             f"reachable from {int(groups[j])} agg positions"
         )
 
-    set_of, pod_of = present[:, :core_row].nonzero()
-    cut = np.searchsorted(set_of, np.arange(len(batch.sets) + 1)).tolist()
-    pod_of, width_of = pod_of.tolist(), widths[set_of, pod_of].tolist()
-    return batch.result([
-        ActiveSet(
-            widths=dict(zip(pod_of[lo:hi], width_of[lo:hi])),
-            cores_per_group=tuple(len(range(j, cores, n)) for j in range(n))
-            if cores else (),
-        )
-        for lo, hi, cores, n in zip(cut, cut[1:], n_core.tolist(), groups.tolist())
-    ])
+    # The cores are dealt round-robin over the groups: group g of n gets
+    # len(range(g, n_core, n)) of them.
+    groups = np.where(n_core > 0, groups, 0)
+    group = np.arange(groups.max())
+    cores = np.where(group < groups[:, None],
+                     (n_core[:, None] - group + groups[:, None] - 1)
+                     // np.maximum(groups, 1)[:, None], 0)
+    actives = ActiveSets(np.where(present[:, :core_row], widths, 0), cores, groups)
+    return actives if handed else batch.result(actives)
 
 
 def balanced_route(
@@ -578,15 +683,18 @@ def balanced_route(
     takes the allowed candidate path that minimizes the resulting maximum
     load among its own switches (ties: first candidate, position-major).
     Endpoint ToRs are always allowed; a same-rack demand rides its ToR.
-    Given a batch, `active_set` lists one active set per set.
+    Given a batch, `active_set` lists one active set per set, or holds
+    them as `ActiveSets`.
 
     Each demand's number of allowed paths is array arithmetic over the
     counts, and a forced demand (one path) takes its forced path.  Only
     a set in which some demand has a choice runs the greedy loop
     (`_greedy`) over its demands.
     """
+    handed = isinstance(demands, _Batch)  # eer's batch: its arrays go back
     batch = _Batch.of(demands, tree, timeslot)
-    actives = batch.listed(active_set)
+    actives = active_set if isinstance(active_set, ActiveSets) else ActiveSets.of(
+        batch.listed(active_set), tree)
     demands = batch.demands
     by_size = _by_size(batch)
     ordered = DemandSet(
@@ -597,17 +705,12 @@ def balanced_route(
     hops = ordered.pair_rows(("forced", tree.k), functools.partial(_forced_paths, tree))
     inter = (tors[0] != tors[1]).nonzero()[0]
     inter_pods = pods[:, inter]
-    # Each set's width per pod, and reach[j, n]: set j's awake cores
-    # behind agg positions 0..n-1.
-    groups = max(len(active.cores_per_group) for active in actives)
-    width = np.zeros((len(actives), tree.num_pods), dtype=np.int64)
+    # reach[j, n]: set j's awake cores behind agg positions 0..n-1.
+    groups = actives.cores.shape[1]
     reach = np.zeros((len(actives), groups + 1), dtype=np.int64)
-    for j, active in enumerate(actives):
-        width[j, list(active.widths)] = list(active.widths.values())
-        reach[j, 1:] = list(itertools.accumulate(
-            active.cores_per_group + (0,) * (groups - len(active.cores_per_group))))
+    np.cumsum(actives.cores, axis=1, out=reach[:, 1:])
     set_of = batch.seg[inter]  # by_size keeps every set's rows in place
-    widths = width[set_of, inter_pods]
+    widths = actives.widths[set_of, inter_pods]
     shared = np.minimum(widths.min(axis=0), groups)
     count = np.where(inter_pods[0] == inter_pods[1], widths[0], reach[set_of, shared])
     if not count.all():
@@ -624,8 +727,8 @@ def balanced_route(
         position, index = _greedy(tree, actives[j], set_tors, set_pods,
                                   ordered.rate[lo:hi])
         hops[lo:hi] = _paths(tree, set_tors, set_pods, position, index)
-    return batch.result(
-        _finish_plans(batch, ordered, hops, tree, params, by_pair=True))
+    plans = _finish_plans(batch, ordered, hops, tree, params, by_pair=True)
+    return plans if handed else batch.result(plans)
 
 
 def _greedy(tree: FatTree, active_set: ActiveSet, tors, pods, rate):
@@ -707,20 +810,18 @@ def eer(
     is a heuristic), the active set is re-estimated once with one more
     switch per layer; a plan still over capacity is a CapacityError.  An
     overloaded ToR fails at once: its load is fixed by the placement,
-    not the routing.  Given a batch, it returns the list of active sets
-    and the list of plans, one per set; a set that needs the retry
-    retries alone.  A batch that fails raises the error that one of its
-    failing sets raises alone; `run_scenario` replays it set by set.
+    not the routing.  Given a batch, it returns the batch's active sets
+    (`ActiveSets`) and plans (`Plans`); a set that needs the retry
+    retries alone, and its retried set and plan replace its first ones.
+    A batch that fails raises the error that one of its failing sets
+    raises alone; `run_scenario` replays it set by set.
     """
     batch = _Batch(demands, tree, timeslot)
-    actives = batch.listed(estimate_active_set(batch, tree, params))
-    plans = batch.listed(
-        balanced_route(batch, tree, batch.result(actives), params))
-    for j, plan in enumerate(plans):
-        if not plan.violations:
-            continue
+    actives = estimate_active_set(batch, tree, params)
+    plans = balanced_route(batch, tree, actives, params)
+    for j in plans.failing():
         demands, timeslot = batch.sets[j], batch.slots[j]
-        tors = [sw for sw in plan.violations if tree.layer(sw) == TOR]
+        tors = [sw for sw in plans.violations(j) if tree.layer(sw) == TOR]
         if tors:
             raise InfeasibleError(
                 f"placement overloads ToR switches {tors} at t={timeslot}; "
@@ -734,11 +835,12 @@ def eer(
                 switches=plan.violations,
                 timeslot=timeslot,
             )
-        actives[j], plans[j] = active, plan
+        actives.replace(j, active)
+        plans.replace(j, plan)
     return batch.result(actives), batch.result(plans)
 
 
-# Router name -> the plans of a batch, called (demands, tree, params,
+# Router name -> the plans of a batch (`Plans`), called (demands, tree, params,
 # timeslots, run seed) with a list of DemandSets and a list of timeslots,
 # one per set.  Each entry looks its router up here when called, like
 # assignment.STRATEGIES, so a replaced `sp_route` is the one that runs.

@@ -44,6 +44,11 @@ REPORT_FORMAT_VERSION = 1
 LAYERS = (TOR, AGG, CORE)
 LAYER_BINS = np.arange(len(LAYERS))
 SLOT_BIN = len(LAYERS)
+# A report's layer totals add its switches' watts in another order than
+# its slot totals do, so their sum may differ from total_energy_wt in the
+# last bits: by up to 2.7e-15 of it over 132 reports at k = 4, 8 and 16
+# (every strategy and router, both power regimes, u = 0.3 and 0.6).
+LAYER_SUM_RTOL = 1e-9
 
 # The demand rows a batch of segments holds at most (`_batches`).  numpy's
 # fixed cost per call outweighs its work on small sets, and a batch routes
@@ -187,7 +192,8 @@ def load_report(path) -> EnergyReport:
     """Read a report file (`load_document`, `from_json`): its scenario is what
     `describe()` gives for the `Scenario` its SCENARIO_KEYS build, and its
     figures fit it, one per slot of the horizon and a total per layer, none
-    negative, with `total_energy_wt` the ordered sum of the slots' watts."""
+    negative, with `total_energy_wt` the ordered sum of the slots' watts and
+    the layer totals' sum within LAYER_SUM_RTOL of it."""
     return load_document(path, "report", REPORT_FORMAT_VERSION, _report_of)
 
 
@@ -214,6 +220,10 @@ def _report_of(doc) -> EnergyReport:
     if (total := ordered_sum(report.per_timeslot_watts)) != report.total_energy_wt:
         raise ValueError(f"total_energy_wt must be the sum of per_timeslot_watts, "
                          f"{total!r}, got {report.total_energy_wt!r}")
+    layers = ordered_sum(report.layer_breakdown[layer] for layer in LAYERS)
+    if abs(layers - total) > LAYER_SUM_RTOL * total:
+        raise ValueError(f"layer_breakdown must add up to total_energy_wt {total!r} "
+                         f"within {LAYER_SUM_RTOL:g} of it, got {layers!r}")
     return report
 
 
@@ -248,23 +258,20 @@ def _check_jobs(jobs, horizon: int) -> None:
 
 
 def _meter(plans, slots, layer_of, totals, params):
-    """The layer totals after a batch of plans, and each plan's slot watts and
-    active count; plan j covers slots[j] slots.
+    """The layer totals after a batch's plans (`routing.Plans`), and arrays of
+    each plan's slot watts and active count; plan j covers slots[j] slots.
 
-    One `switch_powers` call prices every plan's switches, and one
-    ordered bincount adds, in input order from 0.0: bins 0-2 (ToR, agg,
-    core) start from the running `totals` and take each plan's switches'
-    watts, in plan order, once per slot it covers, plan after plan; bin
-    SLOT_BIN + j takes plan j's watts once, as one slot's sum.  That is
-    what adding switch by switch, slot by slot, adds.  A switch at load
-    0.0 costs nothing and is not active.
+    One `switch_powers` call prices every plan's switches, read from the
+    batch's arrays, and one ordered bincount adds, in input order from
+    0.0: bins 0-2 (ToR, agg, core) start from the running `totals` and
+    take each plan's switches' watts, in plan order, once per slot it
+    covers, plan after plan; bin SLOT_BIN + j takes plan j's watts once,
+    as one slot's sum.  That is what adding switch by switch, slot by
+    slot, adds.  A switch at load 0.0 costs nothing and is not active.
     """
-    gbps, switches = plans[0].gbps, plans[0].switches
-    if len(plans) > 1:
-        gbps = np.concatenate([plan.gbps for plan in plans])
-        switches = np.concatenate([plan.switches for plan in plans])
+    gbps, switches = plans.gbps, plans.switches
     watts = switch_powers(gbps, params)
-    sizes = np.array([len(plan.gbps) for plan in plans])
+    sizes = np.diff(plans.cut)
     bins = SLOT_BIN + len(plans)
     slot_bin = np.repeat(np.arange(SLOT_BIN, bins), sizes)
     # Bins 0-2 take plan j's block of `watts` once per slot it covers: the
@@ -280,7 +287,7 @@ def _meter(plans, slots, layer_of, totals, params):
         minlength=bins,
     )
     active = np.bincount(slot_bin[gbps != 0], minlength=bins)[SLOT_BIN:]
-    return sums[:SLOT_BIN], sums[SLOT_BIN:].tolist(), active.tolist()
+    return sums[:SLOT_BIN], sums[SLOT_BIN:], active
 
 
 def _batches(table, horizon: int, step: int, least_rows: int):
@@ -326,15 +333,18 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
     reuse that plan for its slots; ecmp, whose draws are seeded per slot
     (`routing.DRAWS_PER_SLOT`), routes every slot.  Consecutive segments
     (for ecmp, slots) go to the router as one batch while their demand
-    rows total at most BATCH_ROWS (`_batches`), and each batch's plans
-    are metered by one ordered bincount over their switches' watts
-    (`_meter`).  The report is the same as routing and metering every
-    slot afresh: a reused slot adds its switches' watts to the layer
-    totals in the same order.  `on_plan`, when given, still receives one
-    RoutingPlan per timeslot, carrying that slot's `timeslot` (route
-    inspection).  A batch that fails is routed again set by set, so the
-    run fails with the error of its first failing segment (for ecmp,
-    slot), and `on_plan` first receives the plan of every slot before it.
+    rows total at most BATCH_ROWS (`_batches`).  A batch's plans stay
+    the router's arrays (`routing.Plans`): they are metered by one
+    ordered bincount over their switches' watts (`_meter`), and one
+    `repeat` gives every slot its plan's watts and active count.  The
+    report is the same as routing and metering every slot afresh: a
+    reused slot adds its switches' watts to the layer totals in the same
+    order.  `on_plan`, when given, still receives one RoutingPlan per
+    timeslot, carrying that slot's `timeslot` (route inspection); only
+    then is each segment's plan built.  A batch that fails is routed
+    again set by set, so the run fails with the error of its first
+    failing segment (for ecmp, slot), and `on_plan` first receives the
+    plan of every slot before it.
 
     A transfer window that ends past the horizon, or a job id that two
     jobs share, is a ConfigError.
@@ -377,17 +387,21 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
                 for item in batch:
                     route_batch([item])
             raise
-        spans = [stop - start for start, stop in zip(starts, stops)]
-        for plan, start, stop in zip(plans, starts, stops):
-            if plan.violations:
-                violations.update(dict.fromkeys(range(start, stop), plan.violations))
-            if on_plan is not None:
+        spans = np.subtract(stops, starts)
+        for j in plans.failing():
+            violations.update(dict.fromkeys(range(starts[j], stops[j]),
+                                            plans.violations(j)))
+        if on_plan is not None:
+            for j, (start, stop) in enumerate(zip(starts, stops)):
+                plan = plans[j]
                 for t in range(start, stop):
                     on_plan(plan if t == start else plan.at(t))
         layer_totals, watts, active = _meter(plans, spans, layer_of, layer_totals, params)
-        for slot_watts, slot_active, span in zip(watts, active, spans):
-            per_slot_watts.extend([slot_watts] * span)
-            active_counts.extend([slot_active] * span)
+        # As objects, so a plan's slots share one float and one int, as a
+        # list repeat would: a float per slot would make each kept report
+        # 24 bytes a slot larger.
+        per_slot_watts.extend(watts.astype(object).repeat(spans).tolist())
+        active_counts.extend(active.astype(object).repeat(spans).tolist())
 
     table = demand_table(jobs, placement.placements)
     # A router keeps a bin of about 16 bytes per switch for each set of a

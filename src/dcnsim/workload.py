@@ -195,12 +195,38 @@ class WorkloadConfig:
 
     def __post_init__(self):
         FatTree(self.k, self.server_capacity)  # checks the tree's dimensions
-        if not (0.0 <= self.target_utilization <= 1.0):
-            raise ConfigError(
-                f"target_utilization must be within [0, 1], got {self.target_utilization}"
-            )
+        check_utilization(self.target_utilization)
         if not is_horizon(self.horizon):
             raise ConfigError(f"horizon must be an int >= 1, got {self.horizon!r}")
+
+
+def check_utilization(value: float) -> None:
+    """A target utilization is a share of the VM slots: within [0, 1]."""
+    if not (0.0 <= value <= 1.0):
+        raise ConfigError(f"target_utilization must be within [0, 1], got {value}")
+
+
+@dataclass(frozen=True)
+class SavedConfig:
+    """A workload file's `config`: the `gen` options its jobs were drawn
+    with, each one optional.  A key given must lie where that option's own
+    check puts it, `FatTree`'s for `k` and `server_capacity` and
+    `check_utilization` for `utilization`; a failure names `config.<key>`.
+    `save_workload` writes it and `load_workload` reads it back."""
+
+    k: int | None = None
+    utilization: float | None = None
+    server_capacity: int | None = None
+
+    def __post_init__(self):
+        checks = {"k": FatTree, "utilization": check_utilization,
+                  "server_capacity": lambda c: FatTree(4, c)}
+        for key, check in checks.items():
+            if (value := getattr(self, key)) is not None:
+                try:
+                    check(value)
+                except ConfigError as exc:
+                    raise ConfigError(f"config.{key}: {exc}") from None
 
 
 def is_horizon(value) -> bool:
@@ -291,11 +317,11 @@ def pattern_vector(job: Job, horizon: int) -> np.ndarray:
     return raw
 
 
-def gap_distance(gap: np.ndarray) -> float:
-    """Inverse L2 norm (`graphkit.norm`) of the 1-D difference of two
-    patterns: similar patterns sit at a large distance."""
-    length = norm(gap)
-    return 1.0 / length if length != 0.0 else DIST_MAX
+def gap_distance(gaps: np.ndarray) -> np.ndarray:
+    """Inverse L2 norm (`graphkit.norm`) of each row of `gaps`, each the
+    difference of two patterns: similar patterns sit at a large distance."""
+    length = norm(gaps)
+    return np.divide(1.0, length, out=np.full(len(length), DIST_MAX), where=length != 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,34 +390,48 @@ def demand_table(
 
     VM pairs co-hosted on one server emit nothing (their traffic never
     reaches a NIC).  A VM of a listed job without a server is a
-    DomainError.  The rows fill preallocated compact arrays in the order
-    they are built; only the pair ids come from a sort of the rows'
-    server pairs.
+    DomainError.  Every unit's matrix entries are read in one pass over
+    their row-major concatenation: entry e of an n x n unit runs from the
+    unit's VM e // n to its VM e % n.  Indices are int32, and each
+    temporary is freed after its last read.  Only the pair ids come from
+    a sort of the rows' server pairs.
     """
-    starts, ends, units = [], [], []
+    hosts, starts, ends, widths, first_vm, matrices = [], [], [], [], [], []
+    vms = 0
     for job in jobs:
-        hosts = _hosts(job, assignment)
+        hosts.append(_hosts(job, assignment))
         for first, last in _stretches(job):
-            matrix = job.traffic_at(first)
-            sent = matrix > 0
-            sent &= hosts[:, None] != hosts
             starts.append(first)
             ends.append(last)
-            units.append((hosts, matrix, sent))
-    size = np.array([np.count_nonzero(sent) for _, _, sent in units], dtype=np.int64)
-    rows = int(size.sum())
-    src = np.empty(rows, dtype=np.uint16)
-    dst = np.empty(rows, dtype=np.uint16)
-    rate = np.empty(rows)
-    begin = 0
-    for hosts, matrix, sent in units:
-        row, col = sent.nonzero()
-        stop = begin + len(row)
-        src[begin:stop] = hosts[row]
-        dst[begin:stop] = hosts[col]
-        rate[begin:stop] = matrix[row, col]
-        begin = stop
-    del units
+            widths.append(job.vm_count)
+            first_vm.append(vms)
+            matrices.append(job.traffic_at(first).ravel())
+        vms += job.vm_count
+    entries = np.square(np.array(widths, dtype=np.int64))
+    rate = np.concatenate(matrices) if matrices else np.empty(0)
+    del matrices
+    begins = np.cumsum(entries) - entries  # each unit's first entry
+    e = np.arange(len(rate), dtype=np.int32)
+    e -= np.repeat(begins.astype(np.int32), entries)
+    n = np.repeat(np.array(widths, dtype=np.int32), entries)
+    row, col = np.divmod(e, n)
+    del e, n
+    base = np.repeat(np.array(first_vm, dtype=np.int32), entries)
+    row += base
+    col += base
+    del base
+    hosts = np.concatenate(hosts) if hosts else np.empty(0, dtype=np.uint16)
+    src = hosts[row]
+    del row
+    dst = hosts[col]
+    del col
+    sent = rate > 0
+    sent &= src != dst
+    size = (np.add.reduceat(sent, begins, dtype=np.int64) if len(begins)
+            else np.empty(0, dtype=np.int64))
+    src, dst, rate = src[sent], dst[sent], rate[sent]
+    del sent
+    rows = len(rate)
     order = pair_order(src, dst)
     src, dst = src[order], dst[order]  # the rows' pairs, sorted
     first = np.empty(rows, dtype=bool)
@@ -465,11 +505,12 @@ def pair_order(src, dst) -> np.ndarray:
 WORKLOAD_FORMAT_VERSION = 1
 
 
-def save_workload(path, jobs: Sequence[Job], horizon: int, seed=None, config=None):
+def save_workload(path, jobs: Sequence[Job], horizon: int, seed=None,
+                  config: SavedConfig = SavedConfig()):
     """Write jobs to a versioned JSON workload file (`to_json`)."""
     with open(path, "w") as fh:
         json.dump({"version": WORKLOAD_FORMAT_VERSION, "horizon": horizon, "seed": seed,
-                   "config": config or {}, "jobs": to_json(list(jobs))}, fh)
+                   "config": to_json(config), "jobs": to_json(list(jobs))}, fh)
 
 
 def load_document(path, kind: str, version: int, build):
@@ -509,7 +550,8 @@ def _finite_float(literal: str) -> float:
 
 
 def load_workload(path):
-    """Read a workload file (see `load_document`); returns (jobs, metadata)."""
+    """Read a workload file (see `load_document`); returns (jobs, metadata),
+    the metadata's `config` a SavedConfig (all None for a null config)."""
     return load_document(path, "workload", WORKLOAD_FORMAT_VERSION, _workload_of)
 
 
@@ -525,7 +567,7 @@ def _workload_of(doc):
         raise ValueError(f"seed must be an int or null, and not negative; got {seed!r}")
     if config is not None and not isinstance(config, dict):
         raise ValueError(f"config must be an object or null, got {config!r}")
-    from_json(float | None, (config or {}).get("utilization"), "config.utilization")
+    config = from_json(SavedConfig, config or {}, "config")
     return jobs, {"horizon": horizon, "seed": seed, "config": config}
 
 

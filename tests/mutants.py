@@ -77,14 +77,32 @@ CATALOGUE = (
     Mutant("graphkit.py", "for v, cap in out_of_s.items():",
            "for v, cap in reversed(out_of_s.items()):",
            ("tests/test_differential.py::test_max_flow_matches_edmonds_karp",)),
-    Mutant("graphkit.py", "return math.sqrt(np.add.reduce(gap * gap))",
-           'return math.sqrt(np.einsum("i,i->", gap, gap))',
+    Mutant("graphkit.py", "return np.sqrt(np.add.reduce(gap * gap, axis=-1))",
+           'return np.sqrt(np.einsum("...i,...i->...", gap, gap))',
            ("tests/test_differential.py::test_kmeans_distances_are_the_norm_bits",)),
     Mutant("assignment.py", "centers[best] = stack[members[best]].mean(axis=0)",
            "centers[best] += (stack[i] - centers[best]) / len(members[best])",
            ("tests/test_differential.py::test_clusters_match_the_list_mean_oracle",)),
     Mutant("routing.py", "[[seed, s] for s in t]", "[[seed, j] for j, s in enumerate(t)]",
            ("tests/test_differential.py::test_the_batch_budget_never_changes_a_report",)),
+    # A failed batch is replayed set by set whether or not on_plan is given.
+    Mutant("simengine.py", "if len(batch) > 1:", "if len(batch) > 1 and on_plan is not None:",
+           ("tests/test_differential.py::test_segment_loop_matches_the_per_slot_loop",)),
+    # The too-wide pod named is the one the set's items reach first.
+    Mutant("routing.py", "pod = int(rows[np.isin(rows, wide_rows)][0]) % per_set",
+           "pod = int(wide_rows[0]) % per_set",
+           ("tests/test_differential.py::test_a_too_wide_pod_is_named_by_its_first_item",)),
+    # The array passes: rack-graph adjacency in ascending order, k-means++'s
+    # fallback over the unchosen rows, the demand table's source VM from the
+    # entry's row, and a retried set's plan spliced into the batch's arrays.
+    Mutant("graphkit.py", "near = row.nonzero()[0]", "near = row.nonzero()[0][::-1]",
+           ("tests/test_differential.py::test_partition_matches_the_ix_reference",)),
+    Mutant("graphkit.py", "remaining = (~taken).nonzero()[0]", "remaining = np.arange(n)",
+           ("tests/test_differential.py::test_kmeans_seeding_matches_per_pair_norms",)),
+    Mutant("workload.py", "row, col = np.divmod(e, n)", "col, row = np.divmod(e, n)",
+           ("tests/test_differential.py::test_demand_table_matches_the_unit_by_unit_oracle",)),
+    Mutant("routing.py", "shift = len(part) - (hi - lo)", "shift = 0",
+           ("tests/test_differential.py::test_segment_loop_matches_the_per_slot_loop",)),
 )
 
 

@@ -26,8 +26,11 @@ equal-cost up-down paths the way a per-pair router would; it and
 scheme.  `sp_segment_oracle` is sp as an array call that builds every
 demand's path afresh, where `sp_route` gathers per-pair rows built once
 per run; `by_size_oracle` is EER's demand order by `pair_order` and a
-stable sort.  `power_rate` (watts per Gbps of load) and `job_distance`
-(`gap_distance` of two patterns) are helpers only tests call.
+stable sort.  `demand_table_oracle` builds the demand table unit by
+unit, reading each unit's matrix entries with its own `nonzero`, where
+`demand_table` reads every unit's entries in one pass.  `power_rate`
+(watts per Gbps of load) and `job_distance` (`gap_distance` of two
+patterns) are helpers only tests call.
 """
 
 from __future__ import annotations
@@ -54,6 +57,10 @@ from dcnsim.topology import AGG, CORE, TOR, build_fat_tree
 from dcnsim.workload import (
     DIST_MAX,
     DemandSet,
+    DemandTable,
+    _hosts,
+    _index_dtype,
+    _stretches,
     demands_at,
     gap_distance,
     pair_order,
@@ -698,7 +705,7 @@ def job_distance(v1, v2) -> float:
     v2 = np.asarray(v2, dtype=float)
     if v1.shape != v2.shape:
         raise DomainError(f"pattern length mismatch: {v1.shape} vs {v2.shape}")
-    return gap_distance(np.ravel(v1 - v2))
+    return float(gap_distance(np.ravel(v1 - v2)[None])[0])
 
 
 def run_each_slot(scenario, jobs=None, on_plan=None):
@@ -741,4 +748,46 @@ def run_each_slot(scenario, jobs=None, on_plan=None):
         active_switches=tuple(active_counts),
         runtime_ms=0.0,
         violations=violations,
+    )
+
+
+def demand_table_oracle(jobs, assignment) -> DemandTable:
+    """`workload.demand_table` built unit by unit: each unit's rows are its
+    matrix's `nonzero` entries off a shared server, row-major, written into
+    preallocated compact arrays in the order they are built."""
+    starts, ends, units = [], [], []
+    for job in jobs:
+        hosts = _hosts(job, assignment)
+        for first, last in _stretches(job):
+            matrix = job.traffic_at(first)
+            sent = matrix > 0
+            sent &= hosts[:, None] != hosts
+            starts.append(first)
+            ends.append(last)
+            units.append((hosts, matrix, sent))
+    size = np.array([np.count_nonzero(sent) for _, _, sent in units], dtype=np.int64)
+    rows = int(size.sum())
+    src = np.empty(rows, dtype=np.uint16)
+    dst = np.empty(rows, dtype=np.uint16)
+    rate = np.empty(rows)
+    begin = 0
+    for hosts, matrix, sent in units:
+        row, col = sent.nonzero()
+        stop = begin + len(row)
+        src[begin:stop] = hosts[row]
+        dst[begin:stop] = hosts[col]
+        rate[begin:stop] = matrix[row, col]
+        begin = stop
+    order = pair_order(src, dst)
+    src, dst = src[order], dst[order]
+    first = np.empty(rows, dtype=bool)
+    first[:1] = True
+    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    heads = first.nonzero()[0]
+    pair = np.empty(rows, dtype=_index_dtype(len(heads)))
+    pair[order] = np.arange(len(heads), dtype=pair.dtype).repeat(
+        np.diff(heads, append=rows))
+    return DemandTable(
+        np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64), size,
+        src[heads], dst[heads], pair, rate,
     )

@@ -117,6 +117,17 @@ def _job_text(**fields):
      "seed must be an int or null"),
     ('{"version": 1, "horizon": 10, "config": {"utilization": "abc"}, "jobs": []}',
      "utilization must be a number"),
+    # The config is a record: each key has its type and, given, its domain.
+    ('{"version": 1, "horizon": 10, "config": {"k": "x"}, "jobs": []}',
+     "config.k must be an int or null, got 'x'"),
+    ('{"version": 1, "horizon": 10, "config": {"utilization": 1.5}, "jobs": []}',
+     "config.utilization: target_utilization must be within [0, 1], got 1.5"),
+    ('{"version": 1, "horizon": 10, "config": {"k": 5}, "jobs": []}',
+     "config.k: k must be even and within [4, 48], got 5"),
+    ('{"version": 1, "horizon": 10, "config": {"server_capacity": 0}, "jobs": []}',
+     "config.server_capacity: server_capacity must be >= 1, got 0"),
+    ('{"version": 1, "horizon": 10, "config": {"utilisation": 0.5}, "jobs": []}',
+     "config has the unknown key 'utilisation'"),
     (_jobs_text((0, 7.5)), "jobs[0].transfers[0].start must be an int, got 7.5"),
     (_jobs_text((0, True)), "jobs[0].transfers[0].start must be an int, got True"),
     (_jobs_text((0, 0), (1, 2), (0, 4)), "job id 0 is repeated"),
@@ -271,6 +282,9 @@ def test_the_report_rows_start_from_a_valid_report(tmp_path):
     (_report_text(active_switches=[2, -1]), "active_switches[1] must be >= 0, got -1"),
     (_report_text(layer_breakdown={"tor": 800.0, "agg": -1.0, "core": 1.0}),
      "layer_breakdown.agg must be >= 0, got -1.0"),
+    (_report_text(layer_breakdown={"tor": 1600.0, "agg": 0.0, "core": 0.0}),
+     "layer_breakdown must add up to total_energy_wt 800.0 within 1e-09 of it, "
+     "got 1600.0"),
 ])
 def test_bad_report_file_is_a_config_error(tmp_path, capsys, text, cause):
     report = tmp_path / "bad.json"
@@ -288,7 +302,8 @@ def test_bad_report_file_is_a_config_error(tmp_path, capsys, text, cause):
     ([], {"utilization": 1.5}),
 ])
 def test_a_run_refuses_a_utilization_outside_0_to_1(tmp_path, capsys, flags, config):
-    # Given by the flag or by the workload file, it would label the report.
+    # Given by the flag or by the workload file, it would label the report;
+    # the file's is refused as it loads, naming the file and the key.
     wl = tmp_path / "wl.json"
     assert main(["gen", "--k", "4", "--utilization", "0.4", "--seed", "3",
                  "--horizon", "6", "--out", str(wl)]) == 0
@@ -298,7 +313,9 @@ def test_a_run_refuses_a_utilization_outside_0_to_1(tmp_path, capsys, flags, con
     out = tmp_path / "r.json"
     assert main(["run", "--workload", str(wl), "--k", "4", *flags, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: target_utilization must be within [0, 1], got ")
+    where = f"workload file {wl} is malformed: config.utilization: " if config else ""
+    assert err.startswith(
+        f"config error: {where}target_utilization must be within [0, 1], got ")
     assert not out.exists()
 
 
@@ -432,7 +449,7 @@ def test_unset_options_keep_the_library_defaults(tmp_path):
     jobs, meta = load_workload(wl)
     cfg = WorkloadConfig(k=4, target_utilization=0.3)
     assert jobs == generate_workload(cfg, scenario.seed)
-    assert (meta["horizon"], meta["seed"], meta["config"]["server_capacity"]) == (
+    assert (meta["horizon"], meta["seed"], meta["config"].server_capacity) == (
         cfg.horizon, scenario.seed, cfg.server_capacity)
 
 

@@ -30,6 +30,7 @@ from dcnsim.errors import DomainError, SimulationError
 from dcnsim.power import PowerParams, switch_powers
 from dcnsim.assignment import (
     STRATEGIES,
+    assign,
     SuperVM,
     cluster_jobs,
     partition_into_racks,
@@ -62,6 +63,7 @@ from oracles import (
     by_size_oracle,
     candidate_paths,
     cluster_oracle,
+    demand_table_oracle,
     ecmp_oracle,
     edmonds_karp,
     eer_oracle,
@@ -177,12 +179,13 @@ def test_demands_match_the_per_entry_loop(case):
 
 
 @st.composite
-def tree_workloads(draw):
+def tree_workloads(draw, transfers=(0, 3)):
     """(tree, jobs, assignment) over HORIZON slots at k = 4, 6 or 8.
 
-    Jobs have zero to three transfers whose windows lean towards slot 0
-    and the last slot, so they overlap; matrices hold zeros; VMs take one
-    to three slots, and VMs drawn from a small server pool share servers.
+    Jobs have zero to three transfers (or as many as `transfers` bounds)
+    whose windows lean towards slot 0 and the last slot, so they overlap;
+    matrices hold zeros; VMs take one to three slots, and VMs drawn from
+    a small server pool share servers.
     """
     tree = build_fat_tree(draw(st.sampled_from([4, 6, 8])))
     pool = draw(st.lists(st.integers(0, tree.num_servers - 1), min_size=1, max_size=4))
@@ -190,7 +193,7 @@ def tree_workloads(draw):
     for job_id in range(draw(st.integers(0, 5))):
         n = draw(st.integers(1, 5))
         trs = []
-        for _ in range(draw(st.integers(0, 3))):
+        for _ in range(draw(st.integers(*transfers))):
             start = draw(st.one_of(st.just(0), st.integers(0, HORIZON - 1)))
             end = draw(st.one_of(st.just(HORIZON - 1), st.integers(start, HORIZON - 1)))
             matrix = np.array(draw(st.lists(RATES, min_size=n * n, max_size=n * n)))
@@ -890,9 +893,10 @@ def test_clusters_match_the_list_mean_oracle(case, seed):
     jobs, n_pods, capacity, horizon = case
     measured = []
 
-    def recording(gap):
-        measured.append(gap_distance(gap))
-        return measured[-1]
+    def recording(gaps):  # one call per job, one row per feasible center
+        distances = gap_distance(gaps)
+        measured.extend(distances.tolist())
+        return distances
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(assignment, "gap_distance", recording)
@@ -1125,3 +1129,58 @@ def test_edge_units_cover_one_slot_units_both_ends_and_empty_segments():
     assert (table.start == table.end).any()
     assert table.start.min() == 0 and table.end.max() == HORIZON - 1
     assert [len(table.at(t).src) for t in (3, 4)] == [0, 0]
+
+
+TABLE_ARRAYS = ("start", "end", "size", "src", "dst", "pair", "rate")
+
+
+@SETTINGS
+@given(tree_workloads(transfers=(1, 4)))
+@example((build_fat_tree(4), *EDGE_UNITS))
+@example((build_fat_tree(4), *_pair_flows([[1.0, 1e16, 1.0, 0.0]], n=4)))
+@example((build_fat_tree(4), [], {}))
+def test_demand_table_matches_the_unit_by_unit_oracle(case):
+    """Every array of the table, its dtype and its bytes."""
+    _, jobs, assignment = case
+    got, want = demand_table(jobs, assignment), demand_table_oracle(jobs, assignment)
+    for name in TABLE_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+# --- what on_plan receives ------------------------------------------------------
+
+
+def _one_set_router(scenario, tree):
+    """The router of `scenario` on one slot's demands, called alone."""
+    params, seed = scenario.power, scenario.seed
+    return {
+        "sp": lambda demands, t: sp_route(demands, tree, params, t),
+        "ecmp": lambda demands, t: ecmp_route(demands, tree, [seed, t], params, t),
+        "eer": lambda demands, t: eer(demands, tree, params, t)[1],
+    }[scenario.route_strategy]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(segment_cases())
+@example(_coupled_in_a_batch())
+@example((_scenario(4, "greedy", "eer", 3, TIGHT[1]), MIDDLE_FAILS))
+@example((_scenario(4, "greedy", "ecmp", 8), OVERLAPPING))
+def test_on_plan_gets_each_slots_one_set_plan_and_changes_no_report(case):
+    """A run reports the same with and without `on_plan`, which gets, for
+    each slot it reaches, the plan that the router gives that slot's
+    demands alone: switches, Gbps bits, violations and routes."""
+    scenario, jobs = case
+    plans = []
+    got = _outcome(lambda: run_scenario(scenario, jobs, on_plan=plans.append).fingerprint())
+    assert _outcome(lambda: run_scenario(scenario, jobs).fingerprint()) == got
+    if not plans:
+        return
+    tree = build_fat_tree(scenario.k, server_capacity=scenario.server_capacity)
+    placement = assign(scenario.assign_strategy, jobs, tree, seed=scenario.seed,
+                       horizon=scenario.horizon)
+    table = demand_table(jobs, placement.placements)
+    alone = _one_set_router(scenario, tree)
+    assert [plan.timeslot for plan in plans] == list(range(len(plans)))
+    for plan in plans:
+        assert _plan_bits(plan) == _plan_bits(alone(table.at(plan.timeslot), plan.timeslot))

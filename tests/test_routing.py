@@ -390,6 +390,33 @@ def test_eer_escalates_once_when_coupling_bites():
     assert active.widths[0] == 3  # widened by the retry
 
 
+def test_a_batchs_last_set_reads_at_minus_one_also_after_a_retry():
+    # Set 1 needs EER's retry (the flows above); reading it as [-1] gives
+    # the retried set and plan, and the arrays hold the retried set too.
+    tree = build_fat_tree(8)
+    calm = DemandSet.of([(server_id(tree, 0, 0, 0), server_id(tree, 1, 0, 0), 1.0)])
+    jam = DemandSet.of([
+        (server_id(tree, 0, 0, 0), server_id(tree, 1, 0, 0), 600_000.0),
+        (server_id(tree, 0, 1, 0), server_id(tree, 2, 0, 0), 600_000.0),
+        (server_id(tree, 1, 1, 0), server_id(tree, 2, 1, 0), 600_000.0),
+    ])
+    actives, plans = eer([calm, jam], tree, PARAMS, [0, 1])
+    alone, plan = eer(jam, tree, PARAMS, 1)
+    assert actives[-1] == actives[1] == alone and actives[1].widths[0] == 3
+    assert actives.widths[1].tolist() == [alone.widths.get(p, 0) for p in range(tree.num_pods)]
+    assert actives.groups[1] == len(alone.cores_per_group)
+    assert plans[-1].timeslot == 1 and plans[-1].loads == plans[1].loads == plan.loads
+    assert plans[-1].routes == plan.routes and plans[-1].violations == ()
+    sp = sp_route([calm, jam], tree, PARAMS, [0, 1])
+    assert sp[-1].timeslot == 1 and sp[-1].loads == sp_route(jam, tree, PARAMS).loads
+    assert sp[-2].timeslot == 0
+    for out_of_range in (2, -3):
+        with pytest.raises(IndexError):
+            sp[out_of_range]
+        with pytest.raises(IndexError):
+            actives[out_of_range]
+
+
 def test_eer_fails_early_on_an_overloaded_tor(monkeypatch):
     # ToR load is fixed by the placement, so EER must not retry wider
     import dcnsim.routing as routing

@@ -11,6 +11,7 @@ from dcnsim.simengine import Scenario, run_scenario
 from dcnsim.workload import (
     DIST_MAX,
     Job,
+    SavedConfig,
     Transfer,
     WorkloadConfig,
     demands_at,
@@ -222,9 +223,10 @@ def test_workload_file_roundtrip(tmp_path):
     cfg = WorkloadConfig(k=4, target_utilization=0.5)
     jobs = generate_workload(cfg, seed=77)
     path = tmp_path / "wl.json"
-    save_workload(path, jobs, horizon=100, seed=77, config={"k": 4})
+    save_workload(path, jobs, horizon=100, seed=77, config=SavedConfig(k=4))
     loaded, meta = load_workload(path)
     assert meta["horizon"] == 100 and meta["seed"] == 77
+    assert meta["config"] == SavedConfig(k=4)
     assert len(loaded) == len(jobs)
     for a, b in zip(jobs, loaded):
         assert a.vm_count == b.vm_count and a.vm_resource == b.vm_resource
