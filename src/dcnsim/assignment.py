@@ -11,7 +11,9 @@ pipeline without the super-VM merge (eea).
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -43,25 +45,50 @@ class Assignment:
         self.placements = dict(placements)
 
     def validate(self, jobs: Sequence[Job], tree: FatTree) -> None:
-        """Check totality, uniqueness of placement and server capacity."""
-        expected = {(job.id, m) for job in jobs for m in range(job.vm_count)}
-        missing = expected - set(self.placements)
-        if missing:
-            raise DomainError(f"unassigned VMs: {sorted(missing)[:5]} ...")
-        extra = set(self.placements) - expected
-        if extra:
-            raise DomainError(f"assignment covers unknown VMs: {sorted(extra)[:5]}")
+        """Check totality, uniqueness of placement and server capacity.
+
+        The placement holds every VM of `jobs` and no other when it has as
+        many keys as they have VMs and each (job id, VM index) is one of
+        them, looked up in one pass; only a placement that fails builds
+        the sets its error names.  Then one bincount adds each server's
+        slots, and the first server in placement order that is not the
+        tree's, or holds more than its capacity, is named.  A server id is
+        an int; any other is not the tree's.
+        """
+        placed = self.placements
+        counts = [job.vm_count for job in jobs]
+        ids = itertools.chain.from_iterable(map(itertools.repeat, (j.id for j in jobs), counts))
+        vms = itertools.chain.from_iterable(map(range, counts))
+        if len(placed) != sum(counts) or not all(map(placed.__contains__, zip(ids, vms))):
+            expected = {(job.id, m) for job in jobs for m in range(job.vm_count)}
+            missing = expected - set(placed)
+            if missing:
+                raise DomainError(f"unassigned VMs: {sorted(missing)[:5]} ...")
+            extra = set(placed) - expected
+            if extra:
+                raise DomainError(f"assignment covers unknown VMs: {sorted(extra)[:5]}")
+        values = list(placed.values())
+        servers = np.array(values)
+        if servers.dtype.kind not in "iu":  # some id is not an int: it is outside
+            servers = np.array([s if isinstance(s, (int, np.integer)) and
+                                0 <= s < tree.num_servers else -1 for s in values],
+                               dtype=np.int64)
+        outside = (servers < 0) | (servers >= tree.num_servers)
+        servers[outside] = 0
         resource = {job.id: job.vm_resource for job in jobs}
-        usage: dict[int, int] = {}
-        for (job_id, _), server in self.placements.items():
-            usage[server] = usage.get(server, 0) + resource[job_id]
-        for server, used in usage.items():
-            tree.check_server(server)
-            if used > tree.server_capacity:
-                raise DomainError(
-                    f"server {server} holds {used} slots > capacity "
-                    f"{tree.server_capacity}"
-                )
+        slots = np.fromiter(map(resource.__getitem__, map(operator.itemgetter(0), placed)),
+                            dtype=np.int64, count=len(placed))
+        slots[outside] = 0
+        used = np.bincount(servers, weights=slots, minlength=tree.num_servers)
+        bad = outside | (used[servers] > tree.server_capacity)
+        if bad.any():
+            i = int(bad.argmax())
+            if outside[i]:
+                raise DomainError(f"unknown server id {values[i]}")
+            raise DomainError(
+                f"server {values[i]} holds {int(used[servers[i]])} slots > capacity "
+                f"{tree.server_capacity}"
+            )
 
 
 @dataclass

@@ -13,16 +13,18 @@ up-down paths:
   spread whole demands over it greedily, largest first, always taking
   the path that keeps the maximum traversed load lowest.
 
-Every router takes one slot's DemandSet, or a batch: a list of
-DemandSets, with a list of timeslots, one per set.  `run_scenario`
+Every router takes one slot's DemandSet, or a batch, with a list of
+timeslots, one per set: `DemandSets`, the joined arrays of a run's
+demand table read at a batch of slots (`DemandTable.read`), or a list
+of DemandSets, which the router joins set after set.  `run_scenario`
 batches consecutive segments of a run.  A batch's plans come as arrays
 (`Plans`), and eer's active sets too (`ActiveSets`); each is a sequence
-whose item j, built when read, is what routing set j alone gives.  One
-set is a batch of one, and its result comes unwrapped.  The routers
-join a batch's sets into one set of arrays, set after set, and route
-them with one pass of array calls: each set's rows are offset by its
-index in the batch, so one ordered bincount gives every set's totals
-and loads, adding what a bincount per set adds.  A set not read from a
+whose item j, built when read, is what routing set j alone gives, as
+is item j of `DemandSets`.  One set is a batch of one, and its result
+comes unwrapped.  The routers route a batch's joined arrays with one
+pass of array calls: each set's rows are offset by its index in the
+batch, so one ordered bincount gives every set's totals and loads,
+adding what a bincount per set adds.  A set not read from a
 run's demand table is checked first: a server outside the tree, a
 demand from a server to itself, or a negative or non-finite rate is a
 DomainError.  A same-rack demand rides its ToR alone, so only
@@ -63,7 +65,6 @@ from __future__ import annotations
 
 import copy
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -73,7 +74,7 @@ from .errors import CapacityError, DomainError, InfeasibleError
 from .graphkit import ffd_one_bin, ffd_pack
 from .power import PowerParams
 from .topology import TOR, FatTree
-from .workload import DemandSet, _index_dtype, pair_order
+from .workload import DemandSet, DemandSets, _index_dtype, pair_order
 
 MBPS_PER_GBPS = 1000.0
 
@@ -267,46 +268,33 @@ def _demand_set(demands, tree: FatTree) -> DemandSet:
 
 
 def _is_batch(demands) -> bool:
-    """Whether a router's `demands` are a batch: a list of DemandSets."""
-    return isinstance(demands, list) and bool(demands) and isinstance(
-        demands[0], DemandSet)
+    """Whether a router's `demands` are a batch: DemandSets, or a list of DemandSets."""
+    return isinstance(demands, DemandSets) or (isinstance(demands, list) and bool(
+        demands) and isinstance(demands[0], DemandSet))
 
 
 class _Batch:
-    """The demand sets of one router call, checked and joined set after set.
+    """The demand sets of one router call, as joined arrays (`DemandSets`).
 
+    A batch read from a run's demand table comes joined; one set, or a
+    list of sets, is checked and joined set after set (`DemandSets.of`).
     `demands` holds every set's demands; set j owns rows
     bounds[j]:bounds[j+1], and `seg` names each row's set, in the
     narrowest dtype that numbers the sets (`_index_dtype`).  `alone` says
     the call routes one set, as one set or as a batch of one, so there is
-    nothing to join or offset.  The joined set keeps its servers as uint16, and,
-    when every set comes from the run's demand table, that table and the
-    pair ids in the table's dtype: a row of 14 bytes rather than 32.
+    nothing to offset.
     """
 
     def __init__(self, demands, tree: FatTree, timeslot=None):
         self.single = not _is_batch(demands)
-        sets = [demands] if self.single else demands
-        self.sets = [_demand_set(d, tree) for d in sets]
         self.slots = [timeslot] if self.single else timeslot
-        sizes = [len(d.src) for d in self.sets]
-        self.bounds = [0, *itertools.accumulate(sizes)]
-        self.alone = len(sizes) == 1
+        if not isinstance(demands, DemandSets):
+            demands = DemandSets.of(
+                [_demand_set(d, tree) for d in ([demands] if self.single else demands)])
+        self.sets, self.demands, self.bounds = demands, demands.demands, demands.bounds
+        self.alone = len(demands) == 1
+        sizes = np.diff(self.bounds)
         self.seg = np.repeat(np.arange(len(sizes), dtype=_index_dtype(len(sizes))), sizes)
-        if self.alone:
-            self.demands = self.sets[0]
-            return
-        table = self.sets[0].table
-        shared = table is not None and all(d.table is table for d in self.sets)
-        self.demands = DemandSet(
-            *(np.concatenate([getattr(d, end) for d in self.sets], dtype=np.uint16,
-                             casting="unsafe")  # server ids fit 16 bits (k <= 48)
-              for end in ("src", "dst")),
-            np.concatenate([d.rate for d in self.sets]),
-            np.concatenate([d.pair for d in self.sets], dtype=table.pair.dtype,
-                           casting="unsafe") if shared else None,
-            table if shared else None,
-        )
 
     @classmethod
     def of(cls, demands, tree: FatTree, timeslot=None) -> _Batch:

@@ -66,7 +66,7 @@ LAYER_SUM_RTOL = 1e-9
 # 8,192 and 16,384 rows; the host's speed drifts.  8,192 is at or
 # near the best at every k, for 60% of 16,384's peak at k=16.  On its
 # own it raised perfbench's peak RSS by 1.0-1.5%; the batch path's narrow
-# dtypes (`routing._Batch`, `_paths`) and `_finish_plans`'s early frees
+# dtypes (`workload.DemandSets`, `routing._paths`) and `_finish_plans`'s early frees
 # take that back.  A larger segment is a batch alone.
 BATCH_ROWS = 8192
 
@@ -291,31 +291,41 @@ def _meter(plans, slots, layer_of, totals, params):
 
 
 def _batches(table, horizon: int, step: int, least_rows: int):
-    """Batches of consecutive (demands, first slot, stop) of a run, to route together.
+    """Batches of a run to route together, each (DemandSets, starts, stops).
 
-    Every segment of the table reads its demands once (`DemandTable.at`)
-    and gives one item per `step` slots.  A batch takes items while their
-    demand rows total at most BATCH_ROWS; an item larger than that is a
-    batch alone.  Each item counts as at least `least_rows` rows.  A batch
-    is handed on as soon as no item can join it.
+    Every segment is sized first, by its live entries at its first slot
+    (`Entries`): its demand rows, or more where two units live there
+    share a server pair.  It gives one item per `step` slots, [start,
+    stop).  A batch takes items while their sizes total at most
+    BATCH_ROWS; an item larger than that is a batch alone.  Each item
+    counts as at least `least_rows` rows.  A batch is read from the table
+    in one pass at its items' starts (`DemandTable.read`) and handed on as
+    soon as no item can join it.
     """
-    batch, rows = [], 0
-    for first, stop in table.segments(horizon):
-        demands = table.at(first)
-        size = max(len(demands.src), least_rows)
+    segments = list(table.segments(horizon))
+    firsts = np.array([first for first, _ in segments], dtype=table.entries.start.dtype)
+    # Entries live from the segment of their start up to that of their end.
+    opened = np.bincount(firsts.searchsorted(table.entries.start), minlength=len(segments))
+    closed = np.bincount(firsts.searchsorted(table.entries.end, side="right"),
+                         minlength=len(segments) + 1)
+    sizes = (opened.cumsum() - closed[:len(segments)].cumsum()).tolist()
+    starts, stops, rows = [], [], 0
+    for (first, stop), size in zip(segments, sizes):
+        size = max(size, least_rows)
         for start in range(first, stop, step):
-            if batch and rows + size > BATCH_ROWS:
-                yield batch
-                batch, rows = [], 0
-            batch.append((demands, start, min(start + step, stop)))
+            if starts and rows + size > BATCH_ROWS:
+                yield table.read(starts), starts, stops
+                starts, stops, rows = [], [], 0
+            starts.append(start)
+            stops.append(min(start + step, stop))
             rows += size
             if rows + least_rows > BATCH_ROWS:
                 # No item fits any more: route the batch before the next
                 # segment is read, so a large segment is held alone.
-                yield batch
-                batch, rows = [], 0
-    if batch:
-        yield batch
+                yield table.read(starts), starts, stops
+                starts, stops, rows = [], [], 0
+    if starts:
+        yield table.read(starts), starts, stops
 
 
 def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
@@ -324,16 +334,18 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
     The horizon splits into segments at every transfer window's edges
     (`DemandTable.segments`); within a segment the active transfers, and
     so the demands, do not change.  The demand table maps every VM pair
-    to its server pair once per run, since VMs never move; each segment
-    reads its demands from it at the segment's first slot, summing the
-    rows of the units active there.  The demands carry the table and
-    their pair ids, so a router builds what it derives per server pair
-    once per run and each segment gathers its pairs' rows
-    (`DemandSet.pair_rows`).  sp and eer route each segment once and
-    reuse that plan for its slots; ecmp, whose draws are seeded per slot
-    (`routing.DRAWS_PER_SLOT`), routes every slot.  Consecutive segments
-    (for ecmp, slots) go to the router as one batch while their demand
-    rows total at most BATCH_ROWS (`_batches`).  A batch's plans stay
+    to its server pair once per run, since VMs never move, and lists
+    its entries, the rows as they are read (`workload.Entries`).  sp and
+    eer route each segment once and reuse that plan for its slots; ecmp,
+    whose draws are seeded per slot (`routing.DRAWS_PER_SLOT`), routes
+    every slot.  Consecutive segments (for ecmp, slots) go to the router
+    as one batch while their live entries total at most BATCH_ROWS
+    (`_batches`).  Each batch reads its demands from the table in one
+    pass (`DemandTable.read`) and reaches the router as joined arrays
+    (`workload.DemandSets`).  The demands carry the table and their pair
+    ids, so a router builds what it derives per server pair once per
+    run and each batch gathers its pairs' rows (`DemandSet.pair_rows`).
+    A batch's plans stay
     the router's arrays (`routing.Plans`): they are metered by one
     ordered bincount over their switches' watts (`_meter`), and one
     `repeat` gives every slot its plan's watts and active count.  The
@@ -374,18 +386,17 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
     violations: dict[int, tuple[int, ...]] = {}
     layer_totals = np.zeros(len(LAYERS))
 
-    def route_batch(batch):
+    def route_batch(sets, starts, stops):
         """Route a batch, hand its plans to `on_plan` and meter them."""
         nonlocal layer_totals
-        sets, starts, stops = map(list, zip(*batch))
         try:
             plans = route(sets, tree, params, starts, scenario.seed)
         except SimulationError:
-            if len(batch) > 1:
+            if len(sets) > 1:
                 # Set by set: the first failing set raises its own error
                 # again, and on_plan gets every slot before it.
-                for item in batch:
-                    route_batch([item])
+                for j, start in enumerate(starts):
+                    route_batch([sets[j]], [start], [stops[j]])
             raise
         spans = np.subtract(stops, starts)
         for j in plans.failing():
@@ -410,9 +421,10 @@ def run_scenario(scenario: Scenario, jobs=None, on_plan=None) -> EnergyReport:
     # k=16 run of 2,000 one-slot segments of two demands each peaks at
     # 1.2 MB traced so, and at 3.2 MB with k rows a set (0.7 MB at 1,024
     # rows); no benchmark workload has segments that small.
-    for batch in _batches(table, scenario.horizon, step, tree.num_switches // 6):
-        route_batch(batch)
-        del batch  # free its demands and plans before the next builds its own
+    for sets, starts, stops in _batches(table, scenario.horizon, step,
+                                        tree.num_switches // 6):
+        route_batch(sets, starts, stops)
+        del sets  # free its demands before the next batch reads its own
 
     runtime_ms = (time.perf_counter() - started) * 1000.0
     return EnergyReport(

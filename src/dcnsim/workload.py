@@ -9,6 +9,7 @@ can sleep.  Workload files are versioned JSON and round-trip losslessly.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import re
@@ -125,15 +126,15 @@ class DemandSet:
     """Server-to-server demands (Mbps) for one timeslot as three arrays.
 
     Demand i runs from server `src[i]` to `dst[i]` (src != dst) at
-    `rate[i]` Mbps.  A set read from a run's demand table (`DemandTable.at`)
-    also carries that table and each demand's pair id in it, so a router
-    whose choice is a pure function of the server pair derives its rows
-    once per run (`pair_rows`).  A hand-built set has neither: it is its
-    own pair table, with ids 0..n-1.
+    `rate[i]` Mbps.  A set read from a run's demand table (`DemandTable.at`,
+    or an item of `DemandTable.read`) also carries that table and each
+    demand's pair id in it, so a router whose choice is a pure function
+    of the server pair derives its rows once per run (`pair_rows`).  A
+    hand-built set has neither: it is its own pair table, with ids 0..n-1.
     """
 
-    src: np.ndarray  # int64
-    dst: np.ndarray  # int64
+    src: np.ndarray  # int64 (uint16 in a batch's joined set)
+    dst: np.ndarray  # int64 (uint16 in a batch's joined set)
     rate: np.ndarray  # float64
     pair: np.ndarray | None = None  # each demand's pair id in `table`
     table: DemandTable | None = field(default=None, repr=False)
@@ -163,6 +164,52 @@ class DemandSet:
     def flows(self) -> tuple[tuple[int, int, float], ...]:
         """(src, dst, rate) per demand, built on demand for readers."""
         return tuple(zip(self.src.tolist(), self.dst.tolist(), self.rate.tolist()))
+
+
+class DemandSets:
+    """A batch of demand sets as joined arrays; set j's DemandSet is built when read.
+
+    `demands` holds every set's demands, set after set: set j owns rows
+    bounds[j]:bounds[j + 1].  `DemandTable.read` gives a batch whose
+    servers are uint16 and whose pair ids are in the table's dtype, a row
+    of 14 bytes rather than 32; `of` joins a list of sets so, keeping pair
+    ids only when every set comes from one table, and keeps one set as it
+    is.  Item j is set j as `DemandTable.at` gives it, with int64 servers
+    and pair ids.
+    """
+
+    def __init__(self, demands: DemandSet, bounds: list[int]):
+        self.demands, self.bounds = demands, bounds
+
+    @classmethod
+    def of(cls, sets: Sequence[DemandSet]) -> DemandSets:
+        """A list of sets joined set after set."""
+        bounds = [0, *itertools.accumulate(len(d.src) for d in sets)]
+        if len(sets) == 1:
+            return cls(sets[0], bounds)
+        table = sets[0].table
+        shared = table is not None and all(d.table is table for d in sets)
+        return cls(DemandSet(
+            *(np.concatenate([getattr(d, end) for d in sets], dtype=np.uint16,
+                             casting="unsafe")  # server ids fit 16 bits (k <= 48)
+              for end in ("src", "dst")),
+            np.concatenate([d.rate for d in sets]),
+            np.concatenate([d.pair for d in sets], dtype=table.pair.dtype,
+                           casting="unsafe") if shared else None,
+            table if shared else None,
+        ), bounds)
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def __getitem__(self, j: int) -> DemandSet:
+        j = range(len(self))[j]  # a negative j counts from the end
+        lo, hi = self.bounds[j], self.bounds[j + 1]
+        d = self.demands
+        return DemandSet(d.src[lo:hi].astype(np.int64), d.dst[lo:hi].astype(np.int64),
+                         d.rate[lo:hi],
+                         None if d.pair is None else d.pair[lo:hi].astype(np.int64),
+                         d.table)
 
 
 # The generator's fixed draws, after the experiment setup: one slot per
@@ -325,6 +372,26 @@ def gap_distance(gaps: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class Entries:
+    """A demand table's entry view: its rows as they are read, in pair order.
+
+    A server pair whose rows all come from one unit is one entry, whose
+    rate is the ordered bincount of those rows, so the sum the unit gives
+    the pair.  A pair with rows from two or more units keeps each row as
+    an entry of its own, in row order.  Entry i is live over slots
+    start[i]..end[i], its unit's window, and carries rate[i] Mbps from
+    server src[i] to dst[i], pair pair[i] of the table.
+    """
+
+    start: np.ndarray  # int32 per entry (int64 for a window past 2**31 - 1)
+    end: np.ndarray  # same dtype as start
+    src: np.ndarray  # uint16
+    dst: np.ndarray  # uint16
+    pair: np.ndarray  # the table's pair dtype
+    rate: np.ndarray  # float64
+
+
+@dataclass(frozen=True, eq=False)
 class DemandTable:
     """Every VM-pair flow of a placed workload, built once per run.
 
@@ -336,10 +403,13 @@ class DemandTable:
     two VMs sit on different servers: it carries rate[i] Mbps over pair
     pair[i].  Rows come unit by unit, in job order, and row-major
     (source VM, destination VM) within a unit: unit u owns the next
-    size[u] rows.  That is the order `at` adds them in.
+    size[u] rows.  A pair's demand at a slot adds its live rows in that
+    order, from 0.0.
 
-    `at` is a pure function of the slot.  `pair_rows` keeps what a
-    router derives per pair (sp's paths) for the run.
+    Reads go through `entries` (`Entries`), built with the rows from
+    the same pair sort: `read` gives a batch of slots in one pass, and
+    `at` one slot.  Both are pure functions of the slots.  `pair_rows`
+    keeps what a router derives per pair (sp's paths) for the run.
     """
 
     start: np.ndarray  # int64 per unit
@@ -349,6 +419,7 @@ class DemandTable:
     dst: np.ndarray  # uint16 per pair
     pair: np.ndarray  # uint16 per row (int32 past 65,536 pairs)
     rate: np.ndarray  # float64 per row
+    entries: Entries
     _rows: dict = field(init=False, repr=False, default_factory=dict)
 
     def segments(self, horizon: int):
@@ -356,24 +427,40 @@ class DemandTable:
         edges = sorted({0, horizon, *self.start.tolist(), *(self.end + 1).tolist()})
         return zip(edges, edges[1:])
 
-    def at(self, t: int) -> DemandSet:
-        """Server-to-server demands of the units active at slot t.
+    def read(self, slots: Sequence[int]) -> DemandSets:
+        """The demands at each of `slots`, set j at slots[j], as one batch.
 
-        One bincount by pair id adds each pair's VM-pair rates in row
-        order, starting from 0.0.  Another order may change the last
-        bits of the rates and so of every energy total.  Every row's
-        rate is positive, so a pair is present exactly when its sum is.
+        One window comparison per slot over the entries gives that slot's
+        live entries, in pair order, and the joined arrays gather them
+        slot after slot.  Only where one slot has two or more live
+        entries of a pair (rows of two units that share it) does one
+        ordered bincount over the runs of equal (slot, pair) add them, in
+        row order from 0.0, as adding the pair's live rows does; another
+        order may change the last bits of the rates and so of every
+        energy total.  Every rate is positive, so each live pair is a
+        demand.
         """
-        keep = ((self.start <= t) & (t <= self.end)).repeat(self.size)
-        pair = self.pair[keep]
-        if not len(pair):  # an empty bincount is int64
-            empty = np.empty(0, dtype=np.int64)
-            return DemandSet(empty, empty, np.empty(0), empty, self)
-        rate = np.bincount(pair, weights=self.rate[keep], minlength=len(self.src))
-        present = (rate > 0).nonzero()[0]
-        return DemandSet(self.src[present].astype(np.int64),
-                         self.dst[present].astype(np.int64), rate[present],
-                         present, self)
+        e = self.entries
+        e_start, e_end = e.start, e.end
+        live = [np.flatnonzero((e_start <= t) & (t <= e_end)) for t in slots]
+        entry = live[0] if len(live) == 1 else np.concatenate(
+            [np.empty(0, dtype=np.intp), *live])
+        bounds = [0, *itertools.accumulate(map(len, live))]
+        del live
+        pair, rate = e.pair[entry], e.rate[entry]
+        if len(e.rate) > len(self.src):  # a pair has entries of two units
+            slot = np.arange(len(slots)).repeat(np.diff(bounds))
+            head = np.ones(len(entry), dtype=bool)
+            head[1:] = (pair[1:] != pair[:-1]) | (slot[1:] != slot[:-1])
+            if not head.all():
+                rate = np.bincount(head.cumsum() - 1, weights=rate)
+                entry, pair, slot = entry[head], pair[head], slot[head]
+                bounds = [0, *np.bincount(slot, minlength=len(slots)).cumsum().tolist()]
+        return DemandSets(DemandSet(e.src[entry], e.dst[entry], rate, pair, self), bounds)
+
+    def at(self, t: int) -> DemandSet:
+        """Server-to-server demands of the units active at slot t (`read`)."""
+        return self.read([t])[0]
 
     def pair_rows(self, key, build):
         """`build(src, dst)` over every pair of the table, built once per key."""
@@ -386,23 +473,24 @@ class DemandTable:
 def demand_table(
     jobs: Sequence[Job], assignment: Mapping[tuple[int, int], int]
 ) -> DemandTable:
-    """The demand table of `jobs` placed by `assignment`.
+    """The demand table of `jobs` placed by `assignment`, with its entries.
 
     VM pairs co-hosted on one server emit nothing (their traffic never
     reaches a NIC).  A VM of a listed job without a server is a
     DomainError.  Every unit's matrix entries are read in one pass over
     their row-major concatenation: entry e of an n x n unit runs from the
     unit's VM e // n to its VM e % n.  Indices are int32, and each
-    temporary is freed after its last read.  Only the pair ids come from
-    a sort of the rows' server pairs.
+    temporary is freed after its last read.  The pair ids and the entry
+    view come from one stable sort of the rows' server pairs, which keeps
+    each pair's rows in row order.
     """
-    hosts, starts, ends, widths, first_vm, matrices = [], [], [], [], [], []
+    hosts, starts, last_slots, widths, first_vm, matrices = [], [], [], [], [], []
     vms = 0
     for job in jobs:
         hosts.append(_hosts(job, assignment))
         for first, last in _stretches(job):
             starts.append(first)
-            ends.append(last)
+            last_slots.append(last)
             widths.append(job.vm_count)
             first_vm.append(vms)
             matrices.append(job.traffic_at(first).ravel())
@@ -438,13 +526,41 @@ def demand_table(
     first[:1] = True
     first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
     heads = first.nonzero()[0]  # each pair's first sorted row
-    pair = np.empty(rows, dtype=_index_dtype(len(heads)))
-    pair[order] = np.arange(len(heads), dtype=pair.dtype).repeat(
-        np.diff(heads, append=rows))
-    return DemandTable(
-        np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64), size,
-        src[heads], dst[heads], pair, rate,
+    lengths = np.diff(heads, append=rows)  # each pair's rows
+    sorted_pair = np.arange(len(heads), dtype=_index_dtype(len(heads))).repeat(lengths)
+    pair = np.empty(rows, dtype=sorted_pair.dtype)
+    pair[order] = sorted_pair
+    # A pair's rows keep row order, so their units rise: the pair is one
+    # unit's when its first and last rows are.  Row r is in the unit of
+    # the first unit end (`stops`) past r.
+    stops = np.cumsum(size)
+    shared = (stops.searchsorted(order[heads], side="right")
+              != stops.searchsorted(order[heads + lengths - 1], side="right"))
+    first |= shared.repeat(lengths)  # the rows that open an entry
+    del lengths, shared
+    opens = first.nonzero()[0]  # each entry's first sorted row
+    pair_src, pair_dst = src[heads], dst[heads]
+    del heads
+    entry_src, entry_dst, entry_pair = src[opens], dst[opens], sorted_pair[opens]
+    del src, dst, sorted_pair
+    unit = stops.searchsorted(order[opens], side="right")
+    # Each row's entry, in row order: a bincount over the rows then adds
+    # an entry's rows in row order, as over the sorted rows.
+    sorted_entry = first.cumsum(dtype=np.int32)
+    del first
+    sorted_entry -= 1
+    entry = np.empty(rows, dtype=np.int32)
+    entry[order] = sorted_entry
+    del sorted_entry, order
+    start, end = np.array(starts, dtype=np.int64), np.array(last_slots, dtype=np.int64)
+    window = np.int32 if max(last_slots, default=0) < 2**31 else np.int64
+    view = Entries(
+        start[unit].astype(window), end[unit].astype(window), entry_src, entry_dst,
+        entry_pair,
+        # An empty bincount is int64.
+        np.bincount(entry, weights=rate, minlength=len(opens)).astype(float, copy=False),
     )
+    return DemandTable(start, end, size, pair_src, pair_dst, pair, rate, view)
 
 
 def _index_dtype(count: int):

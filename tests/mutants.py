@@ -86,7 +86,7 @@ CATALOGUE = (
     Mutant("routing.py", "[[seed, s] for s in t]", "[[seed, j] for j, s in enumerate(t)]",
            ("tests/test_differential.py::test_the_batch_budget_never_changes_a_report",)),
     # A failed batch is replayed set by set whether or not on_plan is given.
-    Mutant("simengine.py", "if len(batch) > 1:", "if len(batch) > 1 and on_plan is not None:",
+    Mutant("simengine.py", "if len(sets) > 1:", "if len(sets) > 1 and on_plan is not None:",
            ("tests/test_differential.py::test_segment_loop_matches_the_per_slot_loop",)),
     # The too-wide pod named is the one the set's items reach first.
     Mutant("routing.py", "pod = int(rows[np.isin(rows, wide_rows)][0]) % per_set",
@@ -103,6 +103,15 @@ CATALOGUE = (
            ("tests/test_differential.py::test_demand_table_matches_the_unit_by_unit_oracle",)),
     Mutant("routing.py", "shift = len(part) - (hi - lo)", "shift = 0",
            ("tests/test_differential.py::test_segment_loop_matches_the_per_slot_loop",)),
+    # The demand table's entry view and its batch read: a pair shared by two
+    # units keeps a row per entry, a slot adds a pair's live entries, and an
+    # entry is live in the last slot of its window.
+    Mutant("workload.py", "first |= shared.repeat(lengths)", "pass",
+           ("tests/test_differential.py::test_a_batch_read_matches_the_row_oracle_slot_by_slot",)),
+    Mutant("workload.py", "if not head.all():", "if False:",
+           ("tests/test_differential.py::test_a_batch_read_matches_the_row_oracle_slot_by_slot",)),
+    Mutant("workload.py", "t <= e_end", "t < e_end",
+           ("tests/test_differential.py::test_a_batch_read_matches_the_row_oracle_slot_by_slot",)),
 )
 
 

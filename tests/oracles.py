@@ -28,7 +28,9 @@ demand's path afresh, where `sp_route` gathers per-pair rows built once
 per run; `by_size_oracle` is EER's demand order by `pair_order` and a
 stable sort.  `demand_table_oracle` builds the demand table unit by
 unit, reading each unit's matrix entries with its own `nonzero`, where
-`demand_table` reads every unit's entries in one pass.  `power_rate`
+`demand_table` reads every unit's entries in one pass, and lists its
+entries pair by pair; `table_at_oracle` reads one slot from the table's
+rows, where `DemandTable.read` reads a batch of slots from its entries.  `power_rate`
 (watts per Gbps of load) and `job_distance` (`gap_distance` of two
 patterns) are helpers only tests call.
 """
@@ -58,6 +60,7 @@ from dcnsim.workload import (
     DIST_MAX,
     DemandSet,
     DemandTable,
+    Entries,
     _hosts,
     _index_dtype,
     _stretches,
@@ -754,7 +757,10 @@ def run_each_slot(scenario, jobs=None, on_plan=None):
 def demand_table_oracle(jobs, assignment) -> DemandTable:
     """`workload.demand_table` built unit by unit: each unit's rows are its
     matrix's `nonzero` entries off a shared server, row-major, written into
-    preallocated compact arrays in the order they are built."""
+    preallocated compact arrays in the order they are built.  The entries
+    are listed pair by pair: a pair whose rows all come from one unit as
+    one entry with their Python sum from 0.0, in row order, any other
+    pair's rows one entry each."""
     starts, ends, units = [], [], []
     for job in jobs:
         hosts = _hosts(job, assignment)
@@ -787,7 +793,45 @@ def demand_table_oracle(jobs, assignment) -> DemandTable:
     pair = np.empty(rows, dtype=_index_dtype(len(heads)))
     pair[order] = np.arange(len(heads), dtype=pair.dtype).repeat(
         np.diff(heads, append=rows))
+    unit_of = np.arange(len(units)).repeat(size)
+    listed = []  # (unit, src, dst, pair, rate) per entry
+    for p, (lo, hi) in enumerate(zip(heads.tolist(), [*heads[1:].tolist(), rows])):
+        members = order[lo:hi].tolist()  # the pair's rows, in row order
+        if len({unit_of[i] for i in members}) > 1:
+            groups = [[i] for i in members]
+        else:
+            groups = [members]
+        for group in groups:
+            total = 0.0
+            for i in group:
+                total += rate[i]
+            listed.append((unit_of[group[0]], src[lo], dst[lo], p, total))
+    window = np.int32 if max(ends, default=0) < 2**31 else np.int64
+    entries = Entries(
+        np.array([starts[e[0]] for e in listed], dtype=window),
+        np.array([ends[e[0]] for e in listed], dtype=window),
+        np.array([e[1] for e in listed], dtype=np.uint16),
+        np.array([e[2] for e in listed], dtype=np.uint16),
+        np.array([e[3] for e in listed], dtype=pair.dtype),
+        np.array([e[4] for e in listed], dtype=float),
+    )
     return DemandTable(
         np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64), size,
-        src[heads], dst[heads], pair, rate,
+        src[heads], dst[heads], pair, rate, entries,
     )
+
+
+def table_at_oracle(table: DemandTable, t: int) -> DemandSet:
+    """`DemandTable.at` read from the rows: every row of the units active
+    at t, kept by a mask repeated over each unit's rows, and one bincount
+    by pair id over them, in row order from 0.0."""
+    keep = ((table.start <= t) & (t <= table.end)).repeat(table.size)
+    pair = table.pair[keep]
+    if not len(pair):  # an empty bincount is int64
+        empty = np.empty(0, dtype=np.int64)
+        return DemandSet(empty, empty, np.empty(0), empty, table)
+    rate = np.bincount(pair, weights=table.rate[keep], minlength=len(table.src))
+    present = (rate > 0).nonzero()[0]
+    return DemandSet(table.src[present].astype(np.int64),
+                     table.dst[present].astype(np.int64), rate[present],
+                     present, table)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcnsim.assignment import (
+    Assignment,
     SuperVM,
     assign,
     cluster_jobs,
@@ -358,6 +359,51 @@ def test_oversized_job_is_preplaced_greedily():
     assignment.validate([big, small], tree)
     pods = {tree.server_pod(assignment.placements[(0, m)]) for m in range(10)}
     assert len(pods) >= 2  # it genuinely spans pods
+
+
+# --- validating a placement ----------------------------------------------------
+
+# Job 0's VMs take one slot each, job 3's two: a whole server of k = 4's tree.
+PLACED_JOBS = [Job(id=0, vm_count=2), Job(id=3, vm_count=3, vm_resource=2)]
+
+
+def _validated(placements, jobs=PLACED_JOBS):
+    with pytest.raises(DomainError) as raised:
+        Assignment(placements).validate(jobs, build_fat_tree(4))
+    return str(raised.value)
+
+
+def test_validate_names_the_first_five_missing_vms():
+    assert _validated({(0, 0): 0}, [Job(id=0, vm_count=7)]) == (
+        "unassigned VMs: [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)] ...")
+
+
+def test_validate_names_the_unknown_vms_in_order():
+    placements = {(5, 0): 4, (0, 0): 0, (0, 1): 0, (3, 0): 1, (3, 1): 2, (3, 2): 3,
+                  (0, 2): 4}
+    assert _validated(placements) == "assignment covers unknown VMs: [(0, 2), (5, 0)]"
+
+
+def test_validate_names_the_first_server_over_capacity():
+    # Servers 5 and 1 both hold more than two slots; 5 is placed first.
+    placements = {(0, 0): 5, (0, 1): 1, (3, 0): 1, (3, 1): 5, (3, 2): 5}
+    assert _validated(placements) == "server 5 holds 5 slots > capacity 2"
+
+
+@pytest.mark.parametrize("placements, message", [
+    ({(0, 0): 16, (0, 1): 3, (3, 0): 3, (3, 1): 4, (3, 2): 5}, "unknown server id 16"),
+    ({(0, 0): 3, (0, 1): -1, (3, 0): 3, (3, 1): 4, (3, 2): 5},
+     "server 3 holds 3 slots > capacity 2"),
+    ({(0, 0): 0, (0, 1): 1, (3, 0): 2, (3, 1): 4, (3, 2): -1}, "unknown server id -1"),
+])
+def test_validate_names_the_first_server_outside_the_tree_or_over_capacity(
+        placements, message):
+    assert _validated(placements) == message
+
+
+def test_validate_accepts_a_full_placement():
+    Assignment({(0, 0): 0, (0, 1): 0, (3, 0): 1, (3, 1): 2, (3, 2): 15}).validate(
+        PLACED_JOBS, build_fat_tree(4))
 
 
 # --- co-hosting reduces demand (the transformation's point) ----------------

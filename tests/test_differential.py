@@ -17,6 +17,8 @@ The per-demand routers, that loop, that partition, that merge and
 those kernels are in `oracles.py`.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -76,6 +78,7 @@ from oracles import (
     sp_oracle,
     sp_segment_oracle,
     switch_power_each,
+    table_at_oracle,
 )
 
 HORIZON = 6
@@ -1144,6 +1147,99 @@ def test_demand_table_matches_the_unit_by_unit_oracle(case):
     _, jobs, assignment = case
     got, want = demand_table(jobs, assignment), demand_table_oracle(jobs, assignment)
     for name in TABLE_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+@st.composite
+def shared_pair_tables(draw):
+    """(jobs, assignment) at k = 4 or 6 with one to four slots per server.
+
+    VMs fill a small pool of servers, up to the capacity of each, so one
+    unit may send several rows over a server pair that another unit
+    shares.  Units may be one slot long, and may have no rows (zero
+    rates, or every VM on one server).
+    """
+    capacity = draw(st.integers(1, 4))
+    tree = build_fat_tree(draw(st.sampled_from([4, 6])), server_capacity=capacity)
+    pool = draw(st.lists(st.integers(0, tree.num_servers - 1), min_size=1, max_size=4,
+                         unique=True))
+    free = dict.fromkeys([*pool, *range(tree.num_servers)], capacity)
+    jobs, assignment = [], {}
+    for job_id in range(draw(st.integers(0, 5))):
+        n = draw(st.integers(1, 5))
+        trs = []
+        for _ in range(draw(st.integers(0, 3))):
+            start = draw(st.integers(0, HORIZON - 1))
+            end = draw(st.one_of(st.just(start), st.integers(start, HORIZON - 1)))
+            matrix = np.array(draw(st.lists(RATES, min_size=n * n, max_size=n * n)))
+            matrix = matrix.reshape(n, n)
+            np.fill_diagonal(matrix, 0.0)
+            trs.append(Transfer(start, end, matrix))
+        jobs.append(Job(id=job_id, vm_count=n, transfers=trs))
+        for m in range(n):
+            room = [server for server in pool if free[server]]
+            server = draw(st.sampled_from(room)) if room else next(
+                server for server, slots in free.items() if slots)
+            free[server] -= 1
+            assignment[(job_id, m)] = server
+    return jobs, assignment
+
+
+def _set_bits(demands):
+    return [(a.dtype.str, a.tobytes())
+            for a in (demands.src, demands.dst, demands.rate, demands.pair)]
+
+
+def _joined(parts, dtype):
+    return np.concatenate([np.empty(0, dtype=dtype), *parts], dtype=dtype, casting="unsafe")
+
+
+# Unit A sends 1e16 and unit B 1.0 twice over one server pair, both live in
+# every slot: adding in row order gives 1e16, adding B's rows first 1e16 + 2.
+@SETTINGS
+@given(shared_pair_tables(), st.lists(st.integers(-1, HORIZON), max_size=8))
+@example(_pair_flows([[1e16, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]], n=4), [0, 0, 3])
+@example(EDGE_UNITS, [*range(-1, HORIZON + 1), 1, 1])
+@example(([], {}), [0, 0])
+def test_a_batch_read_matches_the_row_oracle_slot_by_slot(case, slots):
+    """`DemandTable.read` gives the oracle's reads of the rows joined, with
+    uint16 servers and pair ids in the table's dtype, and each slot's
+    bounds; item j and `at` give the oracle's read at slots[j].  Every
+    array by dtype and bytes."""
+    jobs, assignment = case
+    table = demand_table(jobs, assignment)
+    want = [table_at_oracle(table, t) for t in slots]
+    got = table.read(slots)
+    assert got.demands.table is table
+    assert got.bounds == [0, *itertools.accumulate(len(d.src) for d in want)]
+    assert _set_bits(got.demands) == [
+        (a.dtype.str, a.tobytes()) for a in (
+            _joined([d.src for d in want], np.uint16), _joined([d.dst for d in want], np.uint16),
+            _joined([d.rate for d in want], np.float64),
+            _joined([d.pair for d in want], table.pair.dtype))]
+    assert len(got) == len(slots)
+    for j, t in enumerate(slots):
+        assert _set_bits(got[j]) == _set_bits(want[j]) == _set_bits(table.at(t))
+        assert table.at(t).table is table
+
+
+def test_a_shared_pair_adds_its_rows_in_row_order():
+    table = demand_table(*_pair_flows([[1e16, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]], n=4))
+    assert table.at(0).rate.tolist() == [1e16]
+
+
+ENTRY_ARRAYS = ("start", "end", "src", "dst", "pair", "rate")
+
+
+@SETTINGS
+@given(shared_pair_tables())
+@example(EDGE_UNITS)
+@example(([], {}))
+def test_entries_match_the_pair_by_pair_oracle(case):
+    """Every array of the entry view, its dtype and its bytes."""
+    got, want = (build(*case).entries for build in (demand_table, demand_table_oracle))
+    for name in ENTRY_ARRAYS:
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
